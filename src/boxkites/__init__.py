@@ -10,14 +10,13 @@ from .cdp import (
     Coeff,
     Element,
     IndexRangeError,
+    InvariantError,
     Level,
     SignedUnit,
     conjugate,
     mul_basis,
     mul_element,
-    read_sign_table,
     sign_table,
-    write_sign_table,
 )
 from .etable import (
     EmanationTable,
@@ -46,9 +45,7 @@ from .kites import (
     Survey,
     VizierReport,
     blue_hexagon,
-    broken_frames,
     build_boxkite,
-    census,
     classify_sails,
     edge_color_stats,
     survey,

@@ -12,21 +12,23 @@ zero detection is never approximate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
-#: sign tables are memoized up to this level; beyond it the recursion runs bare
+#: sign tables are memoized up to this level; beyond it the sign loop runs bare
 MEMO_MAX_N = 8
 
 
 class IndexRangeError(ValueError):
     """A basis index does not fit the ambient 2^n-ion level."""
+
+
+class InvariantError(RuntimeError):
+    """An identity that holds by construction came out false: a bug, not
+    bad input."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +60,7 @@ class SignedUnit(NamedTuple):
 
 
 def _basis_sign(a: int, b: int) -> int:
-    """Sign of the basis product i_a * i_b, by recursive doubling.
+    """Sign of the basis product i_a * i_b, by unrolled doubling.
 
     One doubling step views a unit of the 2h-dimensional algebra as a
     pair of h-dimensional units, multiplied by
@@ -66,29 +68,30 @@ def _basis_sign(a: int, b: int) -> int:
         (p, q) * (r, t) = (p r - t* q,  t p + q r*)
 
     with * the conjugation.  Unrolled to single basis units this leaves
-    the four index cases below; the recursion bottoms out at the reals.
-    The result is the same at every level that contains both factors.
+    the four index cases below, each reducing the pair to one in the
+    h-dimensional algebra, so the loop strips one top bit per pass and
+    ends at the reals.  The result is the same at every level that
+    contains both factors.
     """
-    if a == 0 or b == 0:
-        return 1
-    if a == b:
-        return -1
-    h = 1 << (max(a, b).bit_length() - 1)
-    if a < h:  # low * high:  (e_a, 0)(0, e_j) = (0, e_j e_a)
-        return _basis_sign(b - h, a)
-    if b < h:  # high * low:  (0, e_i)(e_b, 0) = (0, e_i e_b*)
-        return -_basis_sign(a - h, b)
-    i, j = a - h, b - h  # high * high: (0, e_i)(0, e_j) = (-e_j* e_i, 0)
-    if j == 0:
-        return -1
-    return _basis_sign(j, i)
-
-
-_VALIDATED = False
+    sign = 1
+    while a and b:
+        if a == b:
+            return -sign
+        h = 1 << ((a | b).bit_length() - 1)
+        if a < h:  # low * high:  (e_a, 0)(0, e_j) = (0, e_j e_a)
+            a, b = b - h, a
+        elif b < h:  # high * low:  (0, e_i)(e_b, 0) = (0, e_i e_b*)
+            a, sign = a - h, -sign
+        else:  # high * high: (0, e_i)(0, e_j) = (-e_j* e_i, 0)
+            i, j = a - h, b - h
+            if j == 0:
+                return -sign
+            a, b = j, i
+    return sign
 
 
 def _validate_convention() -> None:
-    """One-time self-check of the sign convention.
+    """Import-time self-check of the sign convention.
 
     Two facts pin the whole table down: a unit indexed below a
     power-of-two generator g satisfies i_L * i_g = +i_(g+L), and the
@@ -96,85 +99,31 @@ def _validate_convention() -> None:
     cycles listed here.  A doubling variant with conjugations placed the
     other way would break these; guard against regressions.
     """
-    global _VALIDATED
-    if _VALIDATED:
-        return
     for g in (2, 4, 8, 16):
         for lo in range(1, g):
-            assert _basis_sign(lo, g) == 1, (lo, g)
+            if _basis_sign(lo, g) != 1:
+                raise InvariantError(f"i_{lo} * i_{g} is not +i_{lo + g}")
     cycles = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7), (1, 7, 6), (2, 5, 7), (3, 6, 5))
     for x, y, z in cycles:
         for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-            assert p ^ q == r and _basis_sign(p, q) == 1, (p, q, r)
-    _VALIDATED = True
+            if p ^ q != r or _basis_sign(p, q) != 1:
+                raise InvariantError(f"i_{p} * i_{q} is not +i_{r}")
 
+
+_validate_convention()
 
 _TABLES: dict[int, list[list[int]]] = {}
 
 
-def sign_table(n: int, cache_dir: str | os.PathLike | None = None) -> list[list[int]]:
-    """Signed multiplication table for the 2^n-ions, memoized for n <= 8.
-
-    With ``cache_dir`` given, the table is loaded from ``signs_n{n}.txt``
-    in that directory when present, and written there (byte-stable) when
-    absent.  File format: one line per entry, ``a b s`` with s in
-    {+1, -1}, ordered by a then b.
-    """
+def sign_table(n: int) -> list[list[int]]:
+    """Signed multiplication table for the 2^n-ions, memoized for n <= 8."""
     if not 1 <= n <= MEMO_MAX_N:
         raise ValueError(f"sign tables are kept only for 1 <= n <= {MEMO_MAX_N}: {n}")
     tbl = _TABLES.get(n)
-    if tbl is not None:
-        return tbl
-    _validate_convention()
-    path = Path(cache_dir, f"signs_n{n}.txt") if cache_dir is not None else None
-    if path is not None and path.exists():
-        read_n, tbl = read_sign_table(path)
-        if read_n != n:
-            raise ValueError(f"cache file {path} holds a table for n={read_n}, wanted n={n}")
-    else:
+    if tbl is None:
         dim = 1 << n
-        tbl = [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
-        if path is not None:
-            _write_table(tbl, path)
-    _TABLES[n] = tbl
+        tbl = _TABLES[n] = [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
     return tbl
-
-
-def _write_table(tbl: list[list[int]], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for a, row in enumerate(tbl):
-        for b, s in enumerate(row):
-            lines.append(f"{a} {b} {'+1' if s > 0 else '-1'}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_sign_table(n: int, path: str | os.PathLike) -> None:
-    """Write the full table for level n in the flat triple-per-line format."""
-    _write_table(sign_table(n), Path(path))
-
-
-def read_sign_table(path: str | os.PathLike) -> tuple[int, list[list[int]]]:
-    """Read a table written by write_sign_table; returns (n, table)."""
-    tokens = Path(path).read_text().split()
-    if len(tokens) % 3:
-        raise ValueError(f"{path}: token count {len(tokens)} is not a multiple of 3")
-    dim = isqrt(len(tokens) // 3)
-    if dim * dim * 3 != len(tokens) or dim < 2 or dim & (dim - 1):
-        raise ValueError(f"{path}: entry count is not a square power of four")
-    tbl = [[0] * dim for _ in range(dim)]
-    pos = 0
-    for a in range(dim):
-        row = tbl[a]
-        for b in range(dim):
-            if int(tokens[pos]) != a or int(tokens[pos + 1]) != b:
-                raise ValueError(f"{path}: entries out of order near ({a}, {b})")
-            s = int(tokens[pos + 2])
-            if s not in (1, -1):
-                raise ValueError(f"{path}: bad sign {tokens[pos + 2]!r} at ({a}, {b})")
-            row[b] = s
-            pos += 3
-    return dim.bit_length() - 1, tbl
 
 
 def mul_basis(a: int, b: int, lvl: Level) -> SignedUnit:

@@ -4,29 +4,16 @@ Every invocation is deterministic: identical inputs give byte-identical
 output.  Bad flags exit 2 with a usage message; domain errors exit 1
 with a one-line diagnostic.  Signs print as "+k"/"-k" with an ASCII
 minus, indices in decimal.  The default level is n=4 (the sedenions).
-
-Set BOXKITES_CACHE_DIR to keep the memoized sign tables on disk between
-runs; files there regenerate byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import cdp, etable, kites, theorems, trips, zd
 from .cdp import Level
-
-CACHE_ENV = "BOXKITES_CACHE_DIR"
-
-
-def _prime_cache(n: int) -> None:
-    cache = os.environ.get(CACHE_ENV)
-    if cache:
-        cdp.sign_table(min(n, cdp.MEMO_MAX_N), cache_dir=cache)
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
@@ -43,14 +30,12 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def cmd_mul(args) -> int:
-    _prime_cache(args.n)
     sign, index = cdp.mul_basis(args.a, args.b, Level(args.n))
     print(f"{'+' if sign > 0 else '-'}{index}")
     return 0
 
 
 def cmd_trips(args) -> int:
-    _prime_cache(args.n)
     if args.count:
         print(trips.trip_count(args.n).total)
         return 0
@@ -60,7 +45,6 @@ def cmd_trips(args) -> int:
 
 
 def cmd_assessors(args) -> int:
-    _prime_cache(args.n)
     lvl = Level(args.n)
     if args.clusters:
         lines = [
@@ -75,20 +59,18 @@ def cmd_assessors(args) -> int:
 
 
 def cmd_dmz(args) -> int:
-    _prime_cache(args.n)
     lines = zd.dmz_report_lines(Level(args.n), args.s)
     _emit("\n".join(lines) + "\n" if lines else "", args.out)
     return 0
 
 
 def cmd_boxkite(args) -> int:
-    _prime_cache(args.n)
     lvl = Level(args.n)
     if args.zigzag is not None:
         seed = tuple(int(tok) for tok in args.zigzag.split(","))
         dumps = [kites.build_boxkite(lvl, args.s, seed).dump()]
     else:
-        found = kites.census(lvl, args.s)
+        found = kites.survey(lvl, args.s).kites
         if not found:
             raise ValueError(f"no box-kites at n={args.n}, s={args.s}")
         dumps = [bk.dump() for bk in found]
@@ -97,7 +79,6 @@ def cmd_boxkite(args) -> int:
 
 
 def cmd_census(args) -> int:
-    _prime_cache(args.n)
     lvl = Level(args.n)
     if args.s is not None:
         span = (args.s, args.s)
@@ -125,7 +106,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _prime_cache(args.n)
     results = theorems.run_suite(args.n)
     status = 0
     out = []
@@ -138,7 +118,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_et(args) -> int:
-    _prime_cache(args.n)
     et = etable.build_et(Level(args.n), args.s)
     if args.format == "text":
         _emit(etable.render_text(et), args.out)
@@ -150,7 +129,6 @@ def cmd_et(args) -> int:
 
 
 def cmd_flipbook(args) -> int:
-    _prime_cache(args.n)
     s_from, s_to = _parse_range(args.range)
     pages = etable.flipbook(
         Level(args.n), s_from, s_to, args.out, palette=args.palette, scale=args.scale

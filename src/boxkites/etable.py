@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cdp import Level
-from .kites import census
+from .kites import survey
 from .zd import Assessor, dmz_pattern
 
 HIDDEN = None
@@ -89,7 +89,7 @@ def et_stats(et: EmanationTable) -> EtStats:
     return EtStats(
         filled=filled,
         hidden=total - filled,
-        boxkite_count=len(census(et.lvl, et.s)),
+        boxkite_count=len(survey(et.lvl, et.s).kites),
         density=Fraction(filled, total),
     )
 

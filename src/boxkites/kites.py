@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .cdp import Level, mul_basis
+from .cdp import InvariantError, Level, mul_basis
 from .trips import cpo_orient, is_trip
 from .zd import (
     BACKSLASH,
@@ -34,6 +34,7 @@ BLUE = "BLUE"
 LABELS = ("A", "B", "C", "D", "E", "F")
 STRUT_LABEL_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
 _PARTNER = {"A": "F", "F": "A", "B": "E", "E": "B", "C": "D", "D": "C"}
+_STRUT_OF = {lbl: i for i, pair in enumerate(STRUT_LABEL_PAIRS) for lbl in pair}
 EDGE_LABEL_PAIRS = tuple(
     (x, y) for i, x in enumerate(LABELS) for y in LABELS[i + 1 :] if _PARTNER[x] != y
 )
@@ -257,22 +258,17 @@ def survey(lvl: Level, s: int) -> Survey:
     broken: list[BrokenFrame] = []
     sailless: list[SaillessFrame] = []
     for triple in combinations(pairs, 3):
-        los = [v for pr in triple for v in pr]
-        verts = {lo: Assessor(lo, lo ^ xval, lvl) for lo in los}
-        silent: list[tuple[int, int]] = []
-        patterns = {}
-        for (p1, p2) in combinations(range(3), 2):
-            for u in triple[p1]:
-                for v in triple[p2]:
-                    pat = dmz_pattern(verts[u], verts[v])
-                    if pat is None:
-                        silent.append((u, v))
-                    else:
-                        patterns[frozenset((u, v))] = pat
-        if silent:
+        t0, t1, t2 = triple
+        lo_of = dict(zip(LABELS, (t0[0], t1[0], t2[0], t2[1], t1[1], t0[1])))
+        colors, missing = _edge_survey(
+            tuple(Assessor(lo_of[lbl], lo_of[lbl] ^ xval, lvl) for lbl in LABELS)
+        )
+        if missing:
+            # each silent edge is written with its end on the earlier strut first
+            silent = (tuple(lo_of[lbl] for lbl in sorted(pr, key=_STRUT_OF.get)) for pr in missing)
             broken.append(BrokenFrame(s, triple, tuple(sorted(silent))))
             continue
-        zigzag = _find_zigzag(triple, patterns)
+        zigzag = _find_zigzag(triple, lo_of, colors)
         if zigzag is None:
             sailless.append(SaillessFrame(s, triple))
             continue
@@ -281,7 +277,7 @@ def survey(lvl: Level, s: int) -> Survey:
     return Survey(tuple(kites), tuple(broken), tuple(sailless))
 
 
-def _find_zigzag(triple, patterns) -> tuple[int, int, int] | None:
+def _find_zigzag(triple, lo_of, colors) -> tuple[int, int, int] | None:
     """The unique all-red trip face of a fully annihilating frame.
 
     Returns None when the frame has no trip faces at all (a sailless
@@ -291,13 +287,13 @@ def _find_zigzag(triple, patterns) -> tuple[int, int, int] | None:
     """
     trip_faces = []
     all_red = []
-    for face in product(*triple):
-        u, v, w = face
+    for face in product(*STRUT_LABEL_PAIRS):
+        u, v, w = (lo_of[lbl] for lbl in face)
         if u ^ v ^ w:
             continue
         trip_faces.append(face)
-        if all(not patterns[frozenset(pr)].same_slope_zero for pr in combinations(face, 2)):
-            all_red.append(face)
+        if all(colors[tuple(sorted(pr))] == RED for pr in combinations(face, 2)):
+            all_red.append((u, v, w))
     if not trip_faces:
         return None
     if len(all_red) != 1:
@@ -305,16 +301,6 @@ def _find_zigzag(triple, patterns) -> tuple[int, int, int] | None:
             f"frame {triple}: {len(trip_faces)} trip faces but {len(all_red)} all-red"
         )
     return all_red[0]
-
-
-def census(lvl: Level, s: int) -> list[BoxKite]:
-    """Every box-kite for the given strut constant, canonically labeled."""
-    return list(survey(lvl, s).kites)
-
-
-def broken_frames(lvl: Level, s: int) -> list[BrokenFrame]:
-    """Candidate frames at this strut constant with silent edges."""
-    return list(survey(lvl, s).broken)
 
 
 @dataclass(frozen=True, slots=True)
@@ -487,7 +473,7 @@ def viziers_check(bk: BoxKite) -> VizierReport:
     With (z, Z) a zigzag vertex's L- and U-index and (v, V) those of its
     strut opposite, the families are (v,z,S);(V,Z,S), then
     (V,z,G);(Z,v,G), then (V,v,X);(z,Z,X).  The XOR identities behind
-    all six always hold and are asserted; the flags record which
+    all six always hold and are checked; the flags record which
     products come out positively oriented.  A kite is type I when every
     strut orients fully, type II when exactly two struts flip the first
     family.
@@ -498,9 +484,8 @@ def viziers_check(bk: BoxKite) -> VizierReport:
         zig, vent = bk.assessor(zl), bk.assessor(vl)
         z, z_u = zig.lo, zig.hi
         v, v_u = vent.lo, vent.hi
-        assert v ^ z == s and v_u ^ z_u == s
-        assert v_u ^ z == g and z_u ^ v == g
-        assert v_u ^ v == x and z ^ z_u == x
+        if (v ^ z, v_u ^ z_u, v_u ^ z, z_u ^ v, v_u ^ v, z ^ z_u) != (s, s, g, g, x, x):
+            raise InvariantError(f"strut {zl}-{vl} breaks the XOR identities of its families")
         reports.append(
             StrutReport(
                 zl,

@@ -36,7 +36,7 @@ class TheoremResult:
 def _guard(name: str, fn) -> TheoremResult:
     try:
         return fn()
-    except (AssertionError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 

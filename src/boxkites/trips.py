@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cdp import IndexRangeError, Level, mul_basis
+from .cdp import IndexRangeError, InvariantError, Level, mul_basis
 
 
 class NotTripError(ValueError):
@@ -119,7 +119,8 @@ def rule2_expand(t: Trip | tuple[int, int, int], g: int) -> list[tuple[int, int,
     out = []
     for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
         new = (p, r + g, q + g)
-        assert new[0] ^ new[1] == new[2] and mul_basis(new[0], new[1], lvl).sign > 0
+        if new[0] ^ new[1] != new[2] or mul_basis(new[0], new[1], lvl).sign < 0:
+            raise InvariantError(f"Rule 2 took {(p, q, r)} to {new}, not a CPO trip")
         out.append(new)
     return out
 

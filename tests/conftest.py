@@ -1,6 +1,6 @@
 import pytest
 
-from boxkites import Level, census
+from boxkites import Level
 from boxkites.kites import survey
 
 
@@ -16,7 +16,7 @@ def lvl5():
 
 @pytest.fixture(scope="session")
 def sedenion_kites(lvl4):
-    return {s: census(lvl4, s) for s in range(1, 8)}
+    return {s: survey(lvl4, s).kites for s in range(1, 8)}
 
 
 @pytest.fixture(scope="session")

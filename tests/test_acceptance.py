@@ -16,7 +16,6 @@ from boxkites.etable import build_et, flipbook
 from boxkites.kites import (
     BLUE,
     build_boxkite,
-    census,
     classify_sails,
     edge_color_stats,
     survey,
@@ -106,7 +105,7 @@ def test_criterion_05_sedenion_boxkite_census():
     with criterion(5, "one kite per strut constant, 12 DMZ edges, 6+6 colors, 168 flows", budget=60):
         kites = []
         for s in range(1, 8):
-            found = census(LVL4, s)
+            found = survey(LVL4, s).kites
             assert len(found) == 1
             kites += found
         assert len(kites) == 7
@@ -139,7 +138,7 @@ def test_criterion_06_theorem_suite():
             assert all(theorem4_check(a) for a in enumerate_assessors(lvl))
         # emanation closure on every sedenion sail
         for s in range(1, 8):
-            for bk in census(LVL4, s):
+            for bk in survey(LVL4, s).kites:
                 for sail in classify_sails(bk):
                     va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
                     assert emanate(va, vb) == vc
@@ -147,7 +146,7 @@ def test_criterion_06_theorem_suite():
                     assert emanate(va, vc) == vb
         # twists: all valid in the sedenions
         for s in range(1, 8):
-            for bk in census(LVL4, s):
+            for bk in survey(LVL4, s).kites:
                 for l1, l2, _ in bk.edge_colors:
                     for d1, d2 in _edge_diagonal_pairs(bk, l1, l2):
                         assert twist(d1, d2).valid
@@ -155,7 +154,7 @@ def test_criterion_06_theorem_suite():
         # above 8 (every failure lands in such a cluster)
         invalid = []
         for s in range(1, 16):
-            for bk in census(LVL5, s):
+            for bk in survey(LVL5, s).kites:
                 for l1, l2, _ in bk.edge_colors:
                     for d1, d2 in _edge_diagonal_pairs(bk, l1, l2):
                         res = twist(d1, d2)
@@ -168,7 +167,7 @@ def test_criterion_06_theorem_suite():
 def test_criterion_07_zigzag_trefoil_sign_patterns():
     with criterion(7, "zigzag edges annihilate opposite-slope, trefoil edges at the shared vertex same-slope"):
         for s in range(1, 8):
-            for bk in census(LVL4, s):
+            for bk in survey(LVL4, s).kites:
                 sails = classify_sails(bk)
                 zig = sails[0]
                 for p, q in ((0, 1), (0, 2), (1, 2)):
@@ -188,9 +187,9 @@ def test_criterion_07_zigzag_trefoil_sign_patterns():
 def test_criterion_08_pathion_ensembles():
     with criterion(8, "7 kites for s=1..8, 3 kites sharing one strut for s=9..15", budget=300):
         for s in range(1, 9):
-            assert len(census(LVL5, s)) == 7, s
+            assert len(survey(LVL5, s).kites) == 7, s
         for s in range(9, 16):
-            found = census(LVL5, s)
+            found = survey(LVL5, s).kites
             assert len(found) == 3, s
             shared = set.intersection(*(set(bk.strut_pairs()) for bk in found))
             assert len(shared) == 1
@@ -201,7 +200,7 @@ def test_criterion_09_zigzag_trefoil_distribution():
         zig, tre = Counter(), Counter()
         slots = {}
         for s in range(1, 8):
-            for bk in census(LVL4, s):
+            for bk in survey(LVL4, s).kites:
                 for sail in classify_sails(bk):
                     key = tuple(sorted(sail.l_trip))
                     if sail.kind == "ZIGZAG":
@@ -217,14 +216,14 @@ def test_criterion_09_zigzag_trefoil_distribution():
 
 def test_criterion_10_three_viziers():
     with criterion(10, "second family universal; all sedenion kites fully oriented; two-strut reversal at n=5 with s>8"):
-        reports4 = [viziers_check(census(LVL4, s)[0]) for s in range(1, 8)]
+        reports4 = [viziers_check(survey(LVL4, s).kites[0]) for s in range(1, 8)]
         for report in reports4:
             assert report.kite_type == "I"
             for strut in report.struts:
                 assert strut.fully_oriented
         type_ii_high = []
         for s in range(1, 16):
-            for bk in census(LVL5, s):
+            for bk in survey(LVL5, s).kites:
                 report = viziers_check(bk)
                 for strut in report.struts:
                     assert strut.vz2 == (True, True)
@@ -250,7 +249,7 @@ def test_criterion_11_emanation_table_properties():
                     if r ^ c == s:
                         assert et.grid[i][j] is None
             edges = set()
-            for bk in census(lvl, s):
+            for bk in survey(lvl, s).kites:
                 for l1, l2, _ in bk.edge_colors:
                     u, v = bk.assessor(l1).lo, bk.assessor(l2).lo
                     edges.add((u, v))

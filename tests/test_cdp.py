@@ -5,14 +5,13 @@ from hypothesis import given, strategies as st
 
 from boxkites.cdp import (
     Element,
+    _basis_sign,
     IndexRangeError,
     Level,
     conjugate,
     mul_basis,
     mul_element,
-    read_sign_table,
     sign_table,
-    write_sign_table,
 )
 
 LVL2, LVL3, LVL4 = Level(2), Level(3), Level(4)
@@ -197,28 +196,27 @@ def test_norm_composition_fails_at_sedenions():
     assert _norm_sq(mul_element(x, y, LVL4), LVL4) == 0
 
 
-def test_sign_table_cache_roundtrip(tmp_path):
-    path = tmp_path / "signs_n3.txt"
-    write_sign_table(3, path)
-    first = path.read_bytes()
-    n, tbl = read_sign_table(path)
-    assert n == 3 and tbl == sign_table(3)
-    write_sign_table(3, path)
-    assert path.read_bytes() == first
+
+def _recursive_sign(a, b):
+    """The doubling recursion that cdp._basis_sign unrolls, kept as its reference."""
+    if a == 0 or b == 0:
+        return 1
+    if a == b:
+        return -1
+    h = 1 << (max(a, b).bit_length() - 1)
+    if a < h:
+        return _recursive_sign(b - h, a)
+    if b < h:
+        return -_recursive_sign(a - h, b)
+    i, j = a - h, b - h
+    if j == 0:
+        return -1
+    return _recursive_sign(j, i)
 
 
-def test_sign_table_cache_dir(tmp_path):
-    import boxkites.cdp as cdp
-
-    cdp._TABLES.pop(2, None)
-    tbl = sign_table(2, cache_dir=tmp_path)
-    assert (tmp_path / "signs_n2.txt").exists()
-    cdp._TABLES.pop(2, None)
-    assert sign_table(2, cache_dir=tmp_path) == tbl
-
-
-def test_read_sign_table_rejects_corruption(tmp_path):
-    path = tmp_path / "signs.txt"
-    path.write_text("0 0 +1\n0 1 +2\n1 0 -1\n1 1 -1\n")
-    with pytest.raises(ValueError):
-        read_sign_table(path)
+def test_basis_sign_loop_matches_recursion():
+    for n in range(1, 7):
+        dim = 1 << n
+        ref = [[_recursive_sign(a, b) for b in range(dim)] for a in range(dim)]
+        assert [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)] == ref, n
+        assert sign_table(n) == ref, n

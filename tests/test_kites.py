@@ -18,7 +18,6 @@ from boxkites.kites import (
     StrutCollisionError,
     blue_hexagon,
     build_boxkite,
-    census,
     classify_sails,
     edge_color_stats,
     survey,
@@ -66,7 +65,7 @@ def test_build_accepts_any_cpo_rotation():
     # seed (5,1,4) stores as A=1, B=4, C=5
     bk = build_boxkite(LVL4, 7, (5, 1, 4))
     assert bk.zigzag_trip == (1, 4, 5)
-    assert bk == census(LVL4, 7)[0]
+    assert bk == survey(LVL4, 7).kites[0]
 
 
 def test_build_errors():
