@@ -3,7 +3,8 @@
 Every invocation is deterministic: identical inputs give byte-identical
 output.  Bad flags exit 2 with a usage message; domain errors exit 1
 with a one-line diagnostic.  Signs print as "+k"/"-k" with an ASCII
-minus, indices in decimal.  The default level is n=4 (the sedenions).
+minus, indices in decimal.  The default level is n=4 (the sedenions);
+levels above n=8 are refused, except by mul and trips --count.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def cmd_census(args) -> int:
         span = _parse_range(args.range)
     else:
         span = (1, lvl.g - 1)
+    zd.check_strut(lvl, span[0])
+    zd.check_strut(lvl, span[1])
     if span[0] > span[1]:
         raise ValueError(f"range runs backwards: {span[0]}..{span[1]}")
     lines = []
@@ -171,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zigzag", default=None, help="seed trip a,b,c to build one specific kite")
 
     p = add("census", cmd_census, "count box-kites per strut constant")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--range", default=None, help="strut constant range a..b")
+    span = p.add_mutually_exclusive_group()
+    span.add_argument("--s", type=int, default=None)
+    span.add_argument("--range", default=None, help="strut constant range a..b")
 
     add("verify", cmd_verify, "run the theorem suites and print PASS/FAIL lines")
 
@@ -202,6 +206,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # mul does one product and trips --count uses a closed form; every
+        # other verb sweeps the whole level, out of reach above the sign tables
+        if args.n > cdp.MEMO_MAX_N and not (args.verb == "mul" or getattr(args, "count", False)):
+            raise ValueError(
+                f"--n {args.n} is above {cdp.MEMO_MAX_N}; only mul and trips --count go higher"
+            )
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .cdp import Level
 from .kites import survey
-from .zd import Assessor, dmz_pattern
+from .zd import check_strut, cluster, dmz_pattern
 
 HIDDEN = None
 
@@ -57,29 +58,14 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
     off-diagonal cell is decided by multiplying the row and column
     planes' diagonals out in full.
     """
-    if lvl.n < 4:
-        raise ValueError("no zero divisors below 16 dimensions; nothing to tabulate")
-    if not 1 <= s < lvl.g:
-        raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
-    xval = lvl.g | s
-    axis = tuple(k for k in range(1, lvl.g) if k != s)
-    planes = {k: Assessor(k, k ^ xval, lvl) for k in axis}
-    decided: dict[frozenset, bool] = {}
-    rows = []
-    for r in axis:
-        row = []
-        for c in axis:
-            if r == c:
-                row.append(HIDDEN)
-                continue
-            key = frozenset((r, c))
-            hit = decided.get(key)
-            if hit is None:
-                hit = dmz_pattern(planes[r], planes[c]) is not None
-                decided[key] = hit
-            row.append(r ^ c if hit else HIDDEN)
-        rows.append(tuple(row))
-    return EmanationTable(lvl, s, axis, tuple(rows))
+    planes = cluster(lvl, s)
+    axis = tuple(a.lo for a in planes)
+    zero = set()
+    for a, b in combinations(planes, 2):
+        if dmz_pattern(a, b) is not None:
+            zero.update(((a.lo, b.lo), (b.lo, a.lo)))
+    grid = tuple(tuple(r ^ c if (r, c) in zero else HIDDEN for c in axis) for r in axis)
+    return EmanationTable(lvl, s, axis, grid)
 
 
 def et_stats(et: EmanationTable) -> EtStats:
@@ -201,12 +187,10 @@ def flipbook(
     manifest lists "n s filename" per page.  Ranges must run forward and
     stay inside 1..g-1.
     """
-    if lvl.n < 4:
-        raise ValueError("no zero divisors below 16 dimensions; nothing to tabulate")
+    check_strut(lvl, s_from)
+    check_strut(lvl, s_to)
     if s_from > s_to:
         raise ValueError(f"range runs backwards: {s_from}..{s_to}")
-    if not (1 <= s_from and s_to < lvl.g):
-        raise ValueError(f"range {s_from}..{s_to} must stay within 1..{lvl.g - 1}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(lvl.g - 1))

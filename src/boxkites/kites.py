@@ -24,6 +24,7 @@ from .zd import (
     SLASH,
     Assessor,
     Diagonal,
+    cluster,
     diagonal_product,
     dmz_pattern,
 )
@@ -138,13 +139,6 @@ class BoxKite:
         return f"BoxKite(n={self.lvl.n}, s={self.s}, zigzag={self.zigzag_trip})"
 
 
-def _check_strut(lvl: Level, s: int) -> None:
-    if lvl.n < 4:
-        raise ValueError("box-kites need at least 16 dimensions")
-    if not 1 <= s < lvl.g:
-        raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
-
-
 def _canonical_zigzag(lvl: Level, s: int, trip) -> tuple[int, int, int]:
     seed = tuple(trip)
     if len(seed) != 3:
@@ -179,16 +173,14 @@ def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     """Assemble and fully check the frame whose all-red sail is the seed trip.
 
     The trip is rotated so its smallest index leads in CPO; strut
-    opposites follow by XOR with s and U-indices by XOR with g + s.
+    opposites follow by XOR with s and their planes from the cluster of s.
     Every one of the twelve edges is then decided by exact products: a
     frame with any silent edge is rejected as broken, and a seed whose
     own three edges are not all red is not the zigzag.
     """
-    _check_strut(lvl, s)
+    plane = {a.lo: a for a in cluster(lvl, s)}
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
-    xval = lvl.g | s
-    los = (a, b, c, c ^ s, b ^ s, a ^ s)  # A B C D E F
-    vertices = tuple(Assessor(lo, lo ^ xval, lvl) for lo in los)
+    vertices = tuple(plane[lo] for lo in (a, b, c, c ^ s, b ^ s, a ^ s))  # A B C D E F
     colors, missing = _edge_survey(vertices)
     if missing:
         raise BrokenFrameError(
@@ -245,24 +237,15 @@ def survey(lvl: Level, s: int) -> Survey:
     frames that fully annihilate without any trip face are kept as
     sailless diagnostics.
     """
-    _check_strut(lvl, s)
-    pairs = []
-    seen: set[int] = set()
-    for xlo in range(1, lvl.g):
-        if xlo == s or xlo in seen:
-            continue
-        seen.update((xlo, xlo ^ s))
-        pairs.append((xlo, xlo ^ s))
-    xval = lvl.g | s
+    plane = {a.lo: a for a in cluster(lvl, s)}
+    pairs = [(k, k ^ s) for k in plane if k < k ^ s]
     kites: list[BoxKite] = []
     broken: list[BrokenFrame] = []
     sailless: list[SaillessFrame] = []
     for triple in combinations(pairs, 3):
         t0, t1, t2 = triple
         lo_of = dict(zip(LABELS, (t0[0], t1[0], t2[0], t2[1], t1[1], t0[1])))
-        colors, missing = _edge_survey(
-            tuple(Assessor(lo_of[lbl], lo_of[lbl] ^ xval, lvl) for lbl in LABELS)
-        )
+        colors, missing = _edge_survey(tuple(plane[lo_of[lbl]] for lbl in LABELS))
         if missing:
             # each silent edge is written with its end on the earlier strut first
             silent = (tuple(lo_of[lbl] for lbl in sorted(pr, key=_STRUT_OF.get)) for pr in missing)

@@ -48,17 +48,9 @@ class Assessor:
             raise ValueError(f"U-index must lie in {g + 1}..{d - 1}: {self.hi}")
 
     @property
-    def x(self) -> int:
-        """XOR of the two spanning indices."""
-        return self.lo ^ self.hi
-
-    @property
     def strut_constant(self) -> int:
         """Low index excluded from this plane's cluster: lo ^ hi ^ g."""
         return self.lo ^ self.hi ^ self.lvl.g
-
-    def diagonal(self, slope: int) -> "Diagonal":
-        return Diagonal(self, slope)
 
     def element(self, slope: int) -> Element:
         return Element({self.lo: 1, self.hi: 1 if slope > 0 else -1})
@@ -192,16 +184,10 @@ def theorem2_check(lvl: Level):
     same shape as theorem1_check.
     """
     g = lvl.g
-    with_g = []
-    for k in range(1, lvl.dim):
-        if k == g:
-            continue
-        a, b = min(k, g), max(k, g)
-        with_g.append((a, b, 1))
-        with_g.append((a, b, -1))
     pool = [(q, _dyad_element(q)) for q in _dyads(range(1, lvl.dim))]
-    for p in with_g:
-        ep = _dyad_element(p)
+    for p, ep in pool:
+        if g not in p[:2]:
+            continue
         for q, eq in pool:
             if mul_element(ep, eq, lvl).is_zero():
                 return p, q
@@ -295,12 +281,30 @@ def enumerate_assessors(lvl: Level) -> list[Assessor]:
     return out
 
 
+def check_strut(lvl: Level, s: int) -> None:
+    """Refuse a level without zero divisors or a strut constant outside 1..g-1."""
+    if lvl.n < 4:
+        raise ValueError("no zero divisors below 16 dimensions")
+    if not 1 <= s < lvl.g:
+        raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
+
+
+def cluster(lvl: Level, s: int) -> tuple[Assessor, ...]:
+    """The candidate planes of strut constant s, in L-index order.
+
+    Every low index k other than s spans the plane (k, k ^ (g + s)); this
+    is the one place that rule is written, and every per-s view (DMZ
+    scan, emanation table, box-kite survey) reads its planes from here.
+    """
+    check_strut(lvl, s)
+    return tuple(Assessor(k, k ^ (lvl.g | s), lvl) for k in range(1, lvl.g) if k != s)
+
+
 def cluster_assessors(lvl: Level) -> dict[int, list[Assessor]]:
     """Candidate planes grouped by strut constant (the excluded low index)."""
-    groups: dict[int, list[Assessor]] = {}
-    for a in enumerate_assessors(lvl):
-        groups.setdefault(a.strut_constant, []).append(a)
-    return dict(sorted(groups.items()))
+    if lvl.n < 4:
+        return {}
+    return {s: list(cluster(lvl, s)) for s in range(1, lvl.g)}
 
 
 def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor, DmzPattern]]:
@@ -308,9 +312,7 @@ def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor,
 
     Pairs come back sorted with a1 before a2 by (lo, hi).
     """
-    cands = enumerate_assessors(lvl)
-    if s is not None:
-        cands = [a for a in cands if a.strut_constant == s]
+    cands = enumerate_assessors(lvl) if s is None else cluster(lvl, s)
     out = []
     for a1, a2 in combinations(cands, 2):
         pat = dmz_pattern(a1, a2)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import boxkites
+from boxkites import kites
 from boxkites.cli import main
 
 S4_DUMP_HEAD = "4 4\nA 1 13\nB 2 14\nC 3 15\nD 7 11\nE 6 10\nF 5 9\n"
@@ -72,6 +73,8 @@ def test_dmz_scan(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12
     assert "1 13 2 14 opposite" in lines
+    assert main(["dmz", "--n", "3"]) == 0  # no zero divisors: nothing to list
+    assert capsys.readouterr().out == ""
 
 
 def test_boxkite_dump(capsys):
@@ -147,6 +150,38 @@ def test_reversed_range_is_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "5", "--s", "99"], ["--n", "5", "--s", "0"], ["--n", "3", "--s", "1"]]
+)
+def test_dmz_refuses_bad_strut_constants(argv, capsys):
+    assert main(["dmz", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_census_refuses_a_bad_range_before_any_survey(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(kites, "survey", lambda *args: calls.append(args))
+    assert main(["census", "--n", "5", "--range", "1..99"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["census", "--n", "5", "--s", "3", "--range", "1..2"]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["trips", "--n", "40"], ["assessors", "--n", "40"], ["census", "--n", "12"]]
+)
+def test_levels_above_the_sign_tables_are_refused(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_trip_count_answers_above_the_sign_tables(capsys):
+    assert main(["trips", "--n", "40", "--count"]) == 0
+    assert int(capsys.readouterr().out) == (2**40 - 1) * (2**40 - 2) // 6
+
+
 def test_entry_point_subprocess():
     code, out, _ = run_cli("mul", "--n", "4", "1", "2")
     assert code == 0 and out == "+3\n"
@@ -163,6 +198,16 @@ def test_mul_far_above_the_tables(capsys):
     # 3000 doubling steps: the sign loop needs no stack depth per bit
     assert main(["mul", "--n", "3000", str(2**3000 - 1), str(2**3000 - 3)]) == 0
     assert capsys.readouterr().out == "+2\n"
+
+
+def test_roadmap_set_keeps_its_output_bytes(tmp_path, monkeypatch):
+    # bench/run.py --check: the ROADMAP refactor set against bench/refs.json
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(bench))
+    import run
+
+    assert run.check(tmp_path) == 0
 
 
 def test_package_has_no_bare_asserts():

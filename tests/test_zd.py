@@ -11,6 +11,8 @@ from boxkites.zd import (
     Assessor,
     Diagonal,
     NotDmzError,
+    check_strut,
+    cluster,
     cluster_assessors,
     diagonal_product,
     dmz_pattern,
@@ -167,6 +169,18 @@ def test_clusters():
     clusters5 = cluster_assessors(LVL5)
     assert sorted(clusters5) == list(range(1, 16))
     assert all(len(v) == 14 for v in clusters5.values())
+    # the one owner of a cluster's planes agrees with the full candidate list
+    for n in range(4, 8):
+        lvl = Level(n)
+        cands = enumerate_assessors(lvl)
+        for s in range(1, lvl.g):
+            assert list(cluster(lvl, s)) == [a for a in cands if a.strut_constant == s]
+    assert cluster_assessors(Level(3)) == {}
+    for lvl, s in ((Level(3), 1), (LVL4, 0), (LVL4, LVL4.g)):
+        with pytest.raises(ValueError):
+            check_strut(lvl, s)
+        with pytest.raises(ValueError):
+            cluster(lvl, s)
 
 
 def test_emanate_examples():
