@@ -12,9 +12,10 @@ zero detection is never approximate.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 

@@ -145,6 +145,20 @@ def _gray(v: int, g: int) -> tuple[int, int, int]:
 
 PALETTES = {"rainbow": _rainbow, "gray": _gray}
 
+#: the widest pixmap rendered, in pixels on a side
+MAX_SIDE = 2048
+
+
+def _check_scale(cells: int, scale: int) -> None:
+    """Refuse a scale below 1, or one that makes a pixmap wider than MAX_SIDE."""
+    if scale < 1:
+        raise ValueError(f"scale must be positive: {scale}")
+    if cells * scale > MAX_SIDE:
+        raise ValueError(
+            f"scale {scale} makes a {cells}-cell table {cells * scale} pixels wide; "
+            f"the limit is {MAX_SIDE}"
+        )
+
 
 def render_image(et: EmanationTable, palette: str = "rainbow", scale: int = 1) -> str:
     """Plain portable pixmap (P3) of the grid, one scale^2 block per cell.
@@ -157,8 +171,7 @@ def render_image(et: EmanationTable, palette: str = "rainbow", scale: int = 1) -
         color_of = PALETTES[palette]
     except KeyError:
         raise ValueError(f"unknown palette {palette!r}; have {sorted(PALETTES)}") from None
-    if scale < 1:
-        raise ValueError(f"scale must be positive: {scale}")
+    _check_scale(len(et.axis), scale)
     g = et.lvl.g
     side = len(et.axis) * scale
     lines = ["P3", f"{side} {side}", "255"]
@@ -185,12 +198,13 @@ def flipbook(
     Page files are named et_n{n}_s{s}.ppm with the strut constant padded
     to a fixed width, so directory order matches page order; the
     manifest lists "n s filename" per page.  Ranges must run forward and
-    stay inside 1..g-1.
+    stay inside 1..g-1, and the scale is checked before anything is written.
     """
     check_strut(lvl, s_from)
     check_strut(lvl, s_to)
     if s_from > s_to:
         raise ValueError(f"range runs backwards: {s_from}..{s_to}")
+    _check_scale(len(cluster(lvl, s_from)), scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(lvl.g - 1))

@@ -157,11 +157,12 @@ def _canonical_zigzag(lvl: Level, s: int, trip) -> tuple[int, int, int]:
     return cpo[i:] + cpo[:i]
 
 
-def _edge_survey(vertices: tuple[Assessor, ...]):
+def _edge_survey(vertices: tuple[Assessor, ...], pattern):
+    """Colors and silent edges of a frame; pattern(a1, a2) decides one edge."""
     colors: dict[tuple[str, str], str] = {}
     missing: list[tuple[str, str]] = []
     for l1, l2 in EDGE_LABEL_PAIRS:
-        pat = dmz_pattern(vertices[LABELS.index(l1)], vertices[LABELS.index(l2)])
+        pat = pattern(vertices[LABELS.index(l1)], vertices[LABELS.index(l2)])
         if pat is None:
             missing.append((l1, l2))
         else:
@@ -181,7 +182,7 @@ def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     plane = {a.lo: a for a in cluster(lvl, s)}
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
     vertices = tuple(plane[lo] for lo in (a, b, c, c ^ s, b ^ s, a ^ s))  # A B C D E F
-    colors, missing = _edge_survey(vertices)
+    colors, missing = _edge_survey(vertices, dmz_pattern)
     if missing:
         raise BrokenFrameError(
             f"{len(missing)} of 12 edges make no zero at n={lvl.n}, s={s}: {missing}",
@@ -229,23 +230,33 @@ def survey(lvl: Level, s: int) -> Survey:
     """Exhaustive hunt over strut-pair triples for one strut constant.
 
     Low indices other than s pair off as {x, x ^ s}; every choice of
-    three pairs is a candidate frame whose twelve cross edges are tested
-    exactly.  A frame becomes a box-kite when every edge annihilates and
-    one of its faces is an all-red trip (the zigzag, which fixes the
-    labeling).  Frames with silent edges are kept as broken-frame
-    diagnostics (the raw material of hidden emanation-table cells);
-    frames that fully annihilate without any trip face are kept as
-    sailless diagnostics.
+    three pairs is a candidate frame, and its twelve cross edges are the
+    non-strut plane pairs among its six planes.  Each such pair of the
+    cluster is decided once by exact products before the frames are
+    walked, and every frame reads its edges from that relation.  A frame
+    becomes a box-kite when every edge annihilates and one of its faces
+    is an all-red trip (the zigzag, which fixes the labeling).  Frames
+    with silent edges are kept as broken-frame diagnostics (the raw
+    material of hidden emanation-table cells); frames that fully
+    annihilate without any trip face are kept as sailless diagnostics.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
     pairs = [(k, k ^ s) for k in plane if k < k ^ s]
+    relation = {}
+    for a, b in combinations(plane.values(), 2):
+        if a.lo ^ b.lo != s:  # strut pairs are never frame edges
+            relation[a.lo, b.lo] = relation[b.lo, a.lo] = dmz_pattern(a, b)
+
+    def edge(a1: Assessor, a2: Assessor):
+        return relation[a1.lo, a2.lo]
+
     kites: list[BoxKite] = []
     broken: list[BrokenFrame] = []
     sailless: list[SaillessFrame] = []
     for triple in combinations(pairs, 3):
         t0, t1, t2 = triple
         lo_of = dict(zip(LABELS, (t0[0], t1[0], t2[0], t2[1], t1[1], t0[1])))
-        colors, missing = _edge_survey(tuple(plane[lo_of[lbl]] for lbl in LABELS))
+        colors, missing = _edge_survey(tuple(plane[lo_of[lbl]] for lbl in LABELS), edge)
         if missing:
             # each silent edge is written with its end on the earlier strut first
             silent = (tuple(lo_of[lbl] for lbl in sorted(pr, key=_STRUT_OF.get)) for pr in missing)

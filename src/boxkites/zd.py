@@ -115,9 +115,9 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     lvl = _require_same_level(a1.lvl, a2.lvl)
     if a1 == a2:
         raise ValueError("an assessor cannot be paired with itself")
-    zero = {}
-    for s1, s2 in ((SLASH, SLASH), (SLASH, BACKSLASH), (BACKSLASH, SLASH), (BACKSLASH, BACKSLASH)):
-        zero[(s1, s2)] = mul_element(a1.element(s1), a2.element(s2), lvl).is_zero()
+    d1 = {slope: a1.element(slope) for slope in (SLASH, BACKSLASH)}
+    d2 = {slope: a2.element(slope) for slope in (SLASH, BACKSLASH)}
+    zero = {(s1, s2): mul_element(d1[s1], d2[s2], lvl).is_zero() for s1 in d1 for s2 in d2}
     same = zero[(SLASH, SLASH)]
     opposite = zero[(SLASH, BACKSLASH)]
     if zero[(BACKSLASH, BACKSLASH)] != same or zero[(BACKSLASH, SLASH)] != opposite:

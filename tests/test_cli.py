@@ -133,6 +133,18 @@ def test_flipbook_writes_files(tmp_path, capsys):
     assert files == [f"et_n5_s{s:02d}.ppm" for s in range(9, 16)] + ["manifest.txt"]
 
 
+@pytest.mark.parametrize("verb", ["et --s 1 --format image", "flipbook --range 1..3"])
+def test_huge_scales_are_refused(verb, tmp_path, capsys):
+    out_dir = tmp_path / "book"
+    argv = [*verb.split(), "--n", "5", "--scale", "1000000"]
+    if verb.startswith("flipbook"):
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["et", "--n", "3", "--s", "1"]) == 1
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import pytest
 
 from boxkites.cdp import Level
 from boxkites.etable import (
+    MAX_SIDE,
     PALETTES,
     EmanationTable,
     build_et,
@@ -148,6 +149,10 @@ def test_render_image_properties():
         render_image(et, palette="neon")
     with pytest.raises(ValueError):
         render_image(et, scale=0)
+    with pytest.raises(ValueError, match="limit is 2048"):
+        render_image(et, scale=10**6)
+    with pytest.raises(ValueError, match="2058 pixels"):
+        render_image(et, scale=MAX_SIDE // 14 + 1)  # one step past the widest
 
 
 def test_palette_functions_are_pure():

@@ -1,8 +1,9 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from boxkites import kites
 from boxkites.cdp import Level, mul_basis
 from boxkites.kites import (
     BLUE,
@@ -25,7 +26,7 @@ from boxkites.kites import (
     viziers_check,
 )
 from boxkites.trips import NotTripError, is_trip, trip_count
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, dmz_pattern, twist
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, dmz_pattern, twist
 
 LVL4, LVL5 = Level(4), Level(5)
 
@@ -377,6 +378,69 @@ def test_survey_is_deterministic():
     second = survey(LVL5, 9)
     assert first == second
     assert [bk.dump() for bk in first.kites] == [bk.dump() for bk in second.kites]
+
+
+def test_survey_decides_each_non_strut_pair_once(monkeypatch):
+    calls = []
+
+    def counting(a1, a2):
+        calls.append((a1, a2))
+        return dmz_pattern(a1, a2)
+
+    monkeypatch.setattr(kites, "dmz_pattern", counting)
+    for s in range(1, LVL5.g):
+        calls.clear()
+        found = survey(LVL5, s).kites
+        # C(14, 2) - 7 strut pairs for the relation, then 12 edges per build_boxkite
+        assert len(calls) == 84 + 12 * len(found)
+
+
+def _frame_oracle(lvl, s):
+    """Survey by retesting every frame's twelve edges with dmz_pattern.
+
+    Returns (kites, broken, sailless): kites as built from each frame's
+    all-red trip face, broken frames as (struts, silent edges) with each
+    edge's end on the earlier strut first, sailless frames as struts.
+    """
+    plane = {a.lo: a for a in cluster(lvl, s)}
+    struts = [(k, k ^ s) for k in plane if k < k ^ s]
+    found, broken, sailless = [], [], []
+    for triple in combinations(struts, 3):
+        pattern, silent = {}, []
+        for p, q in combinations(triple, 2):
+            for u, v in product(p, q):
+                pat = dmz_pattern(plane[u], plane[v])
+                if pat is None:
+                    silent.append((u, v))
+                else:
+                    pattern[frozenset((u, v))] = pat
+        if silent:
+            broken.append((triple, tuple(sorted(silent))))
+            continue
+        faces = [f for f in product(*triple) if f[0] ^ f[1] ^ f[2] == 0]
+        if not faces:
+            sailless.append(triple)
+            continue
+        red = [
+            f for f in faces
+            if not any(pattern[frozenset(e)].same_slope_zero for e in combinations(f, 2))
+        ]
+        assert len(red) == 1
+        found.append(build_boxkite(lvl, s, red[0]))
+    found.sort(key=lambda bk: bk.zigzag_trip)
+    return found, broken, sailless
+
+
+@pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
+def test_survey_matches_frame_by_frame_oracle(lvl):
+    for s in range(1, lvl.g):
+        sv = survey(lvl, s)
+        found, broken, sailless = _frame_oracle(lvl, s)
+        assert [bk.dump() for bk in sv.kites] == [bk.dump() for bk in found]
+        assert [bk.vertices for bk in sv.kites] == [bk.vertices for bk in found]
+        assert [(f.strut_pairs, f.missing_edges) for f in sv.broken] == broken
+        assert [f.strut_pairs for f in sv.sailless] == sailless
+        assert all(f.s == s for f in sv.broken + sv.sailless)
 
 
 def test_kite_repr_and_edge_lookup(sedenion_kites):
