@@ -87,10 +87,7 @@ def cmd_census(args) -> int:
         span = _parse_range(args.range)
     else:
         span = (1, lvl.g - 1)
-    zd.check_strut(lvl, span[0])
-    zd.check_strut(lvl, span[1])
-    if span[0] > span[1]:
-        raise ValueError(f"range runs backwards: {span[0]}..{span[1]}")
+    zd.check_span(lvl, *span)
     lines = []
     total = broken_total = 0
     for s in range(span[0], span[1] + 1):

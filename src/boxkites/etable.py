@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cdp import Level
 from .kites import survey
-from .zd import check_strut, cluster, dmz_pattern
+from .zd import check_span, cluster, dmz_pattern
 
 HIDDEN = None
 
@@ -200,10 +200,7 @@ def flipbook(
     manifest lists "n s filename" per page.  Ranges must run forward and
     stay inside 1..g-1, and the scale is checked before anything is written.
     """
-    check_strut(lvl, s_from)
-    check_strut(lvl, s_to)
-    if s_from > s_to:
-        raise ValueError(f"range runs backwards: {s_from}..{s_to}")
+    check_span(lvl, s_from, s_to)
     _check_scale(len(cluster(lvl, s_from)), scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

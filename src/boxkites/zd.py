@@ -11,7 +11,11 @@ twists into a partner pair with another strut constant.
 Nothing here reasons from sign patterns: every zero is established by
 exact element arithmetic, because above 16 dimensions the patterns that
 hold there silently break (carrybit overflow), and the breakage is part
-of the subject matter.
+of the subject matter.  What the sweeps do skip are the products that
+index arithmetic alone proves nonzero: a two-term product can only
+vanish when both factors have the same XOR of their two indices (the
+lemma at ``_xor_buckets``), so all-level sweeps multiply only within a
+cluster or an XOR bucket.  That rules out non-zeros, never decides one.
 """
 
 from __future__ import annotations
@@ -143,16 +147,40 @@ def _dyad_element(d: tuple[int, int, int]) -> Element:
     return Element({a: 1, b: s})
 
 
+def _xor_buckets(dyads) -> dict[int, list[int]]:
+    """Positions of the dyads (a, b, ...) in their pool, keyed by a ^ b.
+
+    Lemma: with a != b and c != d, (i_a + sb i_b)(i_c + sd i_d) can be
+    zero only if a ^ b == c ^ d.  Its four terms are signed units at
+    a^c, a^d, b^c and b^d, and each must be cancelled by another term at
+    the same index.  a^c differs from a^d (c != d) and from b^c (a != b),
+    so it can only meet b^d, and a^c == b^d is a^b == c^d.  Hence a pair
+    from two different buckets is never zero and need not be multiplied;
+    a pair within one bucket still is, because whether its terms cancel
+    is a matter of signs.  An assessor's diagonals are such dyads with
+    lo ^ hi == g ^ s, so a bucket of diagonals is a cluster.
+
+    Positions come in pool order, so a sweep that walks a bucket meets
+    the zeros in the order a sweep over the whole pool would.
+    """
+    buckets: dict[int, list[int]] = {}
+    for i, (a, b, *_) in enumerate(dyads):
+        buckets.setdefault(a ^ b, []).append(i)
+    return buckets
+
+
 def theorem1_check(lvl: Level):
     """Scan for a forbidden zero product involving an all-low dyad.
 
-    Two sweeps.  First, an all-low dyad against any one-low-one-high
-    dyad must never annihilate: the partner's two high-index product
-    terms would have to cancel each other and they cannot.  Second,
-    zeros among all-low pairs must be inherited, reproducing verbatim
-    one level down; through 16 dimensions the low half is a division
-    algebra and no such zero may exist at all.  (From 32 dimensions on,
-    all-low zeros are the previous level's zero divisors riding along.)
+    An all-low dyad must never annihilate a one-low-one-high (mixed)
+    dyad: the all-low dyad's XOR lies below g and the mixed one's at or
+    above it, so by the lemma at _xor_buckets that law holds by index
+    arithmetic and no such product is multiplied.  Zeros among all-low
+    pairs must be inherited, reproducing verbatim one level down;
+    through 16 dimensions the low half is a division algebra and no such
+    zero may exist at all.  (From 32 dimensions on, all-low zeros are the
+    previous level's zero divisors riding along.)  Only all-low pairs
+    within one XOR bucket are multiplied.
 
     All-high partners are outside the law and stay out of the sweep:
     already among the 32-dimensional numbers an all-low dyad can
@@ -161,46 +189,50 @@ def theorem1_check(lvl: Level):
     Returns None on a clean scan, else the first counterexample
     ((a, b, sb), (c, d, sd)) meaning (i_a + sb i_b)(i_c + sd i_d) = 0.
     """
-    g = lvl.g
-    low = [(p, _dyad_element(p)) for p in _dyads(range(1, g))]
-    mixed = [(q, _dyad_element(q)) for q in _dyads(range(1, lvl.dim)) if q[0] < g <= q[1]]
-    for p, ep in low:
-        for q, eq in mixed:
-            if mul_element(ep, eq, lvl).is_zero():
-                return p, q
+    low = _dyads(range(1, lvl.g))
+    elems = [_dyad_element(p) for p in low]
+    buckets = _xor_buckets(low)
     below = Level(lvl.n - 1) if lvl.n > 4 else None
-    for i, (p, ep) in enumerate(low):
-        for q, eq in low[i:]:
-            if mul_element(ep, eq, lvl).is_zero():
-                if below is None or not mul_element(ep, eq, below).is_zero():
-                    return p, q
+    for i, p in enumerate(low):
+        for j in buckets[p[0] ^ p[1]]:
+            if j < i:
+                continue
+            if mul_element(elems[i], elems[j], lvl).is_zero():
+                if below is None or not mul_element(elems[i], elems[j], below).is_zero():
+                    return p, low[j]
     return None
 
 
 def theorem2_check(lvl: Level):
     """Scan for a zero product involving a dyad containing the generator unit.
 
-    Returns None on a clean scan, else the first counterexample in the
-    same shape as theorem1_check.
+    Each such dyad is multiplied against its own XOR bucket only (the
+    lemma at _xor_buckets rules out every other partner).  Returns None
+    on a clean scan, else the first counterexample in the same shape as
+    theorem1_check.
     """
     g = lvl.g
-    pool = [(q, _dyad_element(q)) for q in _dyads(range(1, lvl.dim))]
-    for p, ep in pool:
+    pool = _dyads(range(1, lvl.dim))
+    elems = [_dyad_element(q) for q in pool]
+    buckets = _xor_buckets(pool)
+    for i, p in enumerate(pool):
         if g not in p[:2]:
             continue
-        for q, eq in pool:
-            if mul_element(ep, eq, lvl).is_zero():
-                return p, q
+        for j in buckets[p[0] ^ p[1]]:
+            if mul_element(elems[i], elems[j], lvl).is_zero():
+                return p, pool[j]
     return None
 
 
 def theorem3_check(lvl: Level) -> tuple[int, int]:
-    """Exhaustive slope-class dichotomy sweep over candidate assessor pairs.
+    """Slope-class dichotomy over every candidate assessor pair.
 
     Every annihilating pair must kill exactly one slope class, both of
     its members together; dmz_pattern checks that on every call, and
-    dmz_scan calls it on every candidate pair.
-    Returns (pairs_scanned, pairs_annihilating).
+    dmz_scan calls it on every pair within a cluster.  Pairs across
+    clusters are proven silent by the lemma at _xor_buckets, so they
+    hold the dichotomy trivially and are counted without a product.
+    Returns (candidate_pairs, pairs_annihilating).
     """
     return comb(len(enumerate_assessors(lvl)), 2), len(dmz_scan(lvl))
 
@@ -261,32 +293,20 @@ def twist(d1: Diagonal, d2: Diagonal) -> TwistResult:
     return TwistResult((t1, t2), diagonal_product(t1, t2).is_zero())
 
 
-def enumerate_assessors(lvl: Level) -> list[Assessor]:
-    """All candidate planes: each low index against each high index except
-    the partner that would put the pair in a generator triple.
-
-    Below 16 dimensions there are no zero divisors and the list is
-    empty.  Every primitive zero divisor lies in one of these planes; at
-    32 dimensions and beyond some candidates turn out barren, which only
-    the exact product scans can decide.
-    """
-    if lvl.n < 4:
-        return []
-    g = lvl.g
-    out = []
-    for lo in range(1, g):
-        for hi in range(g + 1, lvl.dim):
-            if hi != lo ^ g:
-                out.append(Assessor(lo, hi, lvl))
-    return out
-
-
 def check_strut(lvl: Level, s: int) -> None:
     """Refuse a level without zero divisors or a strut constant outside 1..g-1."""
     if lvl.n < 4:
         raise ValueError("no zero divisors below 16 dimensions")
     if not 1 <= s < lvl.g:
         raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
+
+
+def check_span(lvl: Level, s_from: int, s_to: int) -> None:
+    """Refuse a strut-constant range s_from..s_to with a bad end or running backwards."""
+    check_strut(lvl, s_from)
+    check_strut(lvl, s_to)
+    if s_from > s_to:
+        raise ValueError(f"range runs backwards: {s_from}..{s_to}")
 
 
 def cluster(lvl: Level, s: int) -> tuple[Assessor, ...]:
@@ -307,17 +327,36 @@ def cluster_assessors(lvl: Level) -> dict[int, list[Assessor]]:
     return {s: list(cluster(lvl, s)) for s in range(1, lvl.g)}
 
 
+def enumerate_assessors(lvl: Level) -> list[Assessor]:
+    """All candidate planes, sorted by (lo, hi): the clusters joined.
+
+    Each low index meets each high index except the partner that would
+    put the pair in a generator triple.  Below 16 dimensions there are
+    no zero divisors and the list is empty.  Every primitive zero
+    divisor lies in one of these planes; at 32 dimensions and beyond
+    some candidates turn out barren, which only the exact product scans
+    can decide.
+    """
+    planes = [a for group in cluster_assessors(lvl).values() for a in group]
+    return sorted(planes, key=lambda a: (a.lo, a.hi))
+
+
 def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor, DmzPattern]]:
     """All annihilating candidate pairs, optionally within one cluster.
 
-    Pairs come back sorted with a1 before a2 by (lo, hi).
+    Only pairs within a cluster are multiplied out: two planes of
+    different clusters have diagonals in different XOR buckets, so by the
+    lemma at _xor_buckets they never make zero.  Pairs come back sorted
+    by (a1.lo, a1.hi, a2.lo, a2.hi), with a1 before a2.
     """
-    cands = enumerate_assessors(lvl) if s is None else cluster(lvl, s)
+    groups = cluster_assessors(lvl).values() if s is None else (cluster(lvl, s),)
     out = []
-    for a1, a2 in combinations(cands, 2):
-        pat = dmz_pattern(a1, a2)
-        if pat is not None:
-            out.append((a1, a2, pat))
+    for cands in groups:
+        for a1, a2 in combinations(cands, 2):
+            pat = dmz_pattern(a1, a2)
+            if pat is not None:
+                out.append((a1, a2, pat))
+    out.sort(key=lambda hit: (hit[0].lo, hit[0].hi, hit[1].lo, hit[1].hi))
     return out
 
 

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import boxkites
-from boxkites import kites
+from boxkites import kites, theorems
 from boxkites.cli import main
 
 S4_DUMP_HEAD = "4 4\nA 1 13\nB 2 14\nC 3 15\nD 7 11\nE 6 10\nF 5 9\n"
@@ -180,6 +181,16 @@ def test_census_refuses_a_bad_range_before_any_survey(monkeypatch, capsys):
     assert calls == []
 
 
+def test_verify_refuses_levels_above_its_ceiling_before_any_survey(monkeypatch, capsys):
+    calls = []
+    for holder in (kites, theorems):
+        monkeypatch.setattr(holder, "survey", lambda *args: calls.append(args))
+    assert main(["verify", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "argv", [["trips", "--n", "40"], ["assessors", "--n", "40"], ["census", "--n", "12"]]
 )
@@ -220,6 +231,32 @@ def test_roadmap_set_keeps_its_output_bytes(tmp_path, monkeypatch):
     import run
 
     assert run.check(tmp_path) == 0
+
+
+def test_dmz_n6_keeps_its_output_bytes(capsys):
+    # recorded from the all-planes sweep; pins the order of the joined clusters
+    assert main(["dmz", "--n", "6"]) == 0
+    out = capsys.readouterr().out.encode()
+    digest = "71c45c2ab50183eea6daba9babd93f24b101cc1448de8ba1d3330f5a3f6cc4de"
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_verify_n6_passes_with_the_sky_twist_law(capsys):
+    targets = list(range(9, 16)) + list(range(17, 32))
+    sources = list(range(1, 16)) + list(range(25, 32))
+    assert main(["verify", "--n", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Theorem 1: PASS  all-low dyads (930) never annihilate a mixed dyad, and make no "
+        "zeros of their own beyond those inherited from one level down",
+        "Theorem 2: PASS  no dyad containing i_32 annihilates anything",
+        "Theorem 3: PASS  slope-class dichotomy held on all 431985 candidate pairs "
+        "(7980 annihilating)",
+        "Theorem 4: PASS  no plane's own diagonals make zero (930 planes)",
+        "Theorem 5: PASS  every sail edge emanates its third vertex (2660 sails)",
+        "Theorem 6: PASS  21840/31920 twisted pairs still make zero; failing twists land "
+        f"at strut constants {targets} (sources {sources})",
+        "Theorem 7: PASS  U-index law and edge sign patterns hold on all 665 kites",
+    ]
 
 
 def test_package_has_no_bare_asserts():

@@ -2,7 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from boxkites import zd
 from boxkites.cdp import Element, Level, mul_basis, mul_element
 from boxkites.trips import is_trip
 from boxkites.zd import (
@@ -157,6 +159,72 @@ def test_enumerate_assessors_counts():
     assert enumerate_assessors(Level(3)) == []
     assert len(enumerate_assessors(LVL4)) == 42
     assert len(enumerate_assessors(LVL5)) == 210
+
+
+def _nested_loop_planes(lvl):
+    # the plane rule stated apart from zd.cluster, so test_clusters is not circular
+    if lvl.n < 4:
+        return []
+    g = lvl.g
+    return [
+        Assessor(lo, hi, lvl)
+        for lo in range(1, g)
+        for hi in range(g + 1, lvl.dim)
+        if hi != lo ^ g
+    ]
+
+
+def test_enumerate_assessors_matches_the_nested_loop():
+    for n in range(3, 8):
+        assert enumerate_assessors(Level(n)) == _nested_loop_planes(Level(n))
+
+
+@pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
+def test_dmz_scan_matches_the_all_planes_sweep(lvl):
+    # every candidate pair multiplied out: the oracle for the joined
+    # per-cluster sweeps, order included
+    sweep = [
+        (a1, a2, dmz_pattern(a1, a2)) for a1, a2 in combinations(enumerate_assessors(lvl), 2)
+    ]
+    assert all(pat is None for a1, a2, pat in sweep if a1.strut_constant != a2.strut_constant)
+    assert dmz_scan(lvl) == [hit for hit in sweep if hit[2] is not None]
+
+
+def test_dmz_scan_multiplies_only_within_clusters(monkeypatch):
+    calls = []
+    kernel = zd.dmz_pattern
+
+    def counting(a1, a2):
+        calls.append((a1, a2))
+        return kernel(a1, a2)
+
+    monkeypatch.setattr(zd, "dmz_pattern", counting)
+    assert len(dmz_scan(LVL5)) == 924
+    assert len(calls) == 15 * 91  # 15 clusters of 14 planes; all planes would be 21,945
+    assert all(a1.strut_constant == a2.strut_constant for a1, a2 in calls)
+
+
+@pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
+def test_no_all_low_dyad_annihilates_a_mixed_one(lvl):
+    # products theorem1_check rules out by XOR (below g against at or above g)
+    g = lvl.g
+    low = [Element({a: 1, b: s}) for a, b in combinations(range(1, g), 2) for s in (1, -1)]
+    mixed = [
+        Element({a: 1, b: s}) for a in range(1, g) for b in range(g, lvl.dim) for s in (1, -1)
+    ]
+    assert not any(mul_element(x, y, lvl).is_zero() for x in low for y in mixed)
+
+
+@given(data=st.data())
+def test_dyads_of_different_xor_never_make_zero(data):
+    lvl = Level(data.draw(st.integers(6, 8)))
+    index = st.integers(1, lvl.dim - 1)
+    sign = st.sampled_from((1, -1))
+    a, b, c, d = (data.draw(index) for _ in range(4))
+    assume(a != b and c != d and a ^ b != c ^ d)
+    x = Element({a: 1, b: data.draw(sign)})
+    y = Element({c: 1, d: data.draw(sign)})
+    assert not mul_element(x, y, lvl).is_zero()
 
 
 def test_clusters():
