@@ -39,8 +39,8 @@ class Level:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"level exponent must be positive: {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"level exponent must be a positive int: {self.n!r}")
 
     @property
     def g(self) -> int:
@@ -235,19 +235,19 @@ class Element:
         return f"Element({{{inner}}})"
 
 
-def _check_element_level(x: Element, lvl: Level) -> None:
-    for k in x._terms:
-        if k >= lvl.dim:
-            raise IndexRangeError(f"term index {k} outside 2^{lvl.n}-ions (level mismatch)")
-
-
 def mul_element(x: Element, y: Element, lvl: Level) -> Element:
     """Bilinear product: distribute mul_basis over all term pairs.
 
     Like terms collect, so exact cancelation can return the zero element.
+    Neither operand is ever mutated and the product is a new element, so
+    an element may be shared by any number of products (each assessor
+    plane shares its two diagonals this way).
     """
-    _check_element_level(x, lvl)
-    _check_element_level(y, lvl)
+    dim = 1 << lvl.n
+    for terms in (x._terms, y._terms):
+        for k in terms:
+            if k >= dim:
+                raise IndexRangeError(f"term index {k} outside 2^{lvl.n}-ions (level mismatch)")
     tbl = sign_table(lvl.n) if lvl.n <= MEMO_MAX_N else None
     acc: dict[int, Coeff] = {}
     for i, ci in x._terms.items():

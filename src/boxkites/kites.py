@@ -39,6 +39,10 @@ _STRUT_OF = {lbl: i for i, pair in enumerate(STRUT_LABEL_PAIRS) for lbl in pair}
 EDGE_LABEL_PAIRS = tuple(
     (x, y) for i, x in enumerate(LABELS) for y in LABELS[i + 1 :] if _PARTNER[x] != y
 )
+#: each edge's labels with their vertex positions, as _edge_survey walks them
+_EDGE_SLOTS = tuple((x, y, LABELS.index(x), LABELS.index(y)) for x, y in EDGE_LABEL_PAIRS)
+#: each edge's labels with the end on the earlier strut first
+_STRUT_FIRST = {pr: tuple(sorted(pr, key=_STRUT_OF.get)) for pr in EDGE_LABEL_PAIRS}
 
 #: the three squares of the octahedron, each named by its mast strut
 CATAMARAN_SQUARES = (
@@ -161,8 +165,8 @@ def _edge_survey(vertices: tuple[Assessor, ...], pattern):
     """Colors and silent edges of a frame; pattern(a1, a2) decides one edge."""
     colors: dict[tuple[str, str], str] = {}
     missing: list[tuple[str, str]] = []
-    for l1, l2 in EDGE_LABEL_PAIRS:
-        pat = pattern(vertices[LABELS.index(l1)], vertices[LABELS.index(l2)])
+    for l1, l2, i, j in _EDGE_SLOTS:
+        pat = pattern(vertices[i], vertices[j])
         if pat is None:
             missing.append((l1, l2))
         else:
@@ -259,7 +263,7 @@ def survey(lvl: Level, s: int) -> Survey:
         colors, missing = _edge_survey(tuple(plane[lo_of[lbl]] for lbl in LABELS), edge)
         if missing:
             # each silent edge is written with its end on the earlier strut first
-            silent = (tuple(lo_of[lbl] for lbl in sorted(pr, key=_STRUT_OF.get)) for pr in missing)
+            silent = (tuple(lo_of[lbl] for lbl in _STRUT_FIRST[pr]) for pr in missing)
             broken.append(BrokenFrame(s, triple, tuple(sorted(silent))))
             continue
         zigzag = _find_zigzag(triple, lo_of, colors)

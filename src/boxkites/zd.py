@@ -11,20 +11,23 @@ twists into a partner pair with another strut constant.
 Nothing here reasons from sign patterns: every zero is established by
 exact element arithmetic, because above 16 dimensions the patterns that
 hold there silently break (carrybit overflow), and the breakage is part
-of the subject matter.  What the sweeps do skip are the products that
-index arithmetic alone proves nonzero: a two-term product can only
-vanish when both factors have the same XOR of their two indices (the
-lemma at ``_xor_buckets``), so all-level sweeps multiply only within a
-cluster or an XOR bucket.  That rules out non-zeros, never decides one.
+of the subject matter.  Each plane builds its two diagonal elements once,
+on first use, and every product taken with the plane multiplies those:
+the construction is shared, never a product.  What the sweeps do skip
+are the products that index arithmetic alone proves nonzero: a two-term
+product can only vanish when both factors have the same XOR of their two
+indices (the lemma at ``_xor_buckets``), so all-level sweeps multiply
+only within a cluster or an XOR bucket.  That rules out non-zeros, never
+decides one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .cdp import Element, InvariantError, Level, mul_element
+from .cdp import Element, IndexRangeError, InvariantError, Level, mul_element
 
 SLASH = 1
 BACKSLASH = -1
@@ -38,13 +41,24 @@ class NotDmzError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Assessor:
-    """Plane spanned by i_lo (below the generator) and i_hi (above it)."""
+    """Plane spanned by i_lo (below the generator) and i_hi (above it).
+
+    Its two diagonals are built once, on first use, and shared by every
+    product taken with the plane; equality, hash and repr see only
+    (lo, hi, lvl).
+    """
 
     lo: int
     hi: int
     lvl: Level
+    _diagonals: tuple[Element, Element] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        for k in (self.lo, self.hi):
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise IndexRangeError(f"assessor index must be an int: {k!r}")
         g, d = self.lvl.g, self.lvl.dim
         if not 1 <= self.lo < g:
             raise ValueError(f"L-index must lie in 1..{g - 1}: {self.lo}")
@@ -56,8 +70,17 @@ class Assessor:
         """Low index excluded from this plane's cluster: lo ^ hi ^ g."""
         return self.lo ^ self.hi ^ self.lvl.g
 
+    @property
+    def diagonals(self) -> tuple[Element, Element]:
+        """(slash, backslash): the elements i_lo + i_hi and i_lo - i_hi."""
+        pair = self._diagonals
+        if pair is None:
+            pair = (Element({self.lo: 1, self.hi: 1}), Element({self.lo: 1, self.hi: -1}))
+            object.__setattr__(self, "_diagonals", pair)
+        return pair
+
     def element(self, slope: int) -> Element:
-        return Element({self.lo: 1, self.hi: 1 if slope > 0 else -1})
+        return self.diagonals[0 if slope > 0 else 1]
 
     def __repr__(self) -> str:
         return f"Assessor({self.lo}, {self.hi})"
@@ -111,7 +134,9 @@ def diagonal_product(d1: Diagonal, d2: Diagonal) -> Element:
 def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     """Annihilation pattern of an assessor pair, or None if nothing cancels.
 
-    All four slope pairings are multiplied out exactly.  When anything
+    All four slope pairings, (/,/), (/,\\), (\\,/) and (\\,\\), are
+    multiplied out exactly on every call; only the planes' diagonal
+    elements are reused, each built once per plane.  When anything
     cancels, the two pairings of one slope class must vanish together
     while the other class stays nonzero; both facts are checked rather
     than assumed.
@@ -119,12 +144,13 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     lvl = _require_same_level(a1.lvl, a2.lvl)
     if a1 == a2:
         raise ValueError("an assessor cannot be paired with itself")
-    d1 = {slope: a1.element(slope) for slope in (SLASH, BACKSLASH)}
-    d2 = {slope: a2.element(slope) for slope in (SLASH, BACKSLASH)}
-    zero = {(s1, s2): mul_element(d1[s1], d2[s2], lvl).is_zero() for s1 in d1 for s2 in d2}
-    same = zero[(SLASH, SLASH)]
-    opposite = zero[(SLASH, BACKSLASH)]
-    if zero[(BACKSLASH, BACKSLASH)] != same or zero[(BACKSLASH, SLASH)] != opposite:
+    slash1, back1 = a1.diagonals
+    slash2, back2 = a2.diagonals
+    same = mul_element(slash1, slash2, lvl).is_zero()
+    opposite = mul_element(slash1, back2, lvl).is_zero()
+    opposite_too = mul_element(back1, slash2, lvl).is_zero()
+    same_too = mul_element(back1, back2, lvl).is_zero()
+    if same_too != same or opposite_too != opposite:
         raise InvariantError(f"{a1} x {a2}: a slope class vanishes only in part")
     if same and opposite:
         raise InvariantError(f"{a1} x {a2}: both slope classes vanish")

@@ -101,6 +101,12 @@ def test_anticommutativity_distinct_imaginaries():
                     assert mul_basis(a, b, lvl).sign == -mul_basis(b, a, lvl).sign
 
 
+def test_level_refuses_a_non_int_exponent():
+    for n in (0, -1, 2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError):
+            Level(n)
+
+
 def test_mul_basis_range_errors():
     with pytest.raises(IndexRangeError):
         mul_basis(8, 1, LVL3)
@@ -169,6 +175,17 @@ def test_mul_element_is_bilinear(x, y, z):
     rhs = mul_element(x, z, lvl) + mul_element(y, z, lvl)
     assert lhs == rhs
     assert mul_element(z, x + y, lvl) == mul_element(z, x, lvl) + mul_element(z, y, lvl)
+
+
+@given(data=st.data())
+def test_mul_element_leaves_its_operands_unchanged(data):
+    # the contract that lets every plane share its two diagonals
+    n = data.draw(st.integers(1, 6))
+    x, y = data.draw(_elements(n)), data.draw(_elements(n))
+    before = (x.terms, y.terms)
+    mul_element(x, y, Level(n))
+    mul_element(x, x, Level(n))
+    assert (x.terms, y.terms) == before
 
 
 def _norm_sq(x, lvl):

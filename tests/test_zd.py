@@ -1,17 +1,19 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from boxkites import zd
-from boxkites.cdp import Element, Level, mul_basis, mul_element
+from boxkites import etable, kites, zd
+from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element
 from boxkites.trips import is_trip
 from boxkites.zd import (
     BACKSLASH,
     SLASH,
     Assessor,
     Diagonal,
+    DmzPattern,
     NotDmzError,
     check_strut,
     cluster,
@@ -46,6 +48,18 @@ def test_assessor_validation():
         A4(1, 8)  # the generator itself is no U-index
     with pytest.raises(ValueError):
         Assessor(1, 9, LVL5)  # 9 sits below the level-5 generator
+    for lo, hi in ((1.5, 17), (True, 17), (1, 17.0), (1, "17")):
+        with pytest.raises(IndexRangeError):
+            Assessor(lo, hi, LVL5)
+
+
+def test_assessor_identity_ignores_its_built_diagonals():
+    a, twin = Assessor(3, 22, LVL5), Assessor(3, 22, LVL5)
+    before = (repr(a), hash(a), a == twin)
+    assert a.diagonals == (Element({3: 1, 22: 1}), Element({3: 1, 22: -1}))
+    assert a.element(SLASH) is a.diagonals[0] and a.element(BACKSLASH) is a.diagonals[1]
+    assert (repr(a), hash(a), a == twin) == before == ("Assessor(3, 22)", hash(twin), True)
+    assert {a: 1}[twin] == 1 and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_diagonal_validation():
@@ -75,6 +89,61 @@ def test_dmz_pattern_examples():
     assert dmz_pattern(A4(1, 13), A4(5, 9)) is None  # strut opposites
     with pytest.raises(ValueError):
         dmz_pattern(A4(1, 13), A4(1, 13))
+
+
+def _fresh_pattern(a1, a2):
+    """Oracle: fresh diagonal elements, all four slope pairings multiplied."""
+    zero = {
+        (s1, s2): mul_element(
+            Element({a1.lo: 1, a1.hi: s1}), Element({a2.lo: 1, a2.hi: s2}), a1.lvl
+        ).is_zero()
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    }
+    same, opposite = zero[1, 1], zero[1, -1]
+    assert (zero[-1, -1], zero[-1, 1]) == (same, opposite) and not (same and opposite)
+    return DmzPattern(same) if same or opposite else None
+
+
+@pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
+def test_dmz_pattern_agrees_with_fresh_diagonals(lvl):
+    for group in cluster_assessors(lvl).values():
+        for a1, a2 in combinations(group, 2):
+            want = _fresh_pattern(a1, a2)
+            # first call builds the planes' diagonals, the second reuses them
+            assert dmz_pattern(a1, a2) == dmz_pattern(a1, a2) == want
+            assert dmz_pattern(a2, a1) == want
+
+
+@given(data=st.data())
+def test_dmz_pattern_agrees_with_fresh_diagonals_above_n5(data):
+    lvl = Level(data.draw(st.integers(6, 8)))
+    low = st.integers(1, lvl.g - 1)
+    s, t = data.draw(low), data.draw(low)
+    a1 = data.draw(st.sampled_from(cluster(lvl, s)))
+    a2 = data.draw(st.sampled_from(cluster(lvl, t)))
+    assume(a1 != a2)
+    assert dmz_pattern(a1, a2) == _fresh_pattern(a1, a2)
+
+
+def test_shared_diagonals_survive_every_view(monkeypatch):
+    seen = []
+    kernel = zd.dmz_pattern
+
+    def recording(a1, a2):
+        seen.extend((a1, a2))
+        return kernel(a1, a2)
+
+    for mod in (zd, kites, etable):
+        monkeypatch.setattr(mod, "dmz_pattern", recording)
+    dmz_scan(LVL5)
+    for s in range(1, LVL5.g):
+        kites.survey(LVL5, s)
+        etable.build_et(LVL5, s)
+    assert seen
+    for a in seen:
+        assert a.element(SLASH) == Element({a.lo: 1, a.hi: 1})
+        assert a.element(BACKSLASH) == Element({a.lo: 1, a.hi: -1})
 
 
 def test_dmz_pattern_same_slope_class_exists(sedenion_kites):
