@@ -248,7 +248,9 @@ def mul_element(x: Element, y: Element, lvl: Level) -> Element:
         for k in terms:
             if k >= dim:
                 raise IndexRangeError(f"term index {k} outside 2^{lvl.n}-ions (level mismatch)")
-    tbl = sign_table(lvl.n) if lvl.n <= MEMO_MAX_N else None
+    tbl = _TABLES.get(lvl.n)
+    if tbl is None and lvl.n <= MEMO_MAX_N:
+        tbl = sign_table(lvl.n)
     acc: dict[int, Coeff] = {}
     for i, ci in x._terms.items():
         row = tbl[i] if tbl is not None else None

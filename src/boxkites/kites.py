@@ -10,6 +10,12 @@ ends of the struts are then F, E, D respectively.
 
 Edge colors record the annihilation pattern: RED for edges whose
 opposite-slope diagonal pairings make zero, BLUE for same-slope ones.
+
+A frame's twelve edges are the four cross edges of each of its three
+strut pairs, so it fully annihilates exactly when its three struts are
+pairwise compatible (no silent cross edge), a triangle of the strut
+graph.  The survey decides each non-strut plane pair once, keeps one
+silent-edge list per strut pair and reads every frame from three of them.
 """
 
 from __future__ import annotations
@@ -35,14 +41,11 @@ BLUE = "BLUE"
 LABELS = ("A", "B", "C", "D", "E", "F")
 STRUT_LABEL_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
 _PARTNER = {"A": "F", "F": "A", "B": "E", "E": "B", "C": "D", "D": "C"}
-_STRUT_OF = {lbl: i for i, pair in enumerate(STRUT_LABEL_PAIRS) for lbl in pair}
 EDGE_LABEL_PAIRS = tuple(
     (x, y) for i, x in enumerate(LABELS) for y in LABELS[i + 1 :] if _PARTNER[x] != y
 )
-#: each edge's labels with their vertex positions, as _edge_survey walks them
+#: each edge's labels with their vertex positions, as _assemble walks them
 _EDGE_SLOTS = tuple((x, y, LABELS.index(x), LABELS.index(y)) for x, y in EDGE_LABEL_PAIRS)
-#: each edge's labels with the end on the earlier strut first
-_STRUT_FIRST = {pr: tuple(sorted(pr, key=_STRUT_OF.get)) for pr in EDGE_LABEL_PAIRS}
 
 #: the three squares of the octahedron, each named by its mast strut
 CATAMARAN_SQUARES = (
@@ -161,19 +164,6 @@ def _canonical_zigzag(lvl: Level, s: int, trip) -> tuple[int, int, int]:
     return cpo[i:] + cpo[:i]
 
 
-def _edge_survey(vertices: tuple[Assessor, ...], pattern):
-    """Colors and silent edges of a frame; pattern(a1, a2) decides one edge."""
-    colors: dict[tuple[str, str], str] = {}
-    missing: list[tuple[str, str]] = []
-    for l1, l2, i, j in _EDGE_SLOTS:
-        pat = pattern(vertices[i], vertices[j])
-        if pat is None:
-            missing.append((l1, l2))
-        else:
-            colors[(l1, l2)] = BLUE if pat.same_slope_zero else RED
-    return colors, missing
-
-
 def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     """Assemble and fully check the frame whose all-red sail is the seed trip.
 
@@ -183,10 +173,21 @@ def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     frame with any silent edge is rejected as broken, and a seed whose
     own three edges are not all red is not the zigzag.
     """
-    plane = {a.lo: a for a in cluster(lvl, s)}
+    return _assemble(lvl, s, {a.lo: a for a in cluster(lvl, s)}, zigzag_trip)
+
+
+def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip) -> BoxKite:
+    """build_boxkite on given planes of s, keyed by L-index."""
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
     vertices = tuple(plane[lo] for lo in (a, b, c, c ^ s, b ^ s, a ^ s))  # A B C D E F
-    colors, missing = _edge_survey(vertices, dmz_pattern)
+    colors: dict[tuple[str, str], str] = {}
+    missing: list[tuple[str, str]] = []
+    for l1, l2, i, j in _EDGE_SLOTS:
+        pat = dmz_pattern(vertices[i], vertices[j])
+        if pat is None:
+            missing.append((l1, l2))
+        else:
+            colors[l1, l2] = BLUE if pat.same_slope_zero else RED
     if missing:
         raise BrokenFrameError(
             f"{len(missing)} of 12 edges make no zero at n={lvl.n}, s={s}: {missing}",
@@ -231,74 +232,61 @@ class Survey:
 
 
 def survey(lvl: Level, s: int) -> Survey:
-    """Exhaustive hunt over strut-pair triples for one strut constant.
+    """Exhaustive hunt over strut triples for one strut constant.
 
-    Low indices other than s pair off as {x, x ^ s}; every choice of
-    three pairs is a candidate frame, and its twelve cross edges are the
-    non-strut plane pairs among its six planes.  Each such pair of the
-    cluster is decided once by exact products before the frames are
-    walked, and every frame reads its edges from that relation.  A frame
-    becomes a box-kite when every edge annihilates and one of its faces
-    is an all-red trip (the zigzag, which fixes the labeling).  Frames
-    with silent edges are kept as broken-frame diagnostics (the raw
-    material of hidden emanation-table cells); frames that fully
-    annihilate without any trip face are kept as sailless diagnostics.
+    Low indices other than s pair off into struts {x, x ^ s}; every
+    choice of three struts is a candidate frame, and its twelve edges are
+    the cross edges of its three strut pairs.  Each non-strut plane pair
+    of the cluster is decided once by exact products, and each strut
+    pair keeps the list of its silent cross edges.  A frame is then
+    broken exactly when one of its three strut pairs has a silent edge,
+    and the three lists joined are its missing edges.  Otherwise it is a
+    triangle of the strut-compatibility graph and fully annihilates: it
+    becomes a box-kite when one of its faces is an all-red trip (the
+    zigzag, which fixes the labeling) and is kept as a sailless
+    diagnostic when no face is a trip.  Broken frames are the raw
+    material of hidden emanation-table cells.  Kites are assembled from
+    the survey's own planes, each with its twelve edges re-checked.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
-    pairs = [(k, k ^ s) for k in plane if k < k ^ s]
+    struts = [(k, k ^ s) for k in plane if k < k ^ s]
     relation = {}
     for a, b in combinations(plane.values(), 2):
         if a.lo ^ b.lo != s:  # strut pairs are never frame edges
             relation[a.lo, b.lo] = relation[b.lo, a.lo] = dmz_pattern(a, b)
-
-    def edge(a1: Assessor, a2: Assessor):
-        return relation[a1.lo, a2.lo]
+    # each silent cross edge, with its end on the earlier strut first
+    silent = {
+        (p, q): [e for e in product(p, q) if relation[e] is None]
+        for p, q in combinations(struts, 2)
+    }
 
     kites: list[BoxKite] = []
     broken: list[BrokenFrame] = []
     sailless: list[SaillessFrame] = []
-    for triple in combinations(pairs, 3):
+    for triple in combinations(struts, 3):
         t0, t1, t2 = triple
-        lo_of = dict(zip(LABELS, (t0[0], t1[0], t2[0], t2[1], t1[1], t0[1])))
-        colors, missing = _edge_survey(tuple(plane[lo_of[lbl]] for lbl in LABELS), edge)
+        missing = silent[t0, t1] + silent[t0, t2] + silent[t1, t2]
         if missing:
-            # each silent edge is written with its end on the earlier strut first
-            silent = (tuple(lo_of[lbl] for lbl in _STRUT_FIRST[pr]) for pr in missing)
-            broken.append(BrokenFrame(s, triple, tuple(sorted(silent))))
+            broken.append(BrokenFrame(s, triple, tuple(sorted(missing))))
             continue
-        zigzag = _find_zigzag(triple, lo_of, colors)
-        if zigzag is None:
+        faces = [f for f in product(t0, t1, t2) if f[0] ^ f[1] ^ f[2] == 0]
+        if not faces:
             sailless.append(SaillessFrame(s, triple))
             continue
-        kites.append(build_boxkite(lvl, s, zigzag))
+        all_red = [
+            (u, v, w)
+            for u, v, w in faces
+            if not any(relation[e].same_slope_zero for e in ((u, v), (u, w), (v, w)))
+        ]
+        if len(all_red) != 1:
+            # a triangle with trip faces but not exactly one all-red among
+            # them is no box-kite anyone has described: stop loudly
+            raise ClassificationError(
+                f"frame {triple}: {len(faces)} trip faces but {len(all_red)} all-red"
+            )
+        kites.append(_assemble(lvl, s, plane, all_red[0]))
     kites.sort(key=lambda k: k.zigzag_trip)
     return Survey(tuple(kites), tuple(broken), tuple(sailless))
-
-
-def _find_zigzag(triple, lo_of, colors) -> tuple[int, int, int] | None:
-    """The unique all-red trip face of a fully annihilating frame.
-
-    Returns None when the frame has no trip faces at all (a sailless
-    frame).  A frame that has trip faces but not exactly one all-red
-    among them would not be a box-kite anyone has described; that is
-    worth a loud stop, not a skip.
-    """
-    trip_faces = []
-    all_red = []
-    for face in product(*STRUT_LABEL_PAIRS):
-        u, v, w = (lo_of[lbl] for lbl in face)
-        if u ^ v ^ w:
-            continue
-        trip_faces.append(face)
-        if all(colors[tuple(sorted(pr))] == RED for pr in combinations(face, 2)):
-            all_red.append((u, v, w))
-    if not trip_faces:
-        return None
-    if len(all_red) != 1:
-        raise ClassificationError(
-            f"frame {triple}: {len(trip_faces)} trip faces but {len(all_red)} all-red"
-        )
-    return all_red[0]
 
 
 @dataclass(frozen=True, slots=True)

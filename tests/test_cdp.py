@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from boxkites import cdp
 from boxkites.cdp import (
     Element,
     _basis_sign,
@@ -186,6 +187,31 @@ def test_mul_element_leaves_its_operands_unchanged(data):
     mul_element(x, y, Level(n))
     mul_element(x, x, Level(n))
     assert (x.terms, y.terms) == before
+
+
+def test_mul_element_reads_built_tables_without_sign_table(monkeypatch):
+    calls = []
+    real = cdp.sign_table
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    sign_table(6)
+    monkeypatch.setattr(cdp, "sign_table", counting)
+    x, y = Element({1: 1, 45: 1}), Element({2: 1, 46: -1})
+    expected = Element(
+        (i ^ j, _basis_sign(i, j) * ci * cj) for i, ci in x.terms.items() for j, cj in y.terms.items()
+    )
+    assert all(mul_element(x, y, Level(6)) == expected for _ in range(100))
+    assert calls == []
+    # a level whose table is missing builds it once through sign_table
+    monkeypatch.delitem(cdp._TABLES, 5, raising=False)
+    for _ in range(2):
+        assert mul_element(Element.unit(3), Element.unit(17), Level(5)) == Element.unit(
+            18, _basis_sign(3, 17)
+        )
+    assert calls == [5]
 
 
 def _norm_sq(x, lvl):

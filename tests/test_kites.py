@@ -391,8 +391,33 @@ def test_survey_decides_each_non_strut_pair_once(monkeypatch):
     for s in range(1, LVL5.g):
         calls.clear()
         found = survey(LVL5, s).kites
-        # C(14, 2) - 7 strut pairs for the relation, then 12 edges per build_boxkite
+        # C(14, 2) - 7 strut pairs for the relation, then each kite's 12-edge re-check
         assert len(calls) == 84 + 12 * len(found)
+
+
+def test_survey_builds_its_planes_once(monkeypatch):
+    built = []
+
+    def counting(lvl, s):
+        built.append(cluster(lvl, s))
+        return built[-1]
+
+    monkeypatch.setattr(kites, "cluster", counting)
+    for s in range(1, LVL5.g):
+        built.clear()
+        found = survey(LVL5, s).kites
+        assert len(built) == 1
+        planes = {id(a) for a in built[0]}
+        assert all(id(v) in planes for bk in found for v in bk.vertices)
+
+
+def test_survey_n6_result_row():
+    lvl = Level(6)
+    totals = Counter()
+    for s in range(1, lvl.g):
+        sv = survey(lvl, s)
+        totals.update(kites=len(sv.kites), broken=len(sv.broken), sailless=len(sv.sailless))
+    assert totals == {"kites": 665, "broken": 8064, "sailless": 5376}
 
 
 def _frame_oracle(lvl, s):
@@ -431,9 +456,18 @@ def _frame_oracle(lvl, s):
     return found, broken, sailless
 
 
-@pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
-def test_survey_matches_frame_by_frame_oracle(lvl):
-    for s in range(1, lvl.g):
+@pytest.mark.parametrize(
+    "lvl, constants",
+    [
+        (LVL4, range(1, 8)),
+        (LVL5, range(1, 16)),
+        # s <= 8, the powers of 2 and Sky values on both sides of 16
+        (Level(6), (1, 7, 8, 9, 15, 16, 17, 24, 31)),
+    ],
+    ids=["n4", "n5", "n6"],
+)
+def test_survey_matches_frame_by_frame_oracle(lvl, constants):
+    for s in constants:
         sv = survey(lvl, s)
         found, broken, sailless = _frame_oracle(lvl, s)
         assert [bk.dump() for bk in sv.kites] == [bk.dump() for bk in found]
