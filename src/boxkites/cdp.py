@@ -137,7 +137,8 @@ def mul_basis(a: int, b: int, lvl: Level) -> SignedUnit:
     if not (0 <= a < d and 0 <= b < d):
         raise IndexRangeError(f"basis indices ({a}, {b}) out of range for 2^{lvl.n}-ions")
     if lvl.n <= MEMO_MAX_N:
-        return SignedUnit(sign_table(lvl.n)[a][b], a ^ b)
+        tbl = _TABLES.get(lvl.n) or sign_table(lvl.n)
+        return SignedUnit(tbl[a][b], a ^ b)
     return SignedUnit(_basis_sign(a, b), a ^ b)
 
 

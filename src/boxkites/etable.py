@@ -56,16 +56,17 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
 
     The diagonal is hidden (a plane never annihilates itself) and every
     off-diagonal cell is decided by multiplying the row and column
-    planes' diagonals out in full.
+    planes' diagonals out in full: one dmz_pattern call per plane pair,
+    in combinations order, and a zero fills the pair's two mirrored
+    cells.  Every other cell stays hidden.
     """
     planes = cluster(lvl, s)
     axis = tuple(a.lo for a in planes)
-    zero = set()
-    for a, b in combinations(planes, 2):
+    rows = [[HIDDEN] * len(planes) for _ in planes]
+    for (i, a), (j, b) in combinations(enumerate(planes), 2):
         if dmz_pattern(a, b) is not None:
-            zero.update(((a.lo, b.lo), (b.lo, a.lo)))
-    grid = tuple(tuple(r ^ c if (r, c) in zero else HIDDEN for c in axis) for r in axis)
-    return EmanationTable(lvl, s, axis, grid)
+            rows[i][j] = rows[j][i] = a.lo ^ b.lo
+    return EmanationTable(lvl, s, axis, tuple(map(tuple, rows)))
 
 
 def et_stats(et: EmanationTable) -> EtStats:
@@ -164,7 +165,9 @@ def render_image(et: EmanationTable, palette: str = "rainbow", scale: int = 1) -
     """Plain portable pixmap (P3) of the grid, one scale^2 block per cell.
 
     Hidden cells take the black background; a filled value v takes the
-    named palette's color, a pure function of v and the generator.  The
+    named palette's color, a pure function of v and the generator.  Each
+    distinct cell value's block row (its color repeated scale times) is
+    formatted once per table and every row is joined from those.  The
     output is plain text, so identical inputs give identical bytes.
     """
     try:
@@ -174,14 +177,13 @@ def render_image(et: EmanationTable, palette: str = "rainbow", scale: int = 1) -
     _check_scale(len(et.axis), scale)
     g = et.lvl.g
     side = len(et.axis) * scale
+    blocks: dict[int | None, str] = {}
+    for v in set().union(*et.grid):
+        rgb = BACKGROUND if v is None else color_of(v, g)
+        blocks[v] = " ".join([f"{rgb[0]} {rgb[1]} {rgb[2]}"] * scale)
     lines = ["P3", f"{side} {side}", "255"]
     for row in et.grid:
-        pixels = []
-        for v in row:
-            rgb = BACKGROUND if v is None else color_of(v, g)
-            pixels.extend([f"{rgb[0]} {rgb[1]} {rgb[2]}"] * scale)
-        line = " ".join(pixels)
-        lines.extend([line] * scale)
+        lines.extend([" ".join(map(blocks.__getitem__, row))] * scale)
     return "\n".join(lines) + "\n"
 
 

@@ -131,6 +131,11 @@ def diagonal_product(d1: Diagonal, d2: Diagonal) -> Element:
     return mul_element(d1.element(), d2.element(), lvl)
 
 
+#: the only two results dmz_pattern returns for a pair that makes zero
+_SAME_SLOPE_ZERO = DmzPattern(same_slope_zero=True)
+_OPPOSITE_SLOPE_ZERO = DmzPattern(same_slope_zero=False)
+
+
 def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     """Annihilation pattern of an assessor pair, or None if nothing cancels.
 
@@ -140,9 +145,17 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     cancels, the two pairings of one slope class must vanish together
     while the other class stays nonzero; both facts are checked rather
     than assumed.
+
+    Planes of one cluster share one Level object, so the level check
+    compares identity first and falls back to equality only for distinct
+    objects; with the levels equal, a plane is paired with itself exactly
+    when (lo, hi) agree.  A zero returns one of two shared module
+    constants, never a new pattern.
     """
-    lvl = _require_same_level(a1.lvl, a2.lvl)
-    if a1 == a2:
+    lvl = a1.lvl
+    if a2.lvl is not lvl:
+        lvl = _require_same_level(lvl, a2.lvl)
+    if a1.lo == a2.lo and a1.hi == a2.hi:
         raise ValueError("an assessor cannot be paired with itself")
     slash1, back1 = a1.diagonals
     slash2, back2 = a2.diagonals
@@ -156,7 +169,7 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
         raise InvariantError(f"{a1} x {a2}: both slope classes vanish")
     if not (same or opposite):
         return None
-    return DmzPattern(same_slope_zero=same)
+    return _SAME_SLOPE_ZERO if same else _OPPOSITE_SLOPE_ZERO
 
 
 def _dyads(indices) -> list[tuple[int, int, int]]:

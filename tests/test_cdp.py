@@ -214,6 +214,30 @@ def test_mul_element_reads_built_tables_without_sign_table(monkeypatch):
     assert calls == [5]
 
 
+def test_mul_basis_reads_built_tables_without_sign_table(monkeypatch):
+    calls = []
+    real = cdp.sign_table
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    sign_table(6)
+    monkeypatch.setattr(cdp, "sign_table", counting)
+    lvl6 = Level(6)
+    for a, b in ((a, b) for a in range(1, 64, 6) for b in range(0, 64, 7)):
+        assert mul_basis(a, b, lvl6) == (_basis_sign(a, b), a ^ b)
+    assert calls == []
+    # a level whose table is missing builds it once through sign_table
+    monkeypatch.delitem(cdp._TABLES, 5, raising=False)
+    for _ in range(2):
+        assert mul_basis(3, 17, Level(5)) == (_basis_sign(3, 17), 18)
+    assert calls == [5]
+    # above the memoized levels the sign loop runs bare
+    assert mul_basis(3, 700, Level(10)) == (_basis_sign(3, 700), 3 ^ 700)
+    assert calls == [5]
+
+
 def _norm_sq(x, lvl):
     prod = mul_element(x, conjugate(x), lvl)
     assert prod.indices() in ((), (0,))

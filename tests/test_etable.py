@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
 
+from boxkites import etable, zd
 from boxkites.cdp import Level
 from boxkites.etable import (
+    BACKGROUND,
     MAX_SIDE,
     PALETTES,
     EmanationTable,
@@ -14,7 +18,7 @@ from boxkites.etable import (
     render_text,
 )
 
-LVL4, LVL5 = Level(4), Level(5)
+LVL4, LVL5, LVL6 = Level(4), Level(5), Level(6)
 
 S4_TEXT = """N 4 S 4
   1 2 3 5 6 7
@@ -69,6 +73,58 @@ def test_xor_fill_and_symmetry():
             assert et.grid[i][i] is None
         for r, c, _ in et.filled_cells():
             assert r ^ c != et.s
+
+
+def _set_probe_et(lvl, s):
+    """The set-probe construction build_et replaced, kept as its oracle."""
+    planes = zd.cluster(lvl, s)
+    axis = tuple(a.lo for a in planes)
+    zero = set()
+    for a, b in combinations(planes, 2):
+        if zd.dmz_pattern(a, b) is not None:
+            zero.update(((a.lo, b.lo), (b.lo, a.lo)))
+    grid = tuple(tuple(r ^ c if (r, c) in zero else None for c in axis) for r in axis)
+    return EmanationTable(lvl, s, axis, grid)
+
+
+@pytest.mark.parametrize(
+    "lvl, constants",
+    [
+        (LVL4, range(1, 8)),
+        (LVL5, range(1, 16)),
+        (LVL6, (1, 8, 9, 15, 16, 17, 31)),
+    ],
+    ids=["n4", "n5", "n6"],
+)
+def test_build_et_matches_the_set_probe_oracle(lvl, constants, monkeypatch):
+    calls = []
+    kernel = zd.dmz_pattern
+
+    def recording(a1, a2):
+        calls.append((a1, a2))
+        return kernel(a1, a2)
+
+    monkeypatch.setattr(etable, "dmz_pattern", recording)
+    for s in constants:
+        calls.clear()
+        et = build_et(lvl, s)
+        assert et == _set_probe_et(lvl, s), s
+        planes = zd.cluster(lvl, s)
+        assert calls == list(combinations(planes, 2)), s
+
+
+def test_build_et_n5_s3_decides_each_pair_once(monkeypatch):
+    results = []
+    kernel = zd.dmz_pattern
+
+    def recording(a1, a2):
+        results.append(kernel(a1, a2))
+        return results[-1]
+
+    monkeypatch.setattr(etable, "dmz_pattern", recording)
+    build_et(LVL5, 3)
+    assert len(results) == 91  # C(14, 2)
+    assert sum(r is not None for r in results) == 84
 
 
 def test_stats_counts():
@@ -153,6 +209,49 @@ def test_render_image_properties():
         render_image(et, scale=10**6)
     with pytest.raises(ValueError, match="2058 pixels"):
         render_image(et, scale=MAX_SIDE // 14 + 1)  # one step past the widest
+
+
+def _per_pixel_image(et, palette="rainbow", scale=1):
+    """The per-pixel loop render_image replaced, kept as its oracle."""
+    color_of = PALETTES[palette]
+    g = et.lvl.g
+    side = len(et.axis) * scale
+    lines = ["P3", f"{side} {side}", "255"]
+    for row in et.grid:
+        pixels = []
+        for v in row:
+            rgb = BACKGROUND if v is None else color_of(v, g)
+            pixels.extend([f"{rgb[0]} {rgb[1]} {rgb[2]}"] * scale)
+        line = " ".join(pixels)
+        lines.extend([line] * scale)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lvl, s, sky",
+    [
+        (LVL4, 4, False),
+        (LVL4, 7, False),
+        (LVL5, 3, False),
+        (LVL5, 9, True),
+        (LVL5, 15, True),
+        (LVL6, 8, False),
+        (LVL6, 17, True),
+        (LVL6, 31, True),
+    ],
+    ids=["n4s4", "n4s7", "n5s3", "n5s9", "n5s15", "n6s8", "n6s17", "n6s31"],
+)
+def test_render_image_matches_the_per_pixel_oracle(lvl, s, sky):
+    et = build_et(lvl, s)
+    # a Sky table hides cells beyond its diagonal and strut cells
+    hidden = sum(v is None for row in et.grid for v in row)
+    assert (hidden > 2 * len(et.axis)) == sky
+    for palette in sorted(PALETTES):
+        for scale in (1, 2, 3):
+            assert render_image(et, palette, scale) == _per_pixel_image(et, palette, scale), (
+                palette,
+                scale,
+            )
 
 
 def test_palette_functions_are_pure():

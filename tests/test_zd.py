@@ -91,6 +91,47 @@ def test_dmz_pattern_examples():
         dmz_pattern(A4(1, 13), A4(1, 13))
 
 
+def test_dmz_pattern_level_and_self_pairing_contract(monkeypatch):
+    a, b = Assessor(1, 21, LVL5), Assessor(2, 22, LVL5)
+    twin_level = Level(5)
+    assert twin_level == LVL5 and twin_level is not LVL5
+    # equal but distinct levels are one level
+    assert dmz_pattern(a, Assessor(2, 22, twin_level)) == dmz_pattern(a, b) is not None
+    refusal = r"^operands live at different levels: Level\(4\) vs Level\(5\)$"
+    with pytest.raises(ValueError, match=refusal):
+        dmz_pattern(A4(1, 13), a)
+    # an equal plane is the same plane, whatever object carries it
+    for twin in (Assessor(1, 21, LVL5), Assessor(1, 21, twin_level)):
+        assert twin is not a and twin == a
+        with pytest.raises(ValueError, match="^an assessor cannot be paired with itself$"):
+            dmz_pattern(a, twin)
+    # the four exact products, in slope order (/,/), (/,\), (\,/), (\,\)
+    seen = []
+    kernel = zd.mul_element
+
+    def recording(x, y, lvl):
+        seen.append((x, y))
+        return kernel(x, y, lvl)
+
+    monkeypatch.setattr(zd, "mul_element", recording)
+    dmz_pattern(a, b)
+    (s1, b1), (s2, b2) = a.diagonals, b.diagonals
+    assert seen == [(s1, s2), (s1, b2), (b1, s2), (b1, b2)]
+
+
+def test_dmz_pattern_returns_one_of_two_shared_patterns():
+    found = {}
+    for group in cluster_assessors(LVL5).values():
+        for a1, a2 in combinations(group, 2):
+            pat = dmz_pattern(a1, a2)
+            if pat is not None:
+                found.setdefault(pat.same_slope_zero, []).append(pat)
+    assert sorted(found) == [False, True]
+    for same, pats in found.items():
+        assert all(p is pats[0] for p in pats)
+        assert pats[0] == DmzPattern(same) and pats[0] is not DmzPattern(same)
+
+
 def _fresh_pattern(a1, a2):
     """Oracle: fresh diagonal elements, all four slope pairings multiplied."""
     zero = {
