@@ -116,14 +116,52 @@ _validate_convention()
 _TABLES: dict[int, list[list[int]]] = {}
 
 
+def _double(lower: list[list[int]]) -> list[list[int]]:
+    """The sign table one doubling above ``lower``, read off its rows.
+
+    With h = len(lower) and L = lower, cell (a, b) of the doubled table
+    falls in one of _basis_sign's cases:
+
+    - a < h, b < h: no top bit to strip, so the sign is L[a][b];
+    - a < h, b = h + j: low * high goes to sign(j, a) = L[j][a], which
+      is +1 at j = 0 (a real left factor), so the row's right half is
+      column a of L;
+    - a = h + i, b = 0: i_0 is the identity, +1;
+    - a = h + i, 0 < b < h: high * low goes to -sign(i, b) = -L[i][b],
+      also at i = 0, where the loop ends on a = 0 with the sign flipped;
+    - a = h + i, b = h: high * high with j = 0 is -1, also at i = 0,
+      where a == b;
+    - a = h + i, b = h + j, j > 0: high * high goes to sign(j, i) =
+      L[j][i], which is -1 at i == j as a == b requires.
+
+    So low row a is L[a] followed by column a of L, and high row h + i is
+    +1, the negated L[i][1:], -1, and column i of L without its first
+    entry.  Every cell is one read of the lower table, and sign_table(n)
+    equals _basis_sign at every cell for n = 1..8
+    (tests/test_cdp.py::test_doubled_sign_tables_match_basis_sign).
+    """
+    h = len(lower)
+    cols = list(zip(*lower))
+    low = [[*lower[a], *cols[a]] for a in range(h)]
+    high = [[1, *[-v for v in lower[i][1:]], -1, *cols[i][1:]] for i in range(h)]
+    return low + high
+
+
 def sign_table(n: int) -> list[list[int]]:
-    """Signed multiplication table for the 2^n-ions, memoized for n <= 8."""
+    """Signed multiplication table for the 2^n-ions, memoized for n <= 8.
+
+    A missing table is doubled up from the highest one already built
+    below it (from the reals' [[1]] when there is none), and every level
+    passed on the way is kept, so each level is built once.
+    """
     if not 1 <= n <= MEMO_MAX_N:
         raise ValueError(f"sign tables are kept only for 1 <= n <= {MEMO_MAX_N}: {n}")
     tbl = _TABLES.get(n)
     if tbl is None:
-        dim = 1 << n
-        tbl = _TABLES[n] = [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
+        base = max((m for m in _TABLES if m < n), default=0)
+        tbl = _TABLES[base] if base else [[1]]
+        for m in range(base + 1, n + 1):
+            tbl = _TABLES[m] = _double(tbl)
     return tbl
 
 
@@ -131,13 +169,14 @@ def mul_basis(a: int, b: int, lvl: Level) -> SignedUnit:
     """Signed product of two basis units at the given level.
 
     The result index is a ^ b; i_0 is a two-sided identity and every
-    other unit squares to -1.
+    other unit squares to -1.  The range check shifts the indices by n
+    instead of building 2^n, so a level of any size costs nothing here.
     """
-    d = lvl.dim
-    if not (0 <= a < d and 0 <= b < d):
-        raise IndexRangeError(f"basis indices ({a}, {b}) out of range for 2^{lvl.n}-ions")
-    if lvl.n <= MEMO_MAX_N:
-        tbl = _TABLES.get(lvl.n) or sign_table(lvl.n)
+    n = lvl.n
+    if not (a >= 0 and b >= 0 and not a >> n and not b >> n):
+        raise IndexRangeError(f"basis indices ({a}, {b}) out of range for 2^{n}-ions")
+    if n <= MEMO_MAX_N:
+        tbl = _TABLES.get(n) or sign_table(n)
         return SignedUnit(tbl[a][b], a ^ b)
     return SignedUnit(_basis_sign(a, b), a ^ b)
 
@@ -244,14 +283,17 @@ def mul_element(x: Element, y: Element, lvl: Level) -> Element:
     an element may be shared by any number of products (each assessor
     plane shares its two diagonals this way).
     """
-    dim = 1 << lvl.n
+    n = lvl.n
+    tbl = _TABLES.get(n)
+    if tbl is None and n <= MEMO_MAX_N:
+        tbl = sign_table(n)
+    # a built table is 2^n rows long; above the tables (dim 0) the range
+    # check shifts by n instead of building 2^n
+    dim = len(tbl) if tbl is not None else 0
     for terms in (x._terms, y._terms):
         for k in terms:
-            if k >= dim:
-                raise IndexRangeError(f"term index {k} outside 2^{lvl.n}-ions (level mismatch)")
-    tbl = _TABLES.get(lvl.n)
-    if tbl is None and lvl.n <= MEMO_MAX_N:
-        tbl = sign_table(lvl.n)
+            if k >= dim and (dim or k >> n):
+                raise IndexRangeError(f"term index {k} outside 2^{n}-ions (level mismatch)")
     acc: dict[int, Coeff] = {}
     for i, ci in x._terms.items():
         row = tbl[i] if tbl is not None else None

@@ -4,12 +4,14 @@ Every invocation is deterministic: identical inputs give byte-identical
 output.  Bad flags exit 2 with a usage message; domain errors exit 1
 with a one-line diagnostic.  Signs print as "+k"/"-k" with an ASCII
 minus, indices in decimal.  The default level is n=4 (the sedenions);
-levels above n=8 are refused, except by mul and trips --count.
+levels above n=8 are refused, except by mul and trips --count, which
+refuses a count too long for the interpreter to print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,9 +38,27 @@ def cmd_mul(args) -> int:
     return 0
 
 
+def _printable_trip_count(n: int) -> int:
+    """The trip count at level n, refused when it has too many digits to print.
+
+    The count (2^n - 1)(2^n - 2)/6 lies between 4^n/16 and 4^n, so it has
+    about 2n log10(2) digits, and more than (2n - 4) * 0.30102.  Past that
+    bound n alone refuses it before it is computed; below it the count is
+    small and is compared with 10^limit.  The limit is the interpreter's
+    digit limit for int to str conversion, or its default when the limit
+    is off (0), so the run stays bounded either way.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if (2 * n - 4) * 30102 < limit * 100_000:
+        total = trips.trip_count(n).total
+        if total < 10**limit:
+            return total
+    raise ValueError(f"the trip count at --n {n} has more than {limit} digits")
+
+
 def cmd_trips(args) -> int:
     if args.count:
-        print(trips.trip_count(args.n).total)
+        print(_printable_trip_count(args.n))
         return 0
     lines = trips.trips_to_lines(trips.enumerate_trips(Level(args.n)))
     _emit("\n".join(lines) + "\n", args.out)
@@ -196,10 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it as it was, so every call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,3 +1,5 @@
+import functools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -109,10 +111,30 @@ def test_level_refuses_a_non_int_exponent():
 
 
 def test_mul_basis_range_errors():
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^basis indices \(8, 1\) out of range for 2\^3-ions$"):
         mul_basis(8, 1, LVL3)
-    with pytest.raises(IndexRangeError):
+    with pytest.raises(IndexRangeError, match=r"^basis indices \(1, -1\) out of range for 2\^3-ions$"):
         mul_basis(1, -1, LVL3)
+    with pytest.raises(IndexRangeError, match=r"^basis indices \(1024, 1\) out of range for 2\^10-ions$"):
+        mul_basis(1024, 1, Level(10))
+    assert mul_basis(1023, 1, Level(10)) == (_basis_sign(1023, 1), 1022)
+
+
+def test_products_far_above_the_tables_do_not_build_two_to_the_n():
+    # the range checks shift by n: 1 << 4_000_000_000 alone would take 500 MB
+    huge = Level(4_000_000_000)
+    tracemalloc.start()
+    try:
+        assert mul_basis(1, 2, huge) == (1, 3)
+        assert mul_element(Element({1: 1, 5: 2}), Element.unit(2), huge) == Element({3: 1, 7: -2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(IndexRangeError, match=r"^term index 4096 outside 2\^10-ions"):
+        mul_element(Element.unit(1), Element.unit(4096), Level(10))
+    with pytest.raises(IndexRangeError, match=r"^term index 64 outside 2\^6-ions"):
+        mul_element(Element.unit(64), Element.unit(1), Level(6))
 
 
 def test_element_canonical_and_zero():
@@ -287,3 +309,30 @@ def test_basis_sign_loop_matches_recursion():
         ref = [[_recursive_sign(a, b) for b in range(dim)] for a in range(dim)]
         assert [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)] == ref, n
         assert sign_table(n) == ref, n
+
+
+@functools.cache
+def _loop_table(n):
+    dim = 1 << n
+    return [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
+
+
+@pytest.mark.parametrize("order", [range(1, 9), range(8, 0, -1)], ids=["up", "down"])
+@pytest.mark.parametrize("held", [(), (5,)], ids=["empty", "only5"])
+def test_doubled_sign_tables_match_basis_sign(monkeypatch, held, order):
+    # cdp._double's row rule against the sign loop at every cell, built from
+    # nothing and from a lone level 5; each missing level is doubled once
+    monkeypatch.setattr(cdp, "_TABLES", {n: [row[:] for row in _loop_table(n)] for n in held})
+    built = []
+    real = cdp._double
+
+    def counting(lower):
+        built.append(len(lower).bit_length())  # the level of the doubled table
+        return real(lower)
+
+    monkeypatch.setattr(cdp, "_double", counting)
+    for n in order:
+        assert sign_table(n) == _loop_table(n), n
+        assert sign_table(n) is cdp._TABLES[n]
+    assert sorted(built) == [n for n in range(1, 9) if n not in held]
+

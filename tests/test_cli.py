@@ -1,14 +1,18 @@
+import argparse
 import ast
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import boxkites
-from boxkites import kites, theorems
+from boxkites import cli, kites, theorems
 from boxkites.cli import main
 
 S4_DUMP_HEAD = "4 4\nA 1 13\nB 2 14\nC 3 15\nD 7 11\nE 6 10\nF 5 9\n"
@@ -203,6 +207,102 @@ def test_levels_above_the_sign_tables_are_refused(argv, capsys):
 def test_trip_count_answers_above_the_sign_tables(capsys):
     assert main(["trips", "--n", "40", "--count"]) == 0
     assert int(capsys.readouterr().out) == (2**40 - 1) * (2**40 - 2) // 6
+
+
+def test_trip_count_refuses_too_many_digits_before_computing(monkeypatch, capsys):
+    computed = []
+    monkeypatch.setattr(cli.trips, "trip_count", lambda n: computed.append(n))
+    t0 = time.perf_counter()
+    assert main(["trips", "--count", "--n", "20000000"]) == 1
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the trip count at --n 20000000 has more than 4300 digits\n"
+    assert computed == []
+
+
+@pytest.mark.parametrize(
+    "limit,last_n", [(4300, 7143), (0, 7143), (5000, 8306)], ids=["default", "off", "raised"]
+)
+def test_trip_count_digit_limit_is_exact(limit, last_n, capsys):
+    # the last level whose count fits the limit answers, the next is refused;
+    # with the limit off (0) the interpreter's default bounds the run
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert main(["trips", "--count", "--n", str(last_n)]) == 0
+        digits = capsys.readouterr().out.strip()
+        assert len(digits) == (limit or 4300) and digits.isdigit()
+        assert main(["trips", "--count", "--n", str(last_n + 1)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the trip count at --n {last_n + 1} has more than {limit or 4300} digits\n"
+        )
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_mul_far_above_the_tables_builds_no_two_to_the_n(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["mul", "--n", "4000000000", "1", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "+3\n"
+    assert peak < 1 << 20
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeypatch, capsys):
+    # every verb, interleaved with usage errors (exit 2) and domain errors
+    # (exit 1), through one process's parser; each must match its own
+    # python -m boxkites child byte for byte
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap alike in both
+    book = tmp_path / "book"
+    runs = [
+        ["mul", "--n", "3", "7", "1"],
+        ["nonsense"],
+        ["trips", "--n", "3"],
+        ["dmz", "--n", "5", "--s", "99"],
+        ["trips", "--n", "4", "--count"],
+        ["et", "--n", "4"],
+        ["assessors", "--clusters"],
+        ["mul", "--n", "3", "8", "1"],
+        ["dmz", "--n", "4", "--s", "4"],
+        ["census", "--n", "5", "--s", "3", "--range", "1..2"],
+        ["boxkite", "--n", "4", "--s", "4"],
+        ["trips", "--count", "--n", "20000000"],
+        ["census", "--n", "4", "--range", "1..3"],
+        ["mul", "--n", "4", "x", "2"],
+        ["verify", "--n", "4"],
+        ["verify", "--n", "8"],
+        ["et", "--n", "4", "--s", "5", "--format", "csv"],
+        ["flipbook", "--n", "4", "--range", "1..3"],
+        ["flipbook", "--n", "4", "--range", "1..3", "--out", str(book)],
+        ["et", "--n", "4", "--s", "1", "--format", "bmp"],
+        ["mul", "--help"],
+    ]
+    made = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    here = []
+    for i, argv in enumerate(runs):
+        rc = main(argv)
+        if i == 0:
+            assert made  # the first call builds the process's parser
+            made.clear()
+        here.append((rc, *capsys.readouterr()))
+    assert made == []  # no later call builds another
+    pages = {p.name: p.read_bytes() for p in book.iterdir()}
+    shutil.rmtree(book)
+    assert {rc for rc, _, _ in here} == {0, 1, 2}
+    for argv, got in zip(runs, here):
+        assert got == run_cli(*argv), argv
+    assert {p.name: p.read_bytes() for p in book.iterdir()} == pages
 
 
 def test_entry_point_subprocess():
