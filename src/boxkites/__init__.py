@@ -71,6 +71,7 @@ from .zd import (
     Diagonal,
     DmzPattern,
     NotDmzError,
+    Relation,
     TwistResult,
     cluster_assessors,
     diagonal_product,
@@ -79,6 +80,7 @@ from .zd import (
     dmz_scan,
     emanate,
     enumerate_assessors,
+    relation,
     theorem1_check,
     theorem2_check,
     theorem3_check,

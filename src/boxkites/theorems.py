@@ -3,10 +3,11 @@
 Each check covers every dyad, plane or kite its law speaks of at one
 level from 16 to 128 dimensions, and reports a one-line detail.  Products
 that index arithmetic proves nonzero (the XOR-bucket lemma in ``zd``)
-are ruled out without being multiplied; every zero is still an exact
-product.  Violations come back as failed results carrying the
-counterexample, so the caller can print PASS/FAIL lines without
-re-deriving anything.
+are ruled out without being multiplied; every zero is an exact product
+or a read of a cluster's relation (``zd.relation``), which a suite run
+builds once per cluster and drops when it returns.  Violations come
+back as failed results carrying the counterexample, so the caller can
+print PASS/FAIL lines without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -14,18 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cdp import Level
-from .kites import BLUE, BoxKite, classify_sails, survey
+from .kites import RED, BoxKite, classify_sails, survey
 from .zd import (
-    BACKSLASH,
-    SLASH,
-    Diagonal,
+    NotDmzError,
+    Relation,
     emanate,
     enumerate_assessors,
+    relation,
     theorem1_check,
     theorem2_check,
     theorem3_check,
     theorem4_check,
-    twist,
 )
 
 
@@ -43,8 +43,9 @@ def _guard(name: str, fn) -> TheoremResult:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 
-#: highest level the suite runs at: n = 7 takes about half a minute, and
-#: n = 8 would survey all 255 strut constants and twist every kite edge
+#: highest level the suite runs at: ``verify --n 7`` takes about 6 s (2
+#: cores, CPython 3.11), 3 s of it the 63 surveys; n = 8 would run 127
+#: surveys, which took 39 s together when last measured
 SUITE_MAX_N = 7
 
 
@@ -57,13 +58,14 @@ def run_suite(n: int) -> list[TheoremResult]:
         raise ValueError(f"verification needs at most {2**SUITE_MAX_N} dimensions")
     surveys = {s: survey(lvl, s) for s in range(1, lvl.g)}
     kites = [bk for sv in surveys.values() for bk in sv.kites]
+    relations = {s: relation(lvl, s) for s in range(1, lvl.g)}
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
-        _guard("Theorem 3", lambda: _t3(lvl)),
+        _guard("Theorem 3", lambda: _t3(lvl, relations)),
         _guard("Theorem 4", lambda: _t4(lvl)),
-        _guard("Theorem 5", lambda: _t5(kites)),
-        _guard("Theorem 6", lambda: _t6(lvl, kites)),
+        _guard("Theorem 5", lambda: _t5(relations, kites)),
+        _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
         _guard("Theorem 7", lambda: _t7(kites)),
     ]
 
@@ -92,8 +94,8 @@ def _t2(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 2", False, f"counterexample: {hit[0]} x {hit[1]} = 0")
 
 
-def _t3(lvl: Level) -> TheoremResult:
-    pairs, hits = theorem3_check(lvl)
+def _t3(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
+    pairs, hits = theorem3_check(lvl, relations)
     return TheoremResult(
         "Theorem 3",
         True,
@@ -111,14 +113,18 @@ def _t4(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 4", False, f"self-annihilating planes: {bad[:3]}")
 
 
-def _t5(kites: list[BoxKite]) -> TheoremResult:
+def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
+    # emanate(p, q) read off the relation: a zero pair of cluster s emanates
+    # the plane (p.lo ^ q.lo, p.lo ^ q.hi); emanate itself, the exact
+    # oracle, is asked only to word a failure
     sails = 0
     for bk in kites:
+        rel = relations[bk.s]
         for sail in classify_sails(bk):
             va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
             sails += 1
             for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
-                if emanate(p, q) != r:
+                if not (rel.zero[p.lo] >> q.lo & 1 and (r.lo, r.hi) == (p.lo ^ q.lo, p.lo ^ q.hi)):
                     return TheoremResult(
                         "Theorem 5",
                         False,
@@ -129,29 +135,31 @@ def _t5(kites: list[BoxKite]) -> TheoremResult:
     )
 
 
-def _t6(lvl: Level, kites: list[BoxKite]) -> TheoremResult:
+def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
+    # zd.twist read off the relations.  A zero pair of diagonals on the
+    # planes (a, a ^ x) and (b, b ^ x) of cluster s, slopes sa and sb,
+    # twists into (b, a ^ x) with slope sb and (a, b ^ x) with slope -sa:
+    # planes of cluster a ^ b ^ s, in the other slope class (the slopes'
+    # product changes sign).  So each kite edge's four twists, both slope
+    # pairs of its class in both orders, are valid exactly when that
+    # cluster's relation holds (b, a) in the other class.
     total = valid = 0
     invalid_targets: set[int] = set()
     invalid_sources: set[int] = set()
     for bk in kites:
         for l1, l2, color in bk.edge_colors:
-            a1, a2 = bk.assessor(l1), bk.assessor(l2)
-            if color == BLUE:
-                slope_pairs = ((SLASH, SLASH), (BACKSLASH, BACKSLASH))
+            a, b = bk.assessor(l1).lo, bk.assessor(l2).lo
+            pat = relations[bk.s].pattern(a, b)
+            if pat is None or pat.same_slope_zero == (color == RED):
+                raise NotDmzError("twist needs a pair of diagonals that make zero")
+            target = a ^ b ^ bk.s
+            twisted = relations[target].pattern(b, a)
+            total += 4
+            if twisted is not None and twisted.same_slope_zero != pat.same_slope_zero:
+                valid += 4
             else:
-                slope_pairs = ((SLASH, BACKSLASH), (BACKSLASH, SLASH))
-            for s1, s2 in slope_pairs:
-                for d1, d2 in (
-                    (Diagonal(a1, s1), Diagonal(a2, s2)),
-                    (Diagonal(a2, s2), Diagonal(a1, s1)),
-                ):
-                    total += 1
-                    res = twist(d1, d2)
-                    if res.valid:
-                        valid += 1
-                    else:
-                        invalid_sources.add(bk.s)
-                        invalid_targets.add(res.pair[0].assessor.strut_constant)
+                invalid_sources.add(bk.s)
+                invalid_targets.add(target)
     detail = f"{valid}/{total} twisted pairs still make zero"
     if lvl.n == 4:
         return TheoremResult("Theorem 6", valid == total, detail)

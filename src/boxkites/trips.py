@@ -51,8 +51,9 @@ class TripCount:
 
 def is_trip(a: int, b: int, c: int, lvl: Level) -> bool:
     """True when the indices are distinct, nonzero, and XOR-closed."""
+    # shifted by n instead of compared with 2^n, which a huge level cannot build
     for k in (a, b, c):
-        if not 0 <= k < lvl.dim:
+        if k < 0 or k >> lvl.n:
             raise IndexRangeError(f"index {k} out of range for 2^{lvl.n}-ions")
     if 0 in (a, b, c) or len({a, b, c}) != 3:
         return False

@@ -8,17 +8,19 @@ multiply to exactly zero are "dyads making zero" (DMZs); every DMZ pair
 annihilates in exactly one slope class, emanates a third assessor, and
 twists into a partner pair with another strut constant.
 
-Nothing here reasons from sign patterns: every zero is established by
-exact element arithmetic, because above 16 dimensions the patterns that
-hold there silently break (carrybit overflow), and the breakage is part
-of the subject matter.  Each plane builds its two diagonal elements once,
-on first use, and every product taken with the plane multiplies those:
-the construction is shared, never a product.  What the sweeps do skip
-are the products that index arithmetic alone proves nonzero: a two-term
-product can only vanish when both factors have the same XOR of their two
-indices (the lemma at ``_xor_buckets``), so all-level sweeps multiply
-only within a cluster or an XOR bucket.  That rules out non-zeros, never
-decides one.
+Nothing here reasons from sign patterns, because above 16 dimensions
+the patterns that hold there silently break (carrybit overflow), and the
+breakage is part of the subject matter.  A cluster's zeros are decided
+by ``relation``: four reads of the exact sign table per plane pair,
+with the proof that those reads decide the product written next to it.
+``dmz_pattern``, ``emanate``, ``twist`` and ``diagonal_product`` answer
+single queries by exact element arithmetic and are the oracle the
+relation is tested against; each plane builds its two diagonal elements
+once, on first use, and every product taken with the plane multiplies
+those.  What the sweeps skip are the pairs that index arithmetic alone
+proves nonzero: a two-term product can only vanish when both factors
+have the same XOR of their two indices (the lemma at ``_xor_buckets``),
+so all-level sweeps look only within a cluster or an XOR bucket.
 """
 
 from __future__ import annotations
@@ -26,8 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
-from .cdp import Element, IndexRangeError, InvariantError, Level, mul_element
+from .cdp import (
+    MEMO_MAX_N,
+    Element,
+    IndexRangeError,
+    InvariantError,
+    Level,
+    mul_basis,
+    mul_element,
+    sign_table,
+)
 
 SLASH = 1
 BACKSLASH = -1
@@ -59,11 +71,14 @@ class Assessor:
         for k in (self.lo, self.hi):
             if isinstance(k, bool) or not isinstance(k, int):
                 raise IndexRangeError(f"assessor index must be an int: {k!r}")
-        g, d = self.lvl.g, self.lvl.dim
-        if not 1 <= self.lo < g:
-            raise ValueError(f"L-index must lie in 1..{g - 1}: {self.lo}")
-        if not g < self.hi < d:
-            raise ValueError(f"U-index must lie in {g + 1}..{d - 1}: {self.hi}")
+        # checked by bit length, never building 2^(n-1) or 2^n, so a level
+        # of any size costs nothing here: an L-index has fewer than n bits,
+        # a U-index exactly n and is not g, the only power of 2 with n bits
+        n = self.lvl.n
+        if not (self.lo > 0 and self.lo.bit_length() < n):
+            raise ValueError(f"L-index must lie in 1..2^{n - 1} - 1: {self.lo}")
+        if not (self.hi > 0 and self.hi.bit_length() == n and self.hi & (self.hi - 1)):
+            raise ValueError(f"U-index must lie in 2^{n - 1} + 1..2^{n} - 1: {self.hi}")
 
     @property
     def strut_constant(self) -> int:
@@ -172,6 +187,82 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     return _SAME_SLOPE_ZERO if same else _OPPOSITE_SLOPE_ZERO
 
 
+class Relation(NamedTuple):
+    """The zero relation of one cluster, as bitmasks over L-indices.
+
+    Bit b of ``zero[a]`` is set when the planes of L-indices a and b make
+    zero; ``same[a]`` keeps those of them whose same-slope class vanishes,
+    the others vanishing in the opposite-slope class.  Both tuples have
+    one entry per L-index 0..g-1, so the entries at 0 and s are empty.
+    """
+
+    zero: tuple[int, ...]
+    same: tuple[int, ...]
+
+    def pattern(self, a: int, b: int) -> DmzPattern | None:
+        """dmz_pattern's answer for the planes of L-indices a and b."""
+        if not self.zero[a] >> b & 1:
+            return None
+        return _SAME_SLOPE_ZERO if self.same[a] >> b & 1 else _OPPOSITE_SLOPE_ZERO
+
+
+def relation(lvl: Level, s: int) -> Relation:
+    """The zero relation of cluster(lvl, s), four sign reads a pair, no product.
+
+    Proof.  Take planes (a, A) and (b, B) of the cluster, a != b, with
+    A = a ^ x, B = b ^ x and x = g + s, and let t(p, q) be the sign of
+    i_p i_q.  Then A ^ B = a ^ b and a ^ B = A ^ b, so for slopes
+    sa, sb = +-1 the four terms of (i_a + sa i_A)(i_b + sb i_B) collect
+    on two indices:
+
+        (t(a,b) + sa sb t(A,B)) i_(a^b)  +  (sb t(a,B) + sa t(A,b)) i_(a^B)
+
+    and a ^ b != a ^ B because b != B.  The product is zero iff both
+    coefficients are: t(a,b) = -sa sb t(A,B) and t(a,B) = -sa sb t(A,b).
+    The slopes enter only through sa sb, so a class vanishes as a whole:
+    the same-slope class (sa sb = 1) iff t(a,b) = -t(A,B) and
+    t(a,B) = -t(A,b), the opposite-slope class iff both are equalities.
+    Signs are +-1, so the two classes never vanish together.  In the
+    order (b, a) each of the four reads is negated, since distinct
+    imaginary units anticommute, and the conditions are unchanged: the
+    relation is symmetric and so is its class.
+
+    t is the exact table that cdp._double builds (mul_basis above
+    MEMO_MAX_N), so no sign pattern is assumed; tests/test_zd.py holds
+    the kernel to dmz_pattern's exact products.
+    """
+    check_strut(lvl, s)
+    g = lvl.g
+    x = g | s
+    lows = [k for k in range(1, g) if k != s]
+    if lvl.n <= MEMO_MAX_N:
+        t = sign_table(lvl.n)
+    else:  # above the kept tables: the rows this cluster reads, cell by cell
+        cols = range(lvl.dim)
+        t = {r: [mul_basis(r, c, lvl).sign for c in cols] for k in lows for r in (k, k ^ x)}
+    zero, same = [0] * g, [0] * g
+    for i, a in enumerate(lows):
+        ta, tA = t[a], t[a ^ x]
+        for b in lows[i + 1 :]:
+            B = b ^ x
+            u = ta[b] * tA[B]  # -1 when the i_(a^b) coefficient cancels in the same-slope class
+            if u == ta[B] * tA[b]:
+                zero[a] |= 1 << b
+                zero[b] |= 1 << a
+                if u < 0:
+                    same[a] |= 1 << b
+                    same[b] |= 1 << a
+    return Relation(tuple(zero), tuple(same))
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _dyads(indices) -> list[tuple[int, int, int]]:
     """All two-term dyads (a, b, s) over the index pool, both inner signs."""
     out = []
@@ -263,17 +354,25 @@ def theorem2_check(lvl: Level):
     return None
 
 
-def theorem3_check(lvl: Level) -> tuple[int, int]:
+def theorem3_check(lvl: Level, relations: dict[int, Relation] | None = None) -> tuple[int, int]:
     """Slope-class dichotomy over every candidate assessor pair.
 
     Every annihilating pair must kill exactly one slope class, both of
-    its members together; dmz_pattern checks that on every call, and
-    dmz_scan calls it on every pair within a cluster.  Pairs across
-    clusters are proven silent by the lemma at _xor_buckets, so they
-    hold the dichotomy trivially and are counted without a product.
-    Returns (candidate_pairs, pairs_annihilating).
+    its members together.  Within a cluster that is what ``relation``
+    proves of each pair it reads: a class vanishes under one pair of
+    sign conditions for both its members, and the two classes under
+    contrary ones (tests/test_zd.py holds the relation to dmz_pattern,
+    which checks both facts on exact products).  So the check counts
+    the relations, the level's by strut constant, built here unless the
+    caller has them.  Pairs across clusters are proven silent by the
+    lemma at _xor_buckets, so they hold the dichotomy trivially and are
+    counted without a product.  Returns (candidate_pairs,
+    pairs_annihilating).
     """
-    return comb(len(enumerate_assessors(lvl)), 2), len(dmz_scan(lvl))
+    if relations is None:
+        relations = {s: relation(lvl, s) for s in cluster_assessors(lvl)}
+    hits = sum(m.bit_count() for rel in relations.values() for m in rel.zero) // 2
+    return comb(len(enumerate_assessors(lvl)), 2), hits
 
 
 def theorem4_check(a: Assessor) -> bool:
@@ -383,18 +482,20 @@ def enumerate_assessors(lvl: Level) -> list[Assessor]:
 def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor, DmzPattern]]:
     """All annihilating candidate pairs, optionally within one cluster.
 
-    Only pairs within a cluster are multiplied out: two planes of
-    different clusters have diagonals in different XOR buckets, so by the
-    lemma at _xor_buckets they never make zero.  Pairs come back sorted
-    by (a1.lo, a1.hi, a2.lo, a2.hi), with a1 before a2.
+    Each cluster's pairs are read off its relation, with dmz_pattern's two
+    shared patterns; two planes of different clusters have diagonals in
+    different XOR buckets, so by the lemma at _xor_buckets they never
+    make zero.  Pairs come back sorted by (a1.lo, a1.hi, a2.lo, a2.hi),
+    with a1 before a2.
     """
-    groups = cluster_assessors(lvl).values() if s is None else (cluster(lvl, s),)
+    groups = cluster_assessors(lvl) if s is None else {s: cluster(lvl, s)}
     out = []
-    for cands in groups:
-        for a1, a2 in combinations(cands, 2):
-            pat = dmz_pattern(a1, a2)
-            if pat is not None:
-                out.append((a1, a2, pat))
+    for t, planes in groups.items():
+        rel = relation(lvl, t)
+        plane = {a.lo: a for a in planes}
+        for lo, a1 in plane.items():
+            for b in _bits(rel.zero[lo] >> lo + 1 << lo + 1):
+                out.append((a1, plane[b], rel.pattern(lo, b)))
     out.sort(key=lambda hit: (hit[0].lo, hit[0].hi, hit[1].lo, hit[1].hi))
     return out
 

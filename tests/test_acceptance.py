@@ -134,7 +134,7 @@ def test_criterion_06_theorem_suite():
         for lvl in (LVL4, LVL5):
             assert theorem1_check(lvl) is None
             assert theorem2_check(lvl) is None
-            theorem3_check(lvl)  # dmz_pattern checks the dichotomy on every same-cluster pair
+            theorem3_check(lvl)  # zd.relation proves the dichotomy pair by pair
             assert all(theorem4_check(a) for a in enumerate_assessors(lvl))
         # emanation closure on every sedenion sail
         for s in range(1, 8):

@@ -341,6 +341,14 @@ def test_dmz_n6_keeps_its_output_bytes(capsys):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+def test_dmz_n7_keeps_its_output_bytes(capsys):
+    # recorded from the per-cluster dmz_pattern sweep, before the relation kernel
+    assert main(["dmz", "--n", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    digest = "7e8c7a770e61767e67696318fffe6be67a221d777ba7e5c39c2768f3312c9287"
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_verify_n6_passes_with_the_sky_twist_law(capsys):
     targets = list(range(9, 16)) + list(range(17, 32))
     sources = list(range(1, 16)) + list(range(25, 32))

@@ -1,0 +1,80 @@
+"""Theorems 5 and 6 read off the relations, held to the exact oracles."""
+
+import pytest
+
+from boxkites import theorems
+from boxkites.cdp import Level
+from boxkites.kites import BLUE, classify_sails, survey
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, emanate, relation, twist
+
+
+def _level(n):
+    lvl = Level(n)
+    kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
+    return lvl, {s: relation(lvl, s) for s in range(1, lvl.g)}, kites
+
+
+def _twist_oracle(kites):
+    """Theorem 6's tallies from zd.twist: (valid, total, targets, sources)."""
+    total = valid = 0
+    targets, sources = set(), set()
+    for bk in kites:
+        for l1, l2, color in bk.edge_colors:
+            a1, a2 = bk.assessor(l1), bk.assessor(l2)
+            if color == BLUE:
+                slope_pairs = ((SLASH, SLASH), (BACKSLASH, BACKSLASH))
+            else:
+                slope_pairs = ((SLASH, BACKSLASH), (BACKSLASH, SLASH))
+            for s1, s2 in slope_pairs:
+                u, v = Diagonal(a1, s1), Diagonal(a2, s2)
+                for d1, d2 in ((u, v), (v, u)):
+                    total += 1
+                    res = twist(d1, d2)
+                    if res.valid:
+                        valid += 1
+                    else:
+                        sources.add(bk.s)
+                        targets.add(res.pair[0].assessor.strut_constant)
+    return valid, total, sorted(targets), sorted(sources)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_theorem6_relation_reading_matches_the_twist_oracle(n):
+    lvl, relations, kites = _level(n)
+    valid, total, targets, sources = _twist_oracle(kites)
+    result = theorems._t6(lvl, relations, kites)
+    assert result.detail == (
+        f"{valid}/{total} twisted pairs still make zero; failing twists land at strut "
+        f"constants {targets} (sources {sources})"
+    )
+    assert result.passed
+    assert (valid, total) == {5: (3024, 3696), 6: (21840, 31920)}[n]
+
+
+def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
+    lvl, relations, kites = _level(5)
+    bk = kites[0]
+    a, b = bk.vertices[0].lo, bk.vertices[1].lo
+    rel = relations[bk.s]
+    zero = list(rel.zero)
+    zero[a] &= ~(1 << b)
+    zero[b] &= ~(1 << a)
+    relations[bk.s] = rel._replace(zero=tuple(zero))
+    with pytest.raises(ValueError, match="twist needs a pair of diagonals that make zero"):
+        theorems._t6(lvl, relations, kites)
+
+
+def test_theorem5_relation_reading_matches_emanate_on_every_sail():
+    lvl, relations, kites = _level(5)
+    sails = 0
+    for bk in kites:
+        for sail in classify_sails(bk):
+            va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
+            sails += 1
+            for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
+                assert emanate(p, q) == r
+                assert relations[bk.s].pattern(p.lo, q.lo) is not None
+    result = theorems._t5(relations, kites)
+    assert result.passed
+    assert result.detail == f"every sail edge emanates its third vertex ({sails} sails)"
+    assert sails == 4 * len(kites) == 308

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +28,23 @@ def test_is_trip_examples():
     assert not is_trip(3, 3, 0, LVL3)
     with pytest.raises(IndexRangeError):
         is_trip(1, 2, 99, LVL3)
+
+
+def test_is_trip_range_check_builds_no_power_of_two():
+    # 1 << 4_000_000_000 alone would take 500 MB
+    huge = Level(4_000_000_000)
+    tracemalloc.start()
+    try:
+        assert is_trip(1, 2, 3, huge)
+        assert not is_trip(1, 2, 4, huge)
+        with pytest.raises(IndexRangeError, match=r"^index -1 out of range for 2\^4000000000-ions$"):
+            is_trip(1, 2, -1, huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(IndexRangeError, match=r"^index 8 out of range for 2\^3-ions$"):
+        is_trip(1, 2, 8, LVL3)
 
 
 def test_cpo_orient_examples():

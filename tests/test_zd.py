@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from boxkites.zd import (
     Diagonal,
     DmzPattern,
     NotDmzError,
+    Relation,
     check_strut,
     cluster,
     cluster_assessors,
@@ -24,6 +26,7 @@ from boxkites.zd import (
     dmz_scan,
     emanate,
     enumerate_assessors,
+    relation,
     theorem1_check,
     theorem2_check,
     theorem3_check,
@@ -48,9 +51,29 @@ def test_assessor_validation():
         A4(1, 8)  # the generator itself is no U-index
     with pytest.raises(ValueError):
         Assessor(1, 9, LVL5)  # 9 sits below the level-5 generator
+    with pytest.raises(ValueError, match=r"^L-index must lie in 1\.\.2\^3 - 1: -1$"):
+        A4(-1, 13)
+    with pytest.raises(ValueError, match=r"^U-index must lie in 2\^3 \+ 1\.\.2\^4 - 1: 16$"):
+        A4(1, 16)
+    with pytest.raises(ValueError, match=r"^U-index must lie in 2\^3 \+ 1\.\.2\^4 - 1: -13$"):
+        A4(1, -13)
     for lo, hi in ((1.5, 17), (True, 17), (1, 17.0), (1, "17")):
         with pytest.raises(IndexRangeError):
             Assessor(lo, hi, LVL5)
+
+
+def test_assessor_range_checks_build_no_power_of_two():
+    # 1 << 4_000_000_000 alone would take 500 MB
+    huge = Level(4_000_000_000)
+    tracemalloc.start()
+    try:
+        for lo, hi in ((1, 3), (0, 3), (3, 1), (1, 2**27 + 1)):
+            with pytest.raises(ValueError, match=r"-index must lie in "):
+                Assessor(lo, hi, huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_assessor_identity_ignores_its_built_diagonals():
@@ -301,17 +324,71 @@ def test_dmz_scan_matches_the_all_planes_sweep(lvl):
 
 
 def test_dmz_scan_multiplies_only_within_clusters(monkeypatch):
-    calls = []
-    kernel = zd.dmz_pattern
+    built, multiplied = [], []
+    kernel, oracle = zd.relation, zd.dmz_pattern
 
-    def counting(a1, a2):
-        calls.append((a1, a2))
-        return kernel(a1, a2)
+    def counting_relation(lvl, s):
+        built.append(s)
+        return kernel(lvl, s)
 
-    monkeypatch.setattr(zd, "dmz_pattern", counting)
+    def counting_pattern(a1, a2):
+        multiplied.append((a1, a2))
+        return oracle(a1, a2)
+
+    monkeypatch.setattr(zd, "relation", counting_relation)
+    monkeypatch.setattr(zd, "dmz_pattern", counting_pattern)
     assert len(dmz_scan(LVL5)) == 924
-    assert len(calls) == 15 * 91  # 15 clusters of 14 planes; all planes would be 21,945
-    assert all(a1.strut_constant == a2.strut_constant for a1, a2 in calls)
+    # one relation per cluster of 14 planes; all planes would be 21,945 pairs
+    assert built == list(range(1, 16))
+    assert all(len(cluster(LVL5, s)) == 14 for s in built)
+    assert multiplied == []
+
+
+def _check_relation(rel, pairs):
+    """A cluster's relation against dmz_pattern on its given plane pairs, both orders."""
+    for a1, a2 in pairs:
+        want = dmz_pattern(a1, a2)
+        assert rel.pattern(a1.lo, a2.lo) is want
+        assert rel.pattern(a2.lo, a1.lo) is want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_relation_matches_dmz_pattern_on_every_cluster_pair(n):
+    lvl = Level(n)
+    g, pairs, zeros = lvl.g, 0, 0
+    for s in range(1, g):
+        rel = relation(lvl, s)
+        assert isinstance(rel, Relation) and len(rel.zero) == len(rel.same) == g
+        assert rel.zero[0] == rel.zero[s] == 0
+        assert all(same & ~zero == 0 for zero, same in zip(rel.zero, rel.same))
+        assert all(zero >> g == 0 and zero & (1 | 1 << s) == 0 for zero in rel.zero)
+        planes = cluster(lvl, s)
+        _check_relation(rel, combinations(planes, 2))
+        pairs += len(planes) * (len(planes) - 1) // 2
+        zeros += sum(zero.bit_count() for zero in rel.zero) // 2
+    assert (pairs, zeros) == {4: (105, 84), 5: (1365, 924), 6: (13485, 7980)}[n]
+
+
+@given(data=st.data())
+def test_relation_matches_dmz_pattern_above_n6(data):
+    lvl = Level(data.draw(st.integers(7, 8)))
+    s = data.draw(st.integers(1, lvl.g - 1))
+    planes = cluster(lvl, s)
+    a1, a2 = data.draw(st.lists(st.sampled_from(planes), min_size=2, max_size=2, unique=True))
+    _check_relation(relation(lvl, s), [(a1, a2)])
+
+
+def test_relation_above_the_sign_tables_matches_dmz_pattern():
+    # n = 9 reads each sign by mul_basis; a Sky strut constant
+    lvl = Level(9)
+    planes = cluster(lvl, 200)[:12]
+    _check_relation(relation(lvl, 200), combinations(planes, 2))
+
+
+def test_relation_refuses_what_cluster_refuses():
+    for lvl, s in ((Level(3), 1), (LVL4, 0), (LVL4, 8)):
+        with pytest.raises(ValueError):
+            relation(lvl, s)
 
 
 @pytest.mark.parametrize("lvl", [LVL4, LVL5], ids=["n4", "n5"])
