@@ -5,7 +5,7 @@ level from 16 to 128 dimensions, and reports a one-line detail.  Products
 that index arithmetic proves nonzero (the XOR-bucket lemma in ``zd``)
 are ruled out without being multiplied; every zero is an exact product
 or a read of a cluster's relation (``zd.relation``), which a suite run
-builds once per cluster and drops when it returns.  Violations come
+builds per cluster and drops when it returns.  Violations come
 back as failed results carrying the counterexample, so the caller can
 print PASS/FAIL lines without re-deriving anything.
 """
@@ -62,7 +62,7 @@ def run_suite(n: int) -> list[TheoremResult]:
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
-        _guard("Theorem 3", lambda: _t3(lvl, relations)),
+        _guard("Theorem 3", lambda: _t3(lvl)),
         _guard("Theorem 4", lambda: _t4(lvl)),
         _guard("Theorem 5", lambda: _t5(relations, kites)),
         _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
@@ -94,8 +94,8 @@ def _t2(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 2", False, f"counterexample: {hit[0]} x {hit[1]} = 0")
 
 
-def _t3(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
-    pairs, hits = theorem3_check(lvl, relations)
+def _t3(lvl: Level) -> TheoremResult:
+    pairs, hits = theorem3_check(lvl)
     return TheoremResult(
         "Theorem 3",
         True,

@@ -236,13 +236,15 @@ def relation(lvl: Level, s: int) -> Relation:
     x = g | s
     lows = [k for k in range(1, g) if k != s]
     if lvl.n <= MEMO_MAX_N:
-        t = sign_table(lvl.n)
-    else:  # above the kept tables: the rows this cluster reads, cell by cell
-        cols = range(lvl.dim)
-        t = {r: [mul_basis(r, c, lvl).sign for c in cols] for k in lows for r in (k, k ^ x)}
+        row = sign_table(lvl.n).__getitem__
+    else:  # above the kept tables: only the two rows the current a reads, cell by cell
+
+        def row(r: int) -> list[int]:
+            return [mul_basis(r, c, lvl).sign for c in range(lvl.dim)]
+
     zero, same = [0] * g, [0] * g
     for i, a in enumerate(lows):
-        ta, tA = t[a], t[a ^ x]
+        ta, tA = row(a), row(a ^ x)
         for b in lows[i + 1 :]:
             B = b ^ x
             u = ta[b] * tA[B]  # -1 when the i_(a^b) coefficient cancels in the same-slope class
@@ -354,7 +356,7 @@ def theorem2_check(lvl: Level):
     return None
 
 
-def theorem3_check(lvl: Level, relations: dict[int, Relation] | None = None) -> tuple[int, int]:
+def theorem3_check(lvl: Level) -> tuple[int, int]:
     """Slope-class dichotomy over every candidate assessor pair.
 
     Every annihilating pair must kill exactly one slope class, both of
@@ -363,15 +365,13 @@ def theorem3_check(lvl: Level, relations: dict[int, Relation] | None = None) -> 
     sign conditions for both its members, and the two classes under
     contrary ones (tests/test_zd.py holds the relation to dmz_pattern,
     which checks both facts on exact products).  So the check counts
-    the relations, the level's by strut constant, built here unless the
-    caller has them.  Pairs across clusters are proven silent by the
-    lemma at _xor_buckets, so they hold the dichotomy trivially and are
-    counted without a product.  Returns (candidate_pairs,
-    pairs_annihilating).
+    the level's relations, one per strut constant.  Pairs across
+    clusters are proven silent by the lemma at _xor_buckets, so they
+    hold the dichotomy trivially and are counted without a product.
+    Returns (candidate_pairs, pairs_annihilating).
     """
-    if relations is None:
-        relations = {s: relation(lvl, s) for s in cluster_assessors(lvl)}
-    hits = sum(m.bit_count() for rel in relations.values() for m in rel.zero) // 2
+    rels = (relation(lvl, s) for s in range(1, lvl.g))
+    hits = sum(m.bit_count() for rel in rels for m in rel.zero) // 2
     return comb(len(enumerate_assessors(lvl)), 2), hits
 
 

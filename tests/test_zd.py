@@ -379,10 +379,18 @@ def test_relation_matches_dmz_pattern_above_n6(data):
 
 
 def test_relation_above_the_sign_tables_matches_dmz_pattern():
-    # n = 9 reads each sign by mul_basis; a Sky strut constant
+    # n = 9 reads each sign by mul_basis; a Sky strut constant.  Only two
+    # sign rows are held at a time: holding all 508 rows peaks near 2.1 MiB
     lvl = Level(9)
+    tracemalloc.start()
+    try:
+        rel = relation(lvl, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
     planes = cluster(lvl, 200)[:12]
-    _check_relation(relation(lvl, 200), combinations(planes, 2))
+    _check_relation(rel, combinations(planes, 2))
 
 
 def test_relation_refuses_what_cluster_refuses():
