@@ -4,8 +4,9 @@ For a fixed level and strut constant, rows and columns run over the low
 indices other than the strut constant, each standing for the assessor
 plane that index spans (U-index fixed by XOR with generator + strut).
 A cell holds the XOR of its row and column exactly when the two planes
-make zero, else it is hidden.  Grids render as text, CSV, or plain
-portable pixmaps; every rendering is byte-deterministic.
+make zero, else it is hidden; the table is a rendering of the cluster's
+``zd.relation``.  Grids render as text, CSV, or plain portable pixmaps;
+every rendering is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 from .cdp import Level
 from .kites import survey
-from .zd import check_span, cluster, dmz_pattern
+from .zd import check_span, cluster, relation
 
 HIDDEN = None
 
@@ -52,21 +52,16 @@ class EtStats:
 
 
 def build_et(lvl: Level, s: int) -> EmanationTable:
-    """Build the table by exact annihilation tests, never by pattern.
+    """Render the cluster's exact zero relation as a grid.
 
-    The diagonal is hidden (a plane never annihilates itself) and every
-    off-diagonal cell is decided by multiplying the row and column
-    planes' diagonals out in full: one dmz_pattern call per plane pair,
-    in combinations order, and a zero fills the pair's two mirrored
-    cells.  Every other cell stays hidden.
+    One ``zd.relation`` call decides every plane pair from the exact sign
+    table; row r fills cell c with r ^ c for each set bit c of its zero
+    mask, and every other cell stays hidden.
     """
-    planes = cluster(lvl, s)
-    axis = tuple(a.lo for a in planes)
-    rows = [[HIDDEN] * len(planes) for _ in planes]
-    for (i, a), (j, b) in combinations(enumerate(planes), 2):
-        if dmz_pattern(a, b) is not None:
-            rows[i][j] = rows[j][i] = a.lo ^ b.lo
-    return EmanationTable(lvl, s, axis, tuple(map(tuple, rows)))
+    axis = tuple(a.lo for a in cluster(lvl, s))
+    zero = relation(lvl, s).zero
+    grid = tuple(tuple(r ^ c if zero[r] >> c & 1 else HIDDEN for c in axis) for r in axis)
+    return EmanationTable(lvl, s, axis, grid)
 
 
 def et_stats(et: EmanationTable) -> EtStats:

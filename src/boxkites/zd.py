@@ -13,11 +13,13 @@ the patterns that hold there silently break (carrybit overflow), and the
 breakage is part of the subject matter.  A cluster's zeros are decided
 by ``relation``: four reads of the exact sign table per plane pair,
 with the proof that those reads decide the product written next to it.
-``dmz_pattern``, ``emanate``, ``twist`` and ``diagonal_product`` answer
-single queries by exact element arithmetic and are the oracle the
-relation is tested against; each plane builds its two diagonal elements
-once, on first use, and every product taken with the plane multiplies
-those.  What the sweeps skip are the pairs that index arithmetic alone
+``dmz_scan``, ``etable.build_et``, ``kites.survey`` and Theorems 3, 5
+and 6 read it.  ``dmz_pattern``, ``emanate``, ``twist`` and
+``diagonal_product`` (and ``kites.build_boxkite`` and ``trace_lanyard``
+through them) answer single queries by exact element arithmetic and are
+the oracle the relation is tested against; each plane builds its two
+diagonal elements once, on first use, and every product taken with the
+plane multiplies those.  What the sweeps skip are the pairs that index arithmetic alone
 proves nonzero: a two-term product can only vanish when both factors
 have the same XOR of their two indices (the lemma at ``_xor_buckets``),
 so all-level sweeps look only within a cluster or an XOR bucket.

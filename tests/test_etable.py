@@ -87,44 +87,48 @@ def _set_probe_et(lvl, s):
     return EmanationTable(lvl, s, axis, grid)
 
 
+def _kernel_calls(monkeypatch):
+    """Count etable's zd.relation calls and every exact product taken in zd."""
+    calls = {"relation": 0, "dmz_pattern": 0, "mul_element": 0}
+
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(etable, "relation", counting("relation", zd.relation))
+    for name in ("dmz_pattern", "mul_element"):
+        monkeypatch.setattr(zd, name, counting(name, getattr(zd, name)))
+    return calls
+
+
 @pytest.mark.parametrize(
     "lvl, constants",
     [
         (LVL4, range(1, 8)),
         (LVL5, range(1, 16)),
         (LVL6, (1, 8, 9, 15, 16, 17, 31)),
+        # one table that is full and one Sky above the levels tested exhaustively
+        (Level(7), (8, 37)),
     ],
-    ids=["n4", "n5", "n6"],
+    ids=["n4", "n5", "n6", "n7"],
 )
 def test_build_et_matches_the_set_probe_oracle(lvl, constants, monkeypatch):
-    calls = []
-    kernel = zd.dmz_pattern
-
-    def recording(a1, a2):
-        calls.append((a1, a2))
-        return kernel(a1, a2)
-
-    monkeypatch.setattr(etable, "dmz_pattern", recording)
+    calls = _kernel_calls(monkeypatch)
     for s in constants:
-        calls.clear()
+        calls.update(relation=0, dmz_pattern=0, mul_element=0)
         et = build_et(lvl, s)
+        assert calls == {"relation": 1, "dmz_pattern": 0, "mul_element": 0}, s
         assert et == _set_probe_et(lvl, s), s
-        planes = zd.cluster(lvl, s)
-        assert calls == list(combinations(planes, 2)), s
 
 
 def test_build_et_n5_s3_decides_each_pair_once(monkeypatch):
-    results = []
-    kernel = zd.dmz_pattern
-
-    def recording(a1, a2):
-        results.append(kernel(a1, a2))
-        return results[-1]
-
-    monkeypatch.setattr(etable, "dmz_pattern", recording)
-    build_et(LVL5, 3)
-    assert len(results) == 91  # C(14, 2)
-    assert sum(r is not None for r in results) == 84
+    calls = _kernel_calls(monkeypatch)
+    et = build_et(LVL5, 3)
+    assert calls == {"relation": 1, "dmz_pattern": 0, "mul_element": 0}
+    assert sum(1 for _ in et.filled_cells()) == 168  # 84 zero pairs of the C(14, 2)
 
 
 def test_stats_counts():
@@ -300,3 +304,15 @@ def test_cell_lookup_by_index():
     assert et.cell(6, 1) == 7
     with pytest.raises(ValueError):
         et.cell(4, 1)  # the strut constant is not on the axis
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_tables_are_full_exactly_off_the_sky(n):
+    # every S > 8 that is not a power of 2 generates a Sky: its table hides
+    # cells beyond the diagonal and the strut partners, and no other does
+    lvl = Level(n)
+    full = (lvl.g - 2) * (lvl.g - 4)
+    for s in range(1, lvl.g):
+        fill = sum(1 for _ in build_et(lvl, s).filled_cells())
+        assert fill <= full
+        assert (fill == full) == (s <= 8 or s & (s - 1) == 0), (n, s, fill)

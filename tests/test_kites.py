@@ -26,7 +26,7 @@ from boxkites.kites import (
     viziers_check,
 )
 from boxkites.trips import NotTripError, is_trip, trip_count
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, dmz_pattern, twist
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, dmz_pattern, relation, twist
 
 LVL4, LVL5 = Level(4), Level(5)
 
@@ -383,16 +383,20 @@ def test_survey_is_deterministic():
 def test_survey_decides_each_non_strut_pair_once(monkeypatch):
     calls = []
 
-    def counting(a1, a2):
-        calls.append((a1, a2))
-        return dmz_pattern(a1, a2)
+    def counting(name, kernel):
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(kites, "dmz_pattern", counting)
+        return wrapper
+
+    monkeypatch.setattr(kites, "relation", counting("relation", relation))
+    monkeypatch.setattr(kites, "dmz_pattern", counting("dmz_pattern", dmz_pattern))
     for s in range(1, LVL5.g):
         calls.clear()
-        found = survey(LVL5, s).kites
-        # C(14, 2) - 7 strut pairs for the relation, then each kite's 12-edge re-check
-        assert len(calls) == 84 + 12 * len(found)
+        assert survey(LVL5, s).kites
+        # one relation decides every pair; kites take their edges from it, unchecked again
+        assert calls == ["relation"], s
 
 
 def test_survey_builds_its_planes_once(monkeypatch):
@@ -463,8 +467,10 @@ def _frame_oracle(lvl, s):
         (LVL5, range(1, 16)),
         # s <= 8, the powers of 2 and Sky values on both sides of 16
         (Level(6), (1, 7, 8, 9, 15, 16, 17, 24, 31)),
+        # a Sky above the levels tested exhaustively
+        (Level(7), (37,)),
     ],
-    ids=["n4", "n5", "n6"],
+    ids=["n4", "n5", "n6", "n7"],
 )
 def test_survey_matches_frame_by_frame_oracle(lvl, constants):
     for s in constants:

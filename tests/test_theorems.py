@@ -1,10 +1,11 @@
-"""Theorems 5 and 6 read off the relations, held to the exact oracles."""
+"""Theorems 5 and 6 read off the relations, held to the exact oracles;
+the suite classifies each kite's sails once."""
 
 import pytest
 
 from boxkites import theorems
 from boxkites.cdp import Level
-from boxkites.kites import BLUE, classify_sails, survey
+from boxkites.kites import BLUE, ClassificationError, classify_sails, survey
 from boxkites.zd import BACKSLASH, SLASH, Diagonal, emanate, relation, twist
 
 
@@ -74,7 +75,34 @@ def test_theorem5_relation_reading_matches_emanate_on_every_sail():
             for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
                 assert emanate(p, q) == r
                 assert relations[bk.s].pattern(p.lo, q.lo) is not None
-    result = theorems._t5(relations, kites)
+    result = theorems._t5(relations, kites, classify_sails)
     assert result.passed
     assert result.detail == f"every sail edge emanates its third vertex ({sails} sails)"
     assert sails == 4 * len(kites) == 308
+
+
+def test_suite_classifies_each_kite_once(monkeypatch):
+    seen = []
+
+    def counting(bk):
+        seen.append(bk)
+        return classify_sails(bk)
+
+    monkeypatch.setattr(theorems, "classify_sails", counting)
+    results = theorems.run_suite(5)
+    assert all(r.passed for r in results)
+    assert len(seen) == len({id(bk) for bk in seen}) == 77
+
+
+def test_a_classification_error_fails_theorems_5_and_7(monkeypatch):
+    def refusing(bk):
+        if bk.s == 9:
+            raise ClassificationError(f"s={bk.s}: refused")
+        return classify_sails(bk)
+
+    monkeypatch.setattr(theorems, "classify_sails", refusing)
+    results = {r.name: r for r in theorems.run_suite(5)}
+    for name in ("Theorem 5", "Theorem 7"):
+        assert results[name].passed is False
+        assert results[name].detail == "check aborted: s=9: refused"
+    assert all(r.passed for name, r in results.items() if name not in ("Theorem 5", "Theorem 7"))

@@ -191,19 +191,29 @@ def test_dmz_pattern_agrees_with_fresh_diagonals_above_n5(data):
 
 
 def test_shared_diagonals_survive_every_view(monkeypatch):
+    # the views that still multiply diagonals: build_boxkite checks a
+    # frame's edges with dmz_pattern, trace_lanyard with diagonal_product
     seen = []
-    kernel = zd.dmz_pattern
 
-    def recording(a1, a2):
-        seen.extend((a1, a2))
-        return kernel(a1, a2)
+    def recording(kernel, planes):
+        def wrapper(x, y):
+            seen.extend(planes(x, y))
+            return kernel(x, y)
 
-    for mod in (zd, kites, etable):
-        monkeypatch.setattr(mod, "dmz_pattern", recording)
+        return wrapper
+
+    monkeypatch.setattr(kites, "dmz_pattern", recording(zd.dmz_pattern, lambda a1, a2: (a1, a2)))
+    monkeypatch.setattr(
+        kites,
+        "diagonal_product",
+        recording(zd.diagonal_product, lambda d1, d2: (d1.assessor, d2.assessor)),
+    )
     dmz_scan(LVL5)
     for s in range(1, LVL5.g):
-        kites.survey(LVL5, s)
         etable.build_et(LVL5, s)
+        for bk in kites.survey(LVL5, s).kites:
+            kites.build_boxkite(LVL5, s, bk.zigzag_trip)
+            kites.trace_lanyard(bk, kites.ZIGZAG_SIGNATURE)
     assert seen
     for a in seen:
         assert a.element(SLASH) == Element({a.lo: 1, a.hi: 1})
