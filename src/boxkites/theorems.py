@@ -44,9 +44,9 @@ def _guard(name: str, fn) -> TheoremResult:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 
-#: highest level the suite runs at: ``verify --n 7`` takes about 3.5 s (2
-#: cores, CPython 3.11), 1.7 s of it the 63 surveys; n = 8 would run 127
-#: surveys, which took 25 s together when last measured
+#: highest level the suite runs at: ``verify --n 7`` takes about 3 s (2
+#: cores, CPython 3.11), 1 s of it the 63 surveys; n = 8 would run 127
+#: surveys, which took 21 s together when last measured
 SUITE_MAX_N = 7
 
 
