@@ -76,6 +76,7 @@ from .zd import (
     cluster_assessors,
     diagonal_product,
     dmz_pattern,
+    dmz_report,
     dmz_report_lines,
     dmz_scan,
     emanate,

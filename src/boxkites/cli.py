@@ -80,8 +80,14 @@ def cmd_assessors(args) -> int:
 
 
 def cmd_dmz(args) -> int:
-    lines = zd.dmz_report_lines(Level(args.n), args.s)
-    _emit("\n".join(lines) + "\n" if lines else "", args.out)
+    # written as it is formatted, one plane's lines at a time: at --n 8 the
+    # report has 523,404 lines
+    blocks = zd.dmz_report(Level(args.n), args.s)
+    if args.out is None:
+        sys.stdout.writelines(blocks)
+    else:
+        with open(args.out, "w") as f:
+            f.writelines(blocks)
     return 0
 
 

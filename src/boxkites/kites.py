@@ -14,15 +14,21 @@ opposite-slope diagonal pairings make zero, BLUE for same-slope ones.
 A frame's twelve edges are the four cross edges of each of its three
 strut pairs, so it fully annihilates exactly when its three struts are
 pairwise compatible (no silent cross edge), a triangle of the strut
-graph.  The survey reads one silent-edge list per strut pair, every
-frame from three of them, and its kites' edge colors off the cluster's
-``zd.relation``; ``build_boxkite`` checks one frame by exact products.
+graph.  The survey keeps one bitmask of compatible struts per strut,
+read off the cluster's ``zd.relation``, finds the triangles as common
+neighbours, tells the ones with trip faces by index arithmetic and
+builds kites from those; broken and sailless frames are counted and
+built only when asked for.  ``build_boxkite`` checks one frame by exact
+products.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .cdp import InvariantError, Level, mul_basis
 from .trips import cpo_orient, is_trip
@@ -31,6 +37,9 @@ from .zd import (
     SLASH,
     Assessor,
     Diagonal,
+    _bits,
+    _swap_mask,
+    _xor_permute,
     cluster,
     diagonal_product,
     dmz_pattern,
@@ -228,63 +237,136 @@ class SaillessFrame:
     strut_pairs: tuple[tuple[int, int], ...]
 
 
+class FrameView:
+    """The frames of one kind that a survey found, counted but not built.
+
+    ``len`` is the count the survey made; iterating builds the frames one
+    at a time, in the order of their strut triples.  Two views are equal
+    when they yield equal frames.
+    """
+
+    __slots__ = ("_count", "_frames")
+
+    def __init__(self, count: int, frames: Callable[[], Iterator]):
+        self._count = count
+        self._frames = frames
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator:
+        return self._frames()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameView):
+            return NotImplemented
+        return self._count == other._count and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"FrameView({self._count} frames)"
+
+
 @dataclass(frozen=True, slots=True)
 class Survey:
     kites: tuple[BoxKite, ...]
-    broken: tuple[BrokenFrame, ...]
-    sailless: tuple[SaillessFrame, ...]
+    broken: FrameView  # of BrokenFrame
+    sailless: FrameView  # of SaillessFrame
 
 
 def survey(lvl: Level, s: int) -> Survey:
     """Exhaustive hunt over strut triples for one strut constant.
 
-    Low indices other than s pair off into struts {x, x ^ s}; every
-    choice of three struts is a candidate frame, and its twelve edges are
-    the cross edges of its three strut pairs.  Every plane pair of the
-    cluster is decided by one ``zd.relation`` call, and each strut pair
-    keeps the list of its silent cross edges.  A frame is then broken
-    exactly when one of its three strut pairs has a silent edge, and the
-    three lists joined are its missing edges.  Otherwise it is a
-    triangle of the strut-compatibility graph and fully annihilates: it
-    becomes a box-kite when one of its faces is an all-red trip (the
-    zigzag, which fixes the labeling) and is kept as a sailless
-    diagnostic when no face is a trip.  Broken frames are the raw
-    material of hidden emanation-table cells.  Kites are assembled from
-    the survey's own planes, their edge colors read off the relation.
+    Low indices other than s pair off into struts {p, p ^ s}, named here
+    by their lower end p; every choice of three struts is a candidate
+    frame, and its twelve edges are the cross edges of its three strut
+    pairs.  Every plane pair of the cluster is decided by one
+    ``zd.relation`` call.  Two struts are compatible when their four
+    cross edges all make zero, and each strut keeps the mask of the
+    struts compatible with it.  A frame is broken exactly when two of
+    its struts are incompatible; otherwise it is a triangle of the strut
+    graph and fully annihilates.  Triangles are enumerated as the common
+    neighbours of each compatible pair; a triangle becomes a box-kite
+    when one of its faces is an all-red trip (the zigzag, which fixes
+    the labeling) and is sailless when no face is a trip.
+
+    Faces are told by index arithmetic.  A face takes one end of each of
+    the struts {p, p^s}, {q, q^s} and {r, r^s}, so its three indices XOR
+    to p^q^r when it takes an even number of upper ends and to p^q^r^s
+    otherwise, and it is a trip exactly when they XOR to 0.  A lower end
+    is an index whose bit at the top bit of s is clear (the highest bit
+    where k and k^s differ), so p^q^r is a lower end too, and never s.
+    Hence a triangle has trip faces iff r = p^q, that is iff its third
+    strut holds p^q, and then exactly the four faces with an even number
+    of upper ends are trips.  As p and q are nonzero and distinct, p^q
+    is neither 0, p nor q, so that strut is a third one.
+
+    Only the kites are built, from the survey's own planes with their
+    edge colours read off the relation.  Broken and sailless frames are
+    counted (broken = C(m, 3) - triangles over m struts) and built only
+    when their views are iterated, broken frames with their silent cross
+    edges, each edge's end on the earlier strut first.  Broken frames
+    are the raw material of hidden emanation-table cells.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
     rel = relation(lvl, s)
     zero, same = rel.zero, rel.same
-    struts = [(k, k ^ s) for k in plane if k < k ^ s]
-    # each silent cross edge, with its end on the earlier strut first
-    silent = {
-        (p, q): [(u, v) for u, v in product(p, q) if not zero[u] >> v & 1]
-        for p, q in combinations(struts, 2)
-    }
+    ends = [p for p in plane if p < p ^ s]
+    end_mask = sum(1 << p for p in ends)
+    masks = [_swap_mask(lvl.g, k) for k in range(lvl.n - 1)]
+    # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges;
+    # both has bit b when p and p^s each make zero with b, so q is
+    # compatible when both has bits q and q^s
+    compatible = {}
+    for p in ends:
+        both = zero[p] & zero[p ^ s]
+        compatible[p] = both & _xor_permute(both, s, masks.__getitem__) & end_mask
 
+    triangles = 0
     kites: list[BoxKite] = []
-    broken: list[BrokenFrame] = []
-    sailless: list[SaillessFrame] = []
-    for triple in combinations(struts, 3):
-        t0, t1, t2 = triple
-        missing = silent[t0, t1] + silent[t0, t2] + silent[t1, t2]
-        if missing:
-            broken.append(BrokenFrame(s, triple, tuple(sorted(missing))))
-            continue
-        faces = [f for f in product(t0, t1, t2) if f[0] ^ f[1] ^ f[2] == 0]
-        if not faces:
-            sailless.append(SaillessFrame(s, triple))
-            continue
-        all_red = [f for f in faces if not any(same[u] >> v & 1 for u, v in combinations(f, 2))]
-        if len(all_red) != 1:
-            # a triangle with trip faces but not exactly one all-red among
-            # them is no box-kite anyone has described: stop loudly
-            raise ClassificationError(
-                f"frame {triple}: {len(faces)} trip faces but {len(all_red)} all-red"
-            )
-        kites.append(_assemble(lvl, s, plane, all_red[0], rel.pattern))
+    for p in ends:
+        for q in _bits(compatible[p] >> p + 1 << p + 1):
+            common = compatible[p] & compatible[q] >> q + 1 << q + 1
+            triangles += common.bit_count()
+            r = p ^ q
+            if not common >> r & 1:
+                continue
+            triple = ((p, p ^ s), (q, q ^ s), (r, r ^ s))
+            faces = [f for f in product(*triple) if f[0] ^ f[1] ^ f[2] == 0]
+            all_red = [f for f in faces if not any(same[u] >> v & 1 for u, v in combinations(f, 2))]
+            if len(all_red) != 1:
+                # a triangle with trip faces but not exactly one all-red among
+                # them is no box-kite anyone has described: stop loudly
+                raise ClassificationError(
+                    f"frame {triple}: {len(faces)} trip faces but {len(all_red)} all-red"
+                )
+            kites.append(_assemble(lvl, s, plane, all_red[0], rel.pattern))
     kites.sort(key=lambda k: k.zigzag_trip)
-    return Survey(tuple(kites), tuple(broken), tuple(sailless))
+
+    def frames(broken: bool) -> Iterator:
+        for triple in combinations(ends, 3):
+            p, q, r = triple
+            fits = compatible[p] >> q & compatible[p] >> r & compatible[q] >> r & 1
+            if broken and not fits:
+                silent = [
+                    (u, v)
+                    for a, b in combinations(triple, 2)
+                    for u, v in product((a, a ^ s), (b, b ^ s))
+                    if not zero[u] >> v & 1
+                ]
+                yield BrokenFrame(s, tuple((k, k ^ s) for k in triple), tuple(sorted(silent)))
+            elif not broken and fits and p ^ q != r:
+                yield SaillessFrame(s, tuple((k, k ^ s) for k in triple))
+
+    broken = comb(len(ends), 3) - triangles
+    sailless = triangles - len(kites)
+    return Survey(
+        tuple(kites),
+        FrameView(broken, lambda: frames(True)),
+        FrameView(sailless, lambda: frames(False)),
+    )
 
 
 @dataclass(frozen=True, slots=True)

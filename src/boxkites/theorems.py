@@ -44,9 +44,9 @@ def _guard(name: str, fn) -> TheoremResult:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 
-#: highest level the suite runs at: ``verify --n 7`` takes about 3 s (2
-#: cores, CPython 3.11), 1 s of it the 63 surveys; n = 8 would run 127
-#: surveys, which took 21 s together when last measured
+#: highest level the suite runs at: ``verify --n 7`` takes about 2.1 s (2
+#: cores, CPython 3.11), 0.3 s of it the 63 surveys; n = 8 would run 127
+#: surveys, which take 2.2 s together, besides Theorems 1 and 2's sweeps
 SUITE_MAX_N = 7
 
 

@@ -12,14 +12,16 @@ Nothing here reasons from sign patterns, because above 16 dimensions
 the patterns that hold there silently break (carrybit overflow), and the
 breakage is part of the subject matter.  A cluster's zeros are decided
 by ``relation``: four reads of the exact sign table per plane pair,
-with the proof that those reads decide the product written next to it.
-``dmz_scan``, ``etable.build_et``, ``kites.survey`` and Theorems 3, 5
-and 6 read it.  ``dmz_pattern``, ``emanate``, ``twist`` and
-``diagonal_product`` (and ``kites.build_boxkite`` and ``trace_lanyard``
-through them) answer single queries by exact element arithmetic and are
-the oracle the relation is tested against; each plane builds its two
-diagonal elements once, on first use, and every product taken with the
-plane multiplies those.  What the sweeps skip are the pairs that index arithmetic alone
+taken for all pairs at once as XORs of bit matrices split from the
+table, with the proof that those reads decide the product written next
+to it.  ``dmz_scan``, ``dmz_report``, ``etable.build_et``,
+``kites.survey`` and Theorems 3, 5 and 6 read it.  ``dmz_pattern``,
+``emanate``, ``twist`` and ``diagonal_product`` (and
+``kites.build_boxkite`` and ``trace_lanyard`` through them) answer
+single queries by exact element arithmetic and are the oracle the
+relation is tested against; each plane builds its two diagonal elements
+once, on first use, and every product taken with the plane multiplies
+those.  What the sweeps skip are the pairs that index arithmetic alone
 proves nonzero: a two-term product can only vanish when both factors
 have the same XOR of their two indices (the lemma at ``_xor_buckets``),
 so all-level sweeps look only within a cluster or an XOR bucket.
@@ -27,7 +29,9 @@ so all-level sweeps look only within a cluster or an XOR bucket.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -209,7 +213,7 @@ class Relation(NamedTuple):
 
 
 def relation(lvl: Level, s: int) -> Relation:
-    """The zero relation of cluster(lvl, s), four sign reads a pair, no product.
+    """The zero relation of cluster(lvl, s), read off the exact sign table.
 
     Proof.  Take planes (a, A) and (b, B) of the cluster, a != b, with
     A = a ^ x, B = b ^ x and x = g + s, and let t(p, q) be the sign of
@@ -229,34 +233,127 @@ def relation(lvl: Level, s: int) -> Relation:
     imaginary units anticommute, and the conditions are unchanged: the
     relation is symmetric and so is its class.
 
-    t is the exact table that cdp._double builds (mul_basis above
-    MEMO_MAX_N), so no sign pattern is assumed; tests/test_zd.py holds
-    the kernel to dmz_pattern's exact products.
+    Word form.  A g x g bit matrix is one int with cell (r, c) at bit
+    r*g + c.  Split the table's negative signs into four of them, over
+    r, c < g: LL(r, c) for t(r, c), LH for t(r, g+c), HL for t(g+r, c)
+    and HH for t(g+r, g+c).  As a, b < g and s < g, A = g + (a ^ s) and
+    B = g + (b ^ s), so the four reads are LL(a, b), HH(a^s, b^s),
+    LH(a, b^s) and HL(a^s, b).  Signs multiply as their negative bits
+    XOR, so t(a,b) t(A,B) = -1 iff U(a, b) = 1 and t(a,B) t(A,b) = -1
+    iff V(a, b) = 1, with
+
+        U = LL xor P(s,s)(HH),    V = P(0,s)(LH) xor P(s,0)(HL),
+
+    where P(i,j)(M) reads cell (r, c) from (r ^ i, c ^ j).  The pair
+    makes zero iff the two products agree, U = V, and in the same-slope
+    class iff both are -1, U = 1.  So zero = not(U xor V) and
+    same = U and zero, over the cells whose row and column are L-indices
+    of the cluster (neither 0 nor s) and differ.  As c < g and g is a
+    power of 2, (r*g + c) ^ (i*g + j) = (r^i)*g + (c^j): P(i,j) moves
+    the bit at position p to p ^ (i*g + j).  An XOR by a key is the XOR
+    by each of its set bits 2^k in turn, and the XOR by 2^k swaps every
+    position whose bit k is clear with the one 2^k above it, which
+    _xor_permute does with one mask and two shifts.  Every cell is a
+    read of its own, so the relation's symmetry is not used, only
+    checked by the tests.
+
+    The table is the exact one that cdp._double builds, split once per
+    level and kept (mul_basis above MEMO_MAX_N, one row at a time and
+    per call), so no sign pattern is assumed; tests/test_zd.py holds the
+    relation to dmz_pattern's exact products and to a pair-by-pair
+    reading of the same four signs.
     """
     check_strut(lvl, s)
-    g = lvl.g
-    x = g | s
-    lows = [k for k in range(1, g) if k != s]
-    if lvl.n <= MEMO_MAX_N:
-        row = sign_table(lvl.n).__getitem__
-    else:  # above the kept tables: only the two rows the current a reads, cell by cell
+    n, g = lvl.n, lvl.g
+    signs = _SIGNS.get(n) or _split_signs(lvl)
+    # above the kept tables each swap mask is derived when it is needed
+    mask = signs.masks.__getitem__ if signs.masks else partial(_swap_mask, g * g)
+    key = s << n - 1 | s
+    u = signs.ll ^ _xor_permute(signs.hh, key, mask)
+    v = _xor_permute(signs.lh, s, mask) ^ _xor_permute(signs.hl, s << n - 1, mask)
+    rows = signs.rows & ~(1 << s * g)  # L-index rows: neither 0 nor s
+    cols = (1 << g) - 2 & ~(1 << s)  # and L-index columns
+    zero = ~(u ^ v) & rows * cols & ~signs.diagonal
+    return Relation(_rows(zero, g), _rows(u & zero, g))
 
-        def row(r: int) -> list[int]:
-            return [mul_basis(r, c, lvl).sign for c in range(lvl.dim)]
 
-    zero, same = [0] * g, [0] * g
-    for i, a in enumerate(lows):
-        ta, tA = row(a), row(a ^ x)
-        for b in lows[i + 1 :]:
-            B = b ^ x
-            u = ta[b] * tA[B]  # -1 when the i_(a^b) coefficient cancels in the same-slope class
-            if u == ta[B] * tA[b]:
-                zero[a] |= 1 << b
-                zero[b] |= 1 << a
-                if u < 0:
-                    same[a] |= 1 << b
-                    same[b] |= 1 << a
-    return Relation(tuple(zero), tuple(same))
+class _Signs(NamedTuple):
+    """One level's sign table as four bit matrices of negative signs.
+
+    Each matrix is g x g with cell (r, c) at bit r*g + c (``relation``
+    has the layout and the proof).  ``masks[k]`` has the positions whose
+    bit k is clear; ``rows`` has bit r*g for every row r but 0, and
+    ``diagonal`` has the cells (r, r).
+    """
+
+    ll: int
+    lh: int
+    hl: int
+    hh: int
+    masks: tuple[int, ...]
+    rows: int
+    diagonal: int
+
+
+#: each level's split sign table, for n <= MEMO_MAX_N, built by the first relation call
+_SIGNS: dict[int, _Signs] = {}
+
+#: a sign's negative bit, as a digit of a row read most significant first
+_NEGATIVE = {1: "0", -1: "1"}
+
+
+def _split_signs(lvl: Level) -> _Signs:
+    """The level's sign table split into quadrants, kept up to MEMO_MAX_N.
+
+    Rows come from sign_table up to MEMO_MAX_N, and above it from
+    mul_basis one row at a time, so only the bit matrices are held, with
+    no swap masks: at n = 9 the sixteen of them would be 128 KiB.
+    """
+    n, g = lvl.n, lvl.g
+    dim, width, cells = 2 * g, g // 8, g * g
+    if n <= MEMO_MAX_N:
+        table = iter(sign_table(n))
+    else:
+        table = ([mul_basis(r, c, lvl).sign for c in range(dim)] for r in range(dim))
+    quadrants: list[list[bytes]] = [[], [], [], []]  # the rows of LL, LH, HL, HH
+    for r, row in enumerate(table):
+        bits = int("".join(map(_NEGATIVE.__getitem__, reversed(row))), 2)
+        left, right = quadrants[:2] if r < g else quadrants[2:]
+        left.append((bits & (1 << g) - 1).to_bytes(width, "little"))
+        right.append((bits >> g).to_bytes(width, "little"))
+    ll, lh, hl, hh = (int.from_bytes(b"".join(q), "little") for q in quadrants)
+    rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
+    diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
+    masks = tuple(_swap_mask(cells, k) for k in range(2 * n - 2)) if n <= MEMO_MAX_N else ()
+    signs = _Signs(ll, lh, hl, hh, masks, rows, diagonal)
+    if n <= MEMO_MAX_N:
+        _SIGNS[n] = signs
+    return signs
+
+
+def _swap_mask(width: int, k: int) -> int:
+    """The positions below width whose bit k is clear (width a multiple of 2^(k+1))."""
+    d = 1 << k
+    return ((1 << width) - 1) // ((1 << 2 * d) - 1) * ((1 << d) - 1)
+
+
+def _xor_permute(m: int, key: int, mask) -> int:
+    """m with the bit at each position p moved to p ^ key.
+
+    mask(k) gives the positions whose bit k is clear; the XOR by each set
+    bit 2^k of the key swaps those positions with the ones 2^k above.
+    """
+    for k in _bits(key):
+        d, keep = 1 << k, mask(k)
+        m = m >> d & keep | (m & keep) << d
+    return m
+
+
+def _rows(m: int, g: int) -> tuple[int, ...]:
+    """The g rows of a g x g bit matrix, as g-bit ints."""
+    width = g // 8
+    data = m.to_bytes(g * width, "little")
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
 
 def _bits(mask: int):
@@ -481,6 +578,34 @@ def enumerate_assessors(lvl: Level) -> list[Assessor]:
     return sorted(planes, key=lambda a: (a.lo, a.hi))
 
 
+def _dmz_planes(lvl: Level, s: int | None = None):
+    """Every plane with a zero partner above it, as (strut constant,
+    L-index, mask of those partners, its ``same`` mask), in dmz_scan's
+    order.
+
+    The arguments are checked and the relations built on the call; the
+    planes then come one at a time.  A plane (lo, hi) of cluster t has
+    hi = g + (lo ^ t), so one L-index's planes run in hi order when the
+    clusters run in order of lo ^ t; a plane's partners run by L-index,
+    and each partner's U-index follows from it.
+    """
+    if s is not None:
+        rels = {s: relation(lvl, s)}
+    elif lvl.n < 4:
+        rels = {}
+    else:
+        rels = {t: relation(lvl, t) for t in range(1, lvl.g)}
+    return _walk_planes(lvl, rels)
+
+
+def _walk_planes(lvl: Level, rels: dict[int, Relation]):
+    for lo in range(1, lvl.g):
+        for t in sorted(rels, key=lo.__xor__):
+            partners = rels[t].zero[lo] >> lo + 1 << lo + 1
+            if partners:
+                yield t, lo, partners, rels[t].same[lo]
+
+
 def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor, DmzPattern]]:
     """All annihilating candidate pairs, optionally within one cluster.
 
@@ -490,18 +615,40 @@ def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor,
     make zero.  Pairs come back sorted by (a1.lo, a1.hi, a2.lo, a2.hi),
     with a1 before a2.
     """
-    groups = cluster_assessors(lvl) if s is None else {s: cluster(lvl, s)}
+    planes = _dmz_planes(lvl, s)
+    planes_of: dict[int, dict[int, Assessor]] = {}  # each cluster's planes by L-index
     out = []
-    for t, planes in groups.items():
-        rel = relation(lvl, t)
-        plane = {a.lo: a for a in planes}
-        for lo, a1 in plane.items():
-            for b in _bits(rel.zero[lo] >> lo + 1 << lo + 1):
-                out.append((a1, plane[b], rel.pattern(lo, b)))
-    out.sort(key=lambda hit: (hit[0].lo, hit[0].hi, hit[1].lo, hit[1].hi))
+    for t, a, partners, same in planes:
+        if t not in planes_of:
+            planes_of[t] = {p.lo: p for p in cluster(lvl, t)}
+        plane = planes_of[t]
+        for b in _bits(partners):
+            pat = _SAME_SLOPE_ZERO if same >> b & 1 else _OPPOSITE_SLOPE_ZERO
+            out.append((plane[a], plane[b], pat))
     return out
 
 
+def dmz_report(lvl: Level, s: int | None = None) -> Iterator[str]:
+    """Text export: one "lo1 hi1 lo2 hi2 same|opposite" line per DMZ pair,
+    in dmz_scan's order.
+
+    Yields one string per plane that has a zero partner above it: that
+    plane's lines, each ending in a newline, formatted when the string is
+    asked for.  The arguments are checked and the relations built on the
+    call, before the first string.
+    """
+    return _report_blocks(lvl.g, _dmz_planes(lvl, s))
+
+
+def _report_blocks(g: int, planes) -> Iterator[str]:
+    for t, a, partners, same in planes:
+        x = g ^ t
+        head = f"{a} {a ^ x} "
+        yield "".join(
+            [f"{head}{b} {b ^ x} {'same' if same >> b & 1 else 'opposite'}\n" for b in _bits(partners)]
+        )
+
+
 def dmz_report_lines(lvl: Level, s: int | None = None) -> list[str]:
-    """Text export: one "lo1 hi1 lo2 hi2 same|opposite" line per DMZ pair."""
-    return [f"{a1.lo} {a1.hi} {a2.lo} {a2.hi} {pat.word}" for a1, a2, pat in dmz_scan(lvl, s)]
+    """dmz_report's lines as a list, without their newlines."""
+    return "".join(dmz_report(lvl, s)).splitlines()

@@ -176,6 +176,19 @@ def test_dmz_refuses_bad_strut_constants(argv, capsys):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+def test_dmz_writes_to_a_file_what_it_prints(tmp_path, capsys):
+    assert main(["dmz", "--n", "5"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 924
+    out = tmp_path / "dmz.txt"
+    assert main(["dmz", "--n", "5", "--out", str(out)]) == 0
+    assert out.read_text() == printed
+    # a refused request is refused before the file is opened
+    refused = tmp_path / "refused.txt"
+    assert main(["dmz", "--n", "5", "--s", "99", "--out", str(refused)]) == 1
+    assert not refused.exists()
+
+
 def test_census_refuses_a_bad_range_before_any_survey(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(kites, "survey", lambda *args: calls.append(args))

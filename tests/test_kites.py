@@ -424,6 +424,25 @@ def test_survey_n6_result_row():
     assert totals == {"kites": 665, "broken": 8064, "sailless": 5376}
 
 
+def test_survey_n7_result_row():
+    lvl = Level(7)
+    totals = Counter()
+    for s in range(1, lvl.g):
+        sv = survey(lvl, s)
+        totals.update(kites=len(sv.kites), broken=len(sv.broken), sailless=len(sv.sailless))
+    assert totals == {"kites": 5425, "broken": 180544, "sailless": 97216}
+
+
+@pytest.mark.parametrize(
+    "lvl, constants", [(LVL5, range(1, 16)), (Level(7), (37,))], ids=["n5", "n7"]
+)
+def test_frame_views_yield_as_many_frames_as_they_count(lvl, constants):
+    for s in constants:
+        sv = survey(lvl, s)
+        for view in (sv.broken, sv.sailless):
+            assert len(view) == sum(1 for _ in view)
+
+
 def _frame_oracle(lvl, s):
     """Survey by retesting every frame's twelve edges with dmz_pattern.
 
@@ -480,7 +499,7 @@ def test_survey_matches_frame_by_frame_oracle(lvl, constants):
         assert [bk.vertices for bk in sv.kites] == [bk.vertices for bk in found]
         assert [(f.strut_pairs, f.missing_edges) for f in sv.broken] == broken
         assert [f.strut_pairs for f in sv.sailless] == sailless
-        assert all(f.s == s for f in sv.broken + sv.sailless)
+        assert all(f.s == s for f in list(sv.broken) + list(sv.sailless))
 
 
 def test_kite_repr_and_edge_lookup(sedenion_kites):

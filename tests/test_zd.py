@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from boxkites import etable, kites, zd
-from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element
+from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element, sign_table
 from boxkites.trips import is_trip
 from boxkites.zd import (
     BACKSLASH,
@@ -401,6 +401,44 @@ def test_relation_above_the_sign_tables_matches_dmz_pattern():
     assert peak < 2**18
     planes = cluster(lvl, 200)[:12]
     _check_relation(rel, combinations(planes, 2))
+
+
+def _four_read_relation(lvl, s):
+    """A cluster's relation read pair by pair, four sign reads each.
+
+    The rule of relation's proof applied to one plane pair at a time,
+    both orders filled from the pair (a, b), a < b.  This loop was the
+    kernel before the bit-matrix form, and held to dmz_pattern on every
+    cluster pair at n <= 6 by the test above.
+    """
+    g = lvl.g
+    x = g | s
+    lows = [k for k in range(1, g) if k != s]
+    table = sign_table(lvl.n)
+    zero, same = [0] * g, [0] * g
+    for i, a in enumerate(lows):
+        ta, tA = table[a], table[a ^ x]
+        for b in lows[i + 1 :]:
+            B = b ^ x
+            u = ta[b] * tA[B]
+            if u == ta[B] * tA[b]:
+                zero[a] |= 1 << b
+                zero[b] |= 1 << a
+                if u < 0:
+                    same[a] |= 1 << b
+                    same[b] |= 1 << a
+    return Relation(tuple(zero), tuple(same))
+
+
+@pytest.mark.parametrize("n, zeros", [(7, 65100), (8, 523404)])
+def test_relation_matches_the_four_read_loop_on_every_cluster(n, zeros):
+    lvl = Level(n)
+    total = 0
+    for s in range(1, lvl.g):
+        rel = relation(lvl, s)
+        assert rel == _four_read_relation(lvl, s), s
+        total += sum(zero.bit_count() for zero in rel.zero) // 2
+    assert total == zeros
 
 
 def test_relation_refuses_what_cluster_refuses():
