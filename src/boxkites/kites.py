@@ -297,11 +297,12 @@ def survey(lvl: Level, s: int) -> Survey:
     to p^q^r when it takes an even number of upper ends and to p^q^r^s
     otherwise, and it is a trip exactly when they XOR to 0.  A lower end
     is an index whose bit at the top bit of s is clear (the highest bit
-    where k and k^s differ), so p^q^r is a lower end too, and never s.
-    Hence a triangle has trip faces iff r = p^q, that is iff its third
-    strut holds p^q, and then exactly the four faces with an even number
-    of upper ends are trips.  As p and q are nonzero and distinct, p^q
-    is neither 0, p nor q, so that strut is a third one.
+    where k and k^s differ), so p^q^r has that bit clear too and is
+    never s.  Hence a triangle has trip faces iff r = p^q, that is iff
+    its third strut holds p^q, and then exactly the four faces with an
+    even number of upper ends are trips.  As p and q are distinct lower
+    ends, p^q is nonzero, is neither p nor q, and has that bit clear, so
+    it is the lower end of a third strut.
 
     Only the kites are built, from the survey's own planes with their
     edge colours read off the relation.  Broken and sailless frames are
@@ -316,9 +317,9 @@ def survey(lvl: Level, s: int) -> Survey:
     ends = [p for p in plane if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
     masks = [_swap_mask(lvl.g, k) for k in range(lvl.n - 1)]
-    # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges;
-    # both has bit b when p and p^s each make zero with b, so q is
-    # compatible when both has bits q and q^s
+    # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
+    # both has bit b when p and p^s each make zero with b; permuted by
+    # XOR with s it has bit q where both has bit q^s
     compatible = {}
     for p in ends:
         both = zero[p] & zero[p ^ s]
