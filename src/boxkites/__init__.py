@@ -77,7 +77,6 @@ from .zd import (
     diagonal_product,
     dmz_pattern,
     dmz_report,
-    dmz_report_lines,
     dmz_scan,
     emanate,
     enumerate_assessors,

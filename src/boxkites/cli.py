@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every invocation is deterministic: identical inputs give byte-identical
-output.  Bad flags exit 2 with a usage message; domain errors exit 1
-with a one-line diagnostic.  Signs print as "+k"/"-k" with an ASCII
-minus, indices in decimal.  The default level is n=4 (the sedenions);
-levels above n=8 are refused, except by mul and trips --count, which
-refuses a count too long for the interpreter to print.
+output.  Bad flags exit 2 with a usage message; domain errors and output
+paths that cannot be written exit 1 with a one-line diagnostic.  Signs
+print as "+k"/"-k" with an ASCII minus, indices in decimal.  The default
+level is n=4 (the sedenions); levels above n=8 are refused, except by
+mul and trips --count, which refuses a count too long for the
+interpreter to print.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
                 f"--n {args.n} is above {cdp.MEMO_MAX_N}; only mul and trips --count go higher"
             )
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

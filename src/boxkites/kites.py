@@ -20,6 +20,9 @@ neighbours, tells the ones with trip faces by index arithmetic and
 builds kites from those; broken and sailless frames are counted and
 built only when asked for.  ``build_boxkite`` checks one frame by exact
 products.
+
+A kite holds its vertices in label order and its edges in the order of
+``EDGE_LABEL_PAIRS``, so a vertex or an edge is read by its slot.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .zd import (
     Assessor,
     Diagonal,
     _bits,
-    _swap_mask,
     _xor_permute,
     cluster,
     diagonal_product,
@@ -51,12 +53,11 @@ BLUE = "BLUE"
 
 LABELS = ("A", "B", "C", "D", "E", "F")
 STRUT_LABEL_PAIRS = (("A", "F"), ("B", "E"), ("C", "D"))
-_PARTNER = {"A": "F", "F": "A", "B": "E", "E": "B", "C": "D", "D": "C"}
-EDGE_LABEL_PAIRS = tuple(
-    (x, y) for i, x in enumerate(LABELS) for y in LABELS[i + 1 :] if _PARTNER[x] != y
-)
-#: each edge's labels with their vertex positions, as _assemble walks them
-_EDGE_SLOTS = tuple((x, y, LABELS.index(x), LABELS.index(y)) for x, y in EDGE_LABEL_PAIRS)
+EDGE_LABEL_PAIRS = tuple(p for p in combinations(LABELS, 2) if p not in STRUT_LABEL_PAIRS)
+
+#: each label's vertex position, and each edge's position under either order of its labels
+_VERTEX_AT = {label: i for i, label in enumerate(LABELS)}
+_EDGE_AT = {pair: i for i, (x, y) in enumerate(EDGE_LABEL_PAIRS) for pair in ((x, y), (y, x))}
 
 #: the three squares of the octahedron, each named by its mast strut
 CATAMARAN_SQUARES = (
@@ -123,26 +124,23 @@ class BoxKite:
         return self.g + self.s
 
     def assessor(self, label: str) -> Assessor:
-        return self.vertices[LABELS.index(label)]
+        return self.vertices[_VERTEX_AT[label]]
 
     @property
     def zigzag_trip(self) -> tuple[int, int, int]:
         return (self.vertices[0].lo, self.vertices[1].lo, self.vertices[2].lo)
 
     def strut_pairs(self) -> tuple[tuple[int, int], ...]:
-        """L-index pairs of the three struts, each sorted ascending."""
-        out = []
-        for l1, l2 in STRUT_LABEL_PAIRS:
-            p, q = self.assessor(l1).lo, self.assessor(l2).lo
-            out.append((min(p, q), max(p, q)))
-        return tuple(sorted(out))
+        """L-index pairs of the three struts, each sorted ascending; strut
+        opposites sit at vertex positions i and 5 - i (A-F, B-E, C-D)."""
+        v = self.vertices
+        return tuple(sorted(tuple(sorted((v[i].lo, v[5 - i].lo))) for i in range(3)))
 
     def edge_color(self, l1: str, l2: str) -> str:
-        key = tuple(sorted((l1, l2)))
-        for e1, e2, color in self.edge_colors:
-            if (e1, e2) == key:
-                return color
-        raise KeyError(f"{l1}-{l2} is not an edge (strut pairs have none)")
+        try:
+            return self.edge_colors[_EDGE_AT[l1, l2]][2]
+        except KeyError:
+            raise KeyError(f"{l1}-{l2} is not an edge (strut pairs have none)") from None
 
     def dump(self) -> str:
         """Deterministic text form: header, six vertices, twelve edges."""
@@ -192,11 +190,11 @@ def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip, decid
     """build_boxkite on given planes of s, keyed by L-index, whose edges
     decide(lo1, lo2) answers with a DmzPattern, or None for no zero."""
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
-    vertices = tuple(plane[lo] for lo in (a, b, c, c ^ s, b ^ s, a ^ s))  # A B C D E F
+    los = (a, b, c, c ^ s, b ^ s, a ^ s)  # A B C D E F
     colors: dict[tuple[str, str], str] = {}
     missing: list[tuple[str, str]] = []
-    for l1, l2, i, j in _EDGE_SLOTS:
-        pat = decide(vertices[i].lo, vertices[j].lo)
+    for l1, l2 in EDGE_LABEL_PAIRS:
+        pat = decide(los[_VERTEX_AT[l1]], los[_VERTEX_AT[l2]])
         if pat is None:
             missing.append((l1, l2))
         else:
@@ -211,8 +209,8 @@ def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip, decid
             raise NotZigzagError(
                 f"seed trip {(a, b, c)} has a {colors[pair]} edge {pair}; not the zigzag"
             )
-    edge_colors = tuple((l1, l2, colors[(l1, l2)]) for l1, l2 in EDGE_LABEL_PAIRS)
-    return BoxKite(lvl, s, vertices, edge_colors)
+    edge_colors = tuple((l1, l2, color) for (l1, l2), color in colors.items())
+    return BoxKite(lvl, s, tuple(map(plane.__getitem__, los)), edge_colors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,14 +314,13 @@ def survey(lvl: Level, s: int) -> Survey:
     zero, same = rel.zero, rel.same
     ends = [p for p in plane if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
-    masks = [_swap_mask(lvl.g, k) for k in range(lvl.n - 1)]
     # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
     # both has bit b when p and p^s each make zero with b; permuted by
     # XOR with s it has bit q where both has bit q^s
     compatible = {}
     for p in ends:
         both = zero[p] & zero[p ^ s]
-        compatible[p] = both & _xor_permute(both, s, masks.__getitem__) & end_mask
+        compatible[p] = both & _xor_permute(both, s, lvl.g) & end_mask
 
     triangles = 0
     kites: list[BoxKite] = []

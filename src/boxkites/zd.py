@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -167,16 +167,13 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     while the other class stays nonzero; both facts are checked rather
     than assumed.
 
-    Planes of one cluster share one Level object, so the level check
-    compares identity first and falls back to equality only for distinct
-    objects; with the levels equal, a plane is paired with itself exactly
-    when (lo, hi) agree.  A zero returns one of two shared module
-    constants, never a new pattern.
+    Planes at different levels and a plane paired with itself are
+    refused, whatever objects carry them.  A zero returns one of two
+    shared module constants, never a new pattern.  The sweeps read
+    ``relation`` instead; this is the exact oracle it is tested against.
     """
-    lvl = a1.lvl
-    if a2.lvl is not lvl:
-        lvl = _require_same_level(lvl, a2.lvl)
-    if a1.lo == a2.lo and a1.hi == a2.hi:
+    lvl = _require_same_level(a1.lvl, a2.lvl)
+    if a1 == a2:
         raise ValueError("an assessor cannot be paired with itself")
     slash1, back1 = a1.diagonals
     slash2, back2 = a2.diagonals
@@ -266,11 +263,9 @@ def relation(lvl: Level, s: int) -> Relation:
     check_strut(lvl, s)
     n, g = lvl.n, lvl.g
     signs = _SIGNS.get(n) or _split_signs(lvl)
-    # above the kept tables each swap mask is derived when it is needed
-    mask = signs.masks.__getitem__ if signs.masks else partial(_swap_mask, g * g)
-    key = s << n - 1 | s
-    u = signs.ll ^ _xor_permute(signs.hh, key, mask)
-    v = _xor_permute(signs.lh, s, mask) ^ _xor_permute(signs.hl, s << n - 1, mask)
+    cells, key = g * g, s << n - 1 | s
+    u = signs.ll ^ _xor_permute(signs.hh, key, cells)
+    v = _xor_permute(signs.lh, s, cells) ^ _xor_permute(signs.hl, s << n - 1, cells)
     rows = signs.rows & ~(1 << s * g)  # L-index rows: neither 0 nor s
     cols = (1 << g) - 2 & ~(1 << s)  # and L-index columns
     zero = ~(u ^ v) & rows * cols & ~signs.diagonal
@@ -281,16 +276,14 @@ class _Signs(NamedTuple):
     """One level's sign table as four bit matrices of negative signs.
 
     Each matrix is g x g with cell (r, c) at bit r*g + c (``relation``
-    has the layout and the proof).  ``masks[k]`` has the positions whose
-    bit k is clear; ``rows`` has bit r*g for every row r but 0, and
-    ``diagonal`` has the cells (r, r).
+    has the layout and the proof).  ``rows`` has bit r*g for every row r
+    but 0, and ``diagonal`` has the cells (r, r).
     """
 
     ll: int
     lh: int
     hl: int
     hh: int
-    masks: tuple[int, ...]
     rows: int
     diagonal: int
 
@@ -306,8 +299,10 @@ def _split_signs(lvl: Level) -> _Signs:
     """The level's sign table split into quadrants, kept up to MEMO_MAX_N.
 
     Rows come from sign_table up to MEMO_MAX_N, and above it from
-    mul_basis one row at a time, so only the bit matrices are held, with
-    no swap masks: at n = 9 the sixteen of them would be 128 KiB.
+    mul_basis one row at a time, so only the bit matrices are held.  The
+    swap masks that relation permutes them with stay in _swap_mask's
+    cache, one per width and bit: at n = 9, sixteen of g*g bits take
+    128 KiB.
     """
     n, g = lvl.n, lvl.g
     dim, width, cells = 2 * g, g // 8, g * g
@@ -324,27 +319,28 @@ def _split_signs(lvl: Level) -> _Signs:
     ll, lh, hl, hh = (int.from_bytes(b"".join(q), "little") for q in quadrants)
     rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
     diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
-    masks = tuple(_swap_mask(cells, k) for k in range(2 * n - 2)) if n <= MEMO_MAX_N else ()
-    signs = _Signs(ll, lh, hl, hh, masks, rows, diagonal)
+    signs = _Signs(ll, lh, hl, hh, rows, diagonal)
     if n <= MEMO_MAX_N:
         _SIGNS[n] = signs
     return signs
 
 
+@cache
 def _swap_mask(width: int, k: int) -> int:
     """The positions below width whose bit k is clear (width a multiple of 2^(k+1))."""
     d = 1 << k
     return ((1 << width) - 1) // ((1 << 2 * d) - 1) * ((1 << d) - 1)
 
 
-def _xor_permute(m: int, key: int, mask) -> int:
-    """m with the bit at each position p moved to p ^ key.
+def _xor_permute(m: int, key: int, width: int) -> int:
+    """m with the bit at each position p below width moved to p ^ key.
 
-    mask(k) gives the positions whose bit k is clear; the XOR by each set
-    bit 2^k of the key swaps those positions with the ones 2^k above.
+    The XOR by each set bit 2^k of the key swaps the positions whose bit
+    k is clear, _swap_mask(width, k), with the ones 2^k above; width is a
+    multiple of 2^(k+1) for each of them.
     """
     for k in _bits(key):
-        d, keep = 1 << k, mask(k)
+        d, keep = 1 << k, _swap_mask(width, k)
         m = m >> d & keep | (m & keep) << d
     return m
 
@@ -647,8 +643,3 @@ def _report_blocks(g: int, planes) -> Iterator[str]:
         yield "".join(
             [f"{head}{b} {b ^ x} {'same' if same >> b & 1 else 'opposite'}\n" for b in _bits(partners)]
         )
-
-
-def dmz_report_lines(lvl: Level, s: int | None = None) -> list[str]:
-    """dmz_report's lines as a list, without their newlines."""
-    return "".join(dmz_report(lvl, s)).splitlines()

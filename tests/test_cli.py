@@ -189,6 +189,22 @@ def test_dmz_writes_to_a_file_what_it_prints(tmp_path, capsys):
     assert not refused.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["census", "--n", "4"], ""),  # an existing directory
+        (["dmz", "--n", "4"], "missing/x"),  # in a directory that does not exist
+        (["flipbook", "--n", "4", "--range", "1..2"], "file"),  # an existing file
+    ],
+    ids=["census-into-a-directory", "dmz-into-a-missing-directory", "flipbook-onto-a-file"],
+)
+def test_unwritable_output_paths_are_one_line_refusals(argv, out, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main([*argv, "--out", str(tmp_path / out)]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_census_refuses_a_bad_range_before_any_survey(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(kites, "survey", lambda *args: calls.append(args))

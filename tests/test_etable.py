@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -316,3 +317,61 @@ def test_tables_are_full_exactly_off_the_sky(n):
         fill = sum(1 for _ in build_et(lvl, s).filled_cells())
         assert fill <= full
         assert (fill == full) == (s <= 8 or s & (s - 1) == 0), (n, s, fill)
+
+
+@cache
+def _fills(n):
+    """fill(n, s) for every s: the filled cells of ET(n, s), read off its relation."""
+    lvl = Level(n)
+    return {s: sum(m.bit_count() for m in zd.relation(lvl, s).zero) for s in range(1, lvl.g)}
+
+
+def _fill_class(s):
+    """c(s): the bits of s above bit 3, less their lowest when s & 7 is 0."""
+    m = s >> 3
+    return m if s & 7 else m & (m - 1)
+
+
+def _fills_by_class(n):
+    classes = {}
+    for s, fill in _fills(n).items():
+        classes.setdefault(_fill_class(s), set()).add(fill)
+    return classes
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_fill_depends_only_on_the_bits_of_s_above_bit_3(n):
+    classes = _fills_by_class(n)
+    assert sorted(classes) == list(range(2 ** (n - 4)))
+    assert all(len(fills) == 1 for fills in classes.values()), classes
+
+
+def test_balloon_rides_and_complements_give_every_fill_class():
+    # from fill(4, 0) = full(4) = 24, with h = 2^(n-5): a class below h rides
+    # the balloon, 4 fill(n-1, c) + 24 (2^(n-3) - 1); one at or above h is
+    # the complement of 4 fill(n-1, c-h) in the full table
+    predicted = {(4, 0): 24}
+    for n in range(5, 9):
+        g, h = 2 ** (n - 1), 2 ** (n - 5)
+        full = (g - 2) * (g - 4)
+        for c in range(2 * h):
+            if c < h:
+                predicted[n, c] = 4 * predicted[n - 1, c] + 24 * (2 ** (n - 3) - 1)
+            else:
+                predicted[n, c] = full - 4 * predicted[n - 1, c - h]
+    measured = {
+        (n, c): fill for n in range(5, 9) for c, (fill,) in _fills_by_class(n).items()
+    }
+    assert len(measured) == 30
+    assert measured == {key: v for key, v in predicted.items() if key[0] >= 5}
+    assert measured[8, 9] == 6888
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_each_table_embeds_in_the_next_level(n):
+    # ET(n+1, s) restricted to the L-indices below g_n is ET(n, s)
+    lvl, up = Level(n), Level(n + 1)
+    below = (1 << lvl.g) - 1
+    for s in range(1, lvl.g):
+        zero, zero_up = zd.relation(lvl, s).zero, zd.relation(up, s).zero
+        assert tuple(m & below for m in zero_up[: lvl.g]) == zero, s

@@ -9,7 +9,9 @@ from boxkites.kites import (
     BLUE,
     CATAMARAN_SIGNATURE,
     CATAMARAN_SQUARES,
+    EDGE_LABEL_PAIRS,
     RED,
+    STRUT_LABEL_PAIRS,
     TREFOIL_SIGNATURE,
     ZIGZAG_SIGNATURE,
     BoxKite,
@@ -508,3 +510,42 @@ def test_kite_repr_and_edge_lookup(sedenion_kites):
     assert bk.edge_color("B", "A") == RED
     with pytest.raises(KeyError):
         bk.edge_color("A", "F")
+
+
+def test_every_n5_kite_reads_its_edges_and_struts_by_slot(pathion_surveys):
+    for sv in pathion_surveys.values():
+        for bk in sv.kites:
+            assert [(l1, l2) for l1, l2, _ in bk.edge_colors] == list(EDGE_LABEL_PAIRS)
+            for l1, l2, color in bk.edge_colors:
+                assert bk.edge_color(l1, l2) == bk.edge_color(l2, l1) == color
+            for l1, l2 in STRUT_LABEL_PAIRS:
+                for x, y in ((l1, l2), (l2, l1)):
+                    with pytest.raises(KeyError) as err:
+                        bk.edge_color(x, y)
+                    assert err.value.args == (f"{x}-{y} is not an edge (strut pairs have none)",)
+            struts = [
+                tuple(sorted((bk.assessor(l1).lo, bk.assessor(l2).lo)))
+                for l1, l2 in STRUT_LABEL_PAIRS
+            ]
+            assert bk.strut_pairs() == tuple(sorted(struts))
+
+
+@pytest.mark.parametrize("n, total", [(4, 7), (5, 77), (6, 665), (7, 5425), (8, 43617)])
+def test_every_dmz_pair_is_an_edge_of_exactly_one_kite(n, total):
+    # the kites' edges are zero pairs of their cluster and all distinct, and
+    # there are as many as the cluster has DMZ pairs: 12 kites(n, s) = pairs(n, s)
+    lvl = Level(n)
+    found = 0
+    for s in range(1, lvl.g):
+        zero = relation(lvl, s).zero
+        kites_of_s = survey(lvl, s).kites
+        edges = {
+            tuple(sorted((bk.assessor(l1).lo, bk.assessor(l2).lo)))
+            for bk in kites_of_s
+            for l1, l2 in EDGE_LABEL_PAIRS
+        }
+        assert all(zero[a] >> b & 1 for a, b in edges), s
+        pairs = sum(m.bit_count() for m in zero) // 2
+        assert len(edges) == 12 * len(kites_of_s) == pairs, s
+        found += len(kites_of_s)
+    assert found == total

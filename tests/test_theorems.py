@@ -52,6 +52,18 @@ def test_theorem6_relation_reading_matches_the_twist_oracle(n):
     assert (valid, total) == {5: (3024, 3696), 6: (21840, 31920)}[n]
 
 
+def test_theorem6_at_n7_fails_its_twists_exactly_at_the_sky():
+    lvl, relations, kites = _level(7)
+    result = theorems._t6(lvl, relations, kites)
+    sky = [s for s in range(9, lvl.g) if s & (s - 1)]
+    sources = [*range(1, 32), *range(41, 48), *range(49, 64)]
+    assert result.passed
+    assert result.detail == (
+        f"156240/260400 twisted pairs still make zero; failing twists land at strut "
+        f"constants {sky} (sources {sources})"
+    )
+
+
 def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     lvl, relations, kites = _level(5)
     bk = kites[0]

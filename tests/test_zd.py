@@ -22,7 +22,7 @@ from boxkites.zd import (
     cluster_assessors,
     diagonal_product,
     dmz_pattern,
-    dmz_report_lines,
+    dmz_report,
     dmz_scan,
     emanate,
     enumerate_assessors,
@@ -389,8 +389,10 @@ def test_relation_matches_dmz_pattern_above_n6(data):
 
 
 def test_relation_above_the_sign_tables_matches_dmz_pattern():
-    # n = 9 reads each sign by mul_basis; a Sky strut constant.  Only two
-    # sign rows are held at a time: holding all 508 rows peaks near 2.1 MiB
+    # n = 9 reads each sign by mul_basis; a Sky strut constant.  One sign row
+    # is held at a time, beside the four 8 KiB quadrants it is split into and
+    # the 8 KiB swap mask of each set bit of the permutation keys (about
+    # 182 KiB at the peak); holding all 512 rows peaks near 2.1 MiB
     lvl = Level(9)
     tracemalloc.start()
     try:
@@ -567,7 +569,7 @@ def test_pathion_twist_failures_exist_and_land_high(pathion_surveys):
 
 
 def test_dmz_report_lines_format():
-    lines = dmz_report_lines(LVL4, s=4)
+    lines = "".join(dmz_report(LVL4, s=4)).splitlines()
     assert len(lines) == 12
     assert all(len(ln.split()) == 5 for ln in lines)
     assert lines == sorted(lines, key=lambda ln: tuple(map(int, ln.split()[:4])))
