@@ -19,7 +19,9 @@ from typing import NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
-#: sign tables are memoized up to this level; beyond it the sign loop runs bare
+#: sign tables are memoized up to this level, and it is the sweep ceiling too:
+#: zd.check_strut, sign_table and theorems.run_suite refuse any level above it,
+#: where only single products answer, by the bare sign loop
 MEMO_MAX_N = 8
 
 

@@ -4,9 +4,10 @@ Every invocation is deterministic: identical inputs give byte-identical
 output.  Bad flags exit 2 with a usage message; domain errors and output
 paths that cannot be written exit 1 with a one-line diagnostic.  Signs
 print as "+k"/"-k" with an ASCII minus, indices in decimal.  The default
-level is n=4 (the sedenions); levels above n=8 are refused, except by
-mul and trips --count, which refuses a count too long for the
-interpreter to print.
+level is n=4 (the sedenions).  Levels above n=8 are refused by the
+library, whose sweeps all stop at cdp.MEMO_MAX_N; mul (one product) and
+trips --count (a closed form, refused when too long for the interpreter
+to print) answer at any level.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ def cmd_census(args) -> int:
     elif args.range is not None:
         span = _parse_range(args.range)
     else:
+        zd.check_strut(lvl, 1)  # refuses a level out of reach before g is built
         span = (1, lvl.g - 1)
     zd.check_span(lvl, *span)
     lines = []
@@ -235,12 +237,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # mul does one product and trips --count uses a closed form; every
-        # other verb sweeps the whole level, out of reach above the sign tables
-        if args.n > cdp.MEMO_MAX_N and not (args.verb == "mul" or getattr(args, "count", False)):
-            raise ValueError(
-                f"--n {args.n} is above {cdp.MEMO_MAX_N}; only mul and trips --count go higher"
-            )
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

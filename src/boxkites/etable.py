@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cdp import Level
 from .kites import survey
-from .zd import check_span, cluster, relation
+from .zd import check_span, relation
 
 HIDDEN = None
 
@@ -54,12 +54,13 @@ class EtStats:
 def build_et(lvl: Level, s: int) -> EmanationTable:
     """Render the cluster's exact zero relation as a grid.
 
-    One ``zd.relation`` call decides every plane pair from the exact sign
-    table; row r fills cell c with r ^ c for each set bit c of its zero
-    mask, and every other cell stays hidden.
+    One ``zd.relation`` call checks the level and s, and decides every
+    plane pair from the exact sign table.  The axis is the cluster's
+    L-indices, 1..g-1 without s; row r fills cell c with r ^ c for each
+    set bit c of its zero mask, and every other cell stays hidden.
     """
-    axis = tuple(a.lo for a in cluster(lvl, s))
     zero = relation(lvl, s).zero
+    axis = tuple(k for k in range(1, lvl.g) if k != s)
     grid = tuple(tuple(r ^ c if zero[r] >> c & 1 else HIDDEN for c in axis) for r in axis)
     return EmanationTable(lvl, s, axis, grid)
 
@@ -198,7 +199,7 @@ def flipbook(
     stay inside 1..g-1, and the scale is checked before anything is written.
     """
     check_span(lvl, s_from, s_to)
-    _check_scale(len(cluster(lvl, s_from)), scale)
+    _check_scale(lvl.g - 2, scale)  # every table has g - 2 cells on a side
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(lvl.g - 1))

@@ -1,7 +1,7 @@
 """Executable verification suites for the seven structural laws.
 
 Each check covers every dyad, plane or kite its law speaks of at one
-level from 16 to 128 dimensions, and reports a one-line detail.  Products
+level from 16 to 256 dimensions, and reports a one-line detail.  Products
 that index arithmetic proves nonzero (the XOR-bucket lemma in ``zd``)
 are ruled out without being multiplied; every zero is an exact product
 or a read of a cluster's relation (``zd.relation``), which a suite run
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .cdp import Level
+from .cdp import MEMO_MAX_N, Level
 from .kites import RED, BoxKite, classify_sails, survey
 from .zd import (
     NotDmzError,
@@ -44,19 +44,18 @@ def _guard(name: str, fn) -> TheoremResult:
         return TheoremResult(name, False, f"check aborted: {exc}")
 
 
-#: highest level the suite runs at: ``verify --n 7`` takes about 2.1 s (2
-#: cores, CPython 3.11), 0.3 s of it the 63 surveys; n = 8 would run 127
-#: surveys, which take 2.2 s together, besides Theorems 1 and 2's sweeps
-SUITE_MAX_N = 7
-
-
 def run_suite(n: int) -> list[TheoremResult]:
-    """Run all seven verifications at one level; needs 4 <= n <= SUITE_MAX_N."""
+    """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
+
+    A level outside that range is refused before any survey.  At n = 8
+    a run takes 11 to 15 s (2 cores, CPython 3.11), a third of it
+    Theorem 1's exact products.
+    """
     lvl = Level(n)
     if n < 4:
         raise ValueError("verification needs at least 16 dimensions")
-    if n > SUITE_MAX_N:
-        raise ValueError(f"verification needs at most {2**SUITE_MAX_N} dimensions")
+    if n > MEMO_MAX_N:
+        raise ValueError(f"verification needs at most {2**MEMO_MAX_N} dimensions")
     kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
     relations = {s: relation(lvl, s) for s in range(1, lvl.g)}
     # sails classified once for Theorems 5 and 7; a ClassificationError is never cached

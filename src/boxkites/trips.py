@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cdp import IndexRangeError, InvariantError, Level, mul_basis
+from .cdp import IndexRangeError, InvariantError, Level, mul_basis, sign_table
 
 
 class NotTripError(ValueError):
@@ -69,13 +69,18 @@ def cpo_orient(a: int, b: int, c: int, lvl: Level) -> Trip:
 
 
 def enumerate_trips(lvl: Level) -> list[Trip]:
-    """All trips at a level, ascending storage, sorted by (a, b, c)."""
+    """All trips at a level, ascending storage, sorted by (a, b, c).
+
+    Orientations are read off the level's sign table, which refuses a
+    level above cdp.MEMO_MAX_N before anything is enumerated.
+    """
+    table = sign_table(lvl.n)
     out: list[Trip] = []
     for a in range(1, lvl.dim):
         for b in range(a + 1, lvl.dim):
             c = a ^ b
             if c > b:
-                out.append(Trip(a, b, c, mul_basis(a, b, lvl).sign > 0))
+                out.append(Trip(a, b, c, table[a][b] > 0))
     return out
 
 

@@ -42,7 +42,6 @@ from .cdp import (
     IndexRangeError,
     InvariantError,
     Level,
-    mul_basis,
     mul_element,
     sign_table,
 )
@@ -255,14 +254,13 @@ def relation(lvl: Level, s: int) -> Relation:
     checked by the tests.
 
     The table is the exact one that cdp._double builds, split once per
-    level and kept (mul_basis above MEMO_MAX_N, one row at a time and
-    per call), so no sign pattern is assumed; tests/test_zd.py holds the
-    relation to dmz_pattern's exact products and to a pair-by-pair
-    reading of the same four signs.
+    level and kept, so no sign pattern is assumed; tests/test_zd.py
+    holds the relation to dmz_pattern's exact products and to a
+    pair-by-pair reading of the same four signs.
     """
     check_strut(lvl, s)
     n, g = lvl.n, lvl.g
-    signs = _SIGNS.get(n) or _split_signs(lvl)
+    signs = _split_signs(n)
     cells, key = g * g, s << n - 1 | s
     u = signs.ll ^ _xor_permute(signs.hh, key, cells)
     v = _xor_permute(signs.lh, s, cells) ^ _xor_permute(signs.hl, s << n - 1, cells)
@@ -288,30 +286,21 @@ class _Signs(NamedTuple):
     diagonal: int
 
 
-#: each level's split sign table, for n <= MEMO_MAX_N, built by the first relation call
-_SIGNS: dict[int, _Signs] = {}
-
 #: a sign's negative bit, as a digit of a row read most significant first
 _NEGATIVE = {1: "0", -1: "1"}
 
 
-def _split_signs(lvl: Level) -> _Signs:
-    """The level's sign table split into quadrants, kept up to MEMO_MAX_N.
+@cache
+def _split_signs(n: int) -> _Signs:
+    """Level n's sign table split into quadrants, built by the first relation call and kept.
 
-    Rows come from sign_table up to MEMO_MAX_N, and above it from
-    mul_basis one row at a time, so only the bit matrices are held.  The
-    swap masks that relation permutes them with stay in _swap_mask's
-    cache, one per width and bit: at n = 9, sixteen of g*g bits take
-    128 KiB.
+    The swap masks that relation permutes them with stay in _swap_mask's
+    cache, one per width and bit.
     """
-    n, g = lvl.n, lvl.g
-    dim, width, cells = 2 * g, g // 8, g * g
-    if n <= MEMO_MAX_N:
-        table = iter(sign_table(n))
-    else:
-        table = ([mul_basis(r, c, lvl).sign for c in range(dim)] for r in range(dim))
+    g = 1 << n - 1
+    width, cells = g // 8, g * g
     quadrants: list[list[bytes]] = [[], [], [], []]  # the rows of LL, LH, HL, HH
-    for r, row in enumerate(table):
+    for r, row in enumerate(sign_table(n)):
         bits = int("".join(map(_NEGATIVE.__getitem__, reversed(row))), 2)
         left, right = quadrants[:2] if r < g else quadrants[2:]
         left.append((bits & (1 << g) - 1).to_bytes(width, "little"))
@@ -319,10 +308,7 @@ def _split_signs(lvl: Level) -> _Signs:
     ll, lh, hl, hh = (int.from_bytes(b"".join(q), "little") for q in quadrants)
     rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
     diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
-    signs = _Signs(ll, lh, hl, hh, rows, diagonal)
-    if n <= MEMO_MAX_N:
-        _SIGNS[n] = signs
-    return signs
+    return _Signs(ll, lh, hl, hh, rows, diagonal)
 
 
 @cache
@@ -462,12 +448,13 @@ def theorem3_check(lvl: Level) -> tuple[int, int]:
     which checks both facts on exact products).  So the check counts
     the level's relations, one per strut constant.  Pairs across
     clusters are proven silent by the lemma at _xor_buckets, so they
-    hold the dichotomy trivially and are counted without a product.
-    Returns (candidate_pairs, pairs_annihilating).
+    hold the dichotomy trivially and are counted without a product; the
+    candidates are the g - 1 clusters' g - 2 planes each, as ``cluster``
+    builds them.  Returns (candidate_pairs, pairs_annihilating).
     """
     rels = (relation(lvl, s) for s in range(1, lvl.g))
     hits = sum(m.bit_count() for rel in rels for m in rel.zero) // 2
-    return comb(len(enumerate_assessors(lvl)), 2), hits
+    return comb((lvl.g - 1) * (lvl.g - 2), 2), hits
 
 
 def theorem4_check(a: Assessor) -> bool:
@@ -527,9 +514,17 @@ def twist(d1: Diagonal, d2: Diagonal) -> TwistResult:
 
 
 def check_strut(lvl: Level, s: int) -> None:
-    """Refuse a level without zero divisors or a strut constant outside 1..g-1."""
+    """Refuse a level without zero divisors or above the sign tables, or a
+    strut constant outside 1..g-1.
+
+    Every sweep over a cluster or a level comes here first, so
+    MEMO_MAX_N is the highest level any of them reaches; the level is
+    checked by its exponent, before g is built.
+    """
     if lvl.n < 4:
         raise ValueError("no zero divisors below 16 dimensions")
+    if lvl.n > MEMO_MAX_N:
+        raise ValueError(f"sweeps need at most {2**MEMO_MAX_N} dimensions: n = {lvl.n}")
     if not 1 <= s < lvl.g:
         raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
 
@@ -557,6 +552,7 @@ def cluster_assessors(lvl: Level) -> dict[int, list[Assessor]]:
     """Candidate planes grouped by strut constant (the excluded low index)."""
     if lvl.n < 4:
         return {}
+    check_strut(lvl, 1)  # refuses a level out of reach before g is built
     return {s: list(cluster(lvl, s)) for s in range(1, lvl.g)}
 
 
@@ -590,6 +586,7 @@ def _dmz_planes(lvl: Level, s: int | None = None):
     elif lvl.n < 4:
         rels = {}
     else:
+        check_strut(lvl, 1)  # refuses a level out of reach before g is built
         rels = {t: relation(lvl, t) for t in range(1, lvl.g)}
     return _walk_planes(lvl, rels)
 
@@ -633,7 +630,8 @@ def dmz_report(lvl: Level, s: int | None = None) -> Iterator[str]:
     asked for.  The arguments are checked and the relations built on the
     call, before the first string.
     """
-    return _report_blocks(lvl.g, _dmz_planes(lvl, s))
+    planes = _dmz_planes(lvl, s)  # checks the level before g is built
+    return _report_blocks(lvl.g, planes)
 
 
 def _report_blocks(g: int, planes) -> Iterator[str]:

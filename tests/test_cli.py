@@ -218,19 +218,32 @@ def test_verify_refuses_levels_above_its_ceiling_before_any_survey(monkeypatch, 
     calls = []
     for holder in (kites, theorems):
         monkeypatch.setattr(holder, "survey", lambda *args: calls.append(args))
-    assert main(["verify", "--n", "8"]) == 1
+    assert main(["verify", "--n", "9"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert calls == []
 
 
 @pytest.mark.parametrize(
-    "argv", [["trips", "--n", "40"], ["assessors", "--n", "40"], ["census", "--n", "12"]]
+    "argv",
+    [
+        ["trips", "--n", "40"],
+        ["assessors", "--n", "40"],
+        ["census", "--n", "12"],
+        ["dmz", "--n", "12"],
+        ["et", "--n", "30", "--s", "3"],
+        ["boxkite", "--n", "30", "--s", "3"],
+        ["boxkite", "--n", "9", "--s", "3", "--zigzag", "1,2,3"],
+        ["flipbook", "--n", "30", "--range", "1..3", "--out", "book"],
+        ["verify", "--n", "9"],
+    ],
 )
-def test_levels_above_the_sign_tables_are_refused(argv, capsys):
+def test_levels_above_the_sign_tables_are_refused(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # nothing written, not even a directory
 
 
 def test_trip_count_answers_above_the_sign_tables(capsys):
@@ -302,7 +315,7 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeyp
         ["census", "--n", "4", "--range", "1..3"],
         ["mul", "--n", "4", "x", "2"],
         ["verify", "--n", "4"],
-        ["verify", "--n", "8"],
+        ["verify", "--n", "9"],
         ["et", "--n", "4", "--s", "5", "--format", "csv"],
         ["flipbook", "--n", "4", "--range", "1..3"],
         ["flipbook", "--n", "4", "--range", "1..3", "--out", str(book)],

@@ -64,6 +64,35 @@ def test_theorem6_at_n7_fails_its_twists_exactly_at_the_sky():
     )
 
 
+def test_suite_at_n8_passes_with_its_counts():
+    sky = [s for s in range(9, 128) if s & (s - 1)]
+    sources = [*range(1, 64), *range(73, 80), *range(81, 96), *range(97, 128)]
+    results = theorems.run_suite(8)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        (
+            "Theorem 1",
+            True,
+            "all-low dyads (16002) never annihilate a mixed dyad, and make no "
+            "zeros of their own beyond those inherited from one level down",
+        ),
+        ("Theorem 2", True, "no dyad containing i_128 annihilates anything"),
+        (
+            "Theorem 3",
+            True,
+            "slope-class dichotomy held on all 128024001 candidate pairs (523404 annihilating)",
+        ),
+        ("Theorem 4", True, "no plane's own diagonals make zero (16002 planes)"),
+        ("Theorem 5", True, "every sail edge emanates its third vertex (174468 sails)"),
+        (
+            "Theorem 6",
+            True,
+            "1156176/2093616 twisted pairs still make zero; failing twists land at strut "
+            f"constants {sky} (sources {sources})",
+        ),
+        ("Theorem 7", True, "U-index law and edge sign patterns hold on all 43617 kites"),
+    ]
+
+
 def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     lvl, relations, kites = _level(5)
     bk = kites[0]

@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from boxkites import etable, kites, zd
+from boxkites import etable, kites, theorems, zd
 from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element, sign_table
-from boxkites.trips import is_trip
+from boxkites.trips import enumerate_trips, is_trip
 from boxkites.zd import (
     BACKSLASH,
     SLASH,
@@ -388,21 +388,32 @@ def test_relation_matches_dmz_pattern_above_n6(data):
     _check_relation(relation(lvl, s), [(a1, a2)])
 
 
-def test_relation_above_the_sign_tables_matches_dmz_pattern():
-    # n = 9 reads each sign by mul_basis; a Sky strut constant.  One sign row
-    # is held at a time, beside the four 8 KiB quadrants it is split into and
-    # the 8 KiB swap mask of each set bit of the permutation keys (about
-    # 182 KiB at the peak); holding all 512 rows peaks near 2.1 MiB
-    lvl = Level(9)
-    tracemalloc.start()
-    try:
-        rel = relation(lvl, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**18
-    planes = cluster(lvl, 200)[:12]
-    _check_relation(rel, combinations(planes, 2))
+def test_sweeps_refuse_a_level_above_the_sign_tables_before_building_it():
+    # 1 << 4_000_000_000 alone would take 500 MB: each sweep refuses the
+    # level by its exponent, before g, a sign table or a swap mask is built
+    huge = Level(4_000_000_000)
+    sweeps = {
+        "relation": lambda: relation(huge, 3),
+        "survey": lambda: kites.survey(huge, 3),
+        "build_et": lambda: etable.build_et(huge, 3),
+        "dmz_scan": lambda: dmz_scan(huge),
+        "dmz_report": lambda: dmz_report(huge),
+        "cluster_assessors": lambda: cluster_assessors(huge),
+        "enumerate_trips": lambda: enumerate_trips(huge),
+        "run_suite": lambda: theorems.run_suite(huge.n),
+    }
+    masks = zd._swap_mask.cache_info().currsize
+    for name, sweep in sweeps.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refusal:
+                sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+        assert str(refusal.value) and "\n" not in str(refusal.value), name
+    assert zd._swap_mask.cache_info().currsize == masks
 
 
 def _four_read_relation(lvl, s):
