@@ -124,9 +124,9 @@ def cmd_census(args) -> int:
         total += len(sv.kites)
         broken_total += len(sv.broken)
         for bk in sv.kites:
-            struts = "".join(f"({p},{q})" for p, q in bk.strut_pairs())
-            zt = bk.zigzag_trip
-            lines.append(f"S={s} zigzag=({zt[0]},{zt[1]},{zt[2]}) struts={struts}")
+            (p, P), (q, Q), (r, R) = bk.strut_pairs()
+            a, b, c = bk.zigzag_trip
+            lines.append(f"S={s} zigzag=({a},{b},{c}) struts=({p},{P})({q},{Q})({r},{R})")
     lines.append(f"{total} box-kite(s)")
     if broken_total:
         lines.append(f"{broken_total} broken frame(s)")

@@ -16,10 +16,14 @@ strut pairs, so it fully annihilates exactly when its three struts are
 pairwise compatible (no silent cross edge), a triangle of the strut
 graph.  The survey keeps one bitmask of compatible struts per strut,
 read off the cluster's ``zd.relation``, finds the triangles as common
-neighbours, tells the ones with trip faces by index arithmetic and
-builds kites from those; broken and sailless frames are counted and
-built only when asked for.  ``build_boxkite`` checks one frame by exact
-products.
+neighbours and builds each kite from its triangle by index arithmetic:
+its labels from one sign-table read, its colours from one read each of
+the relation's ``same`` mask (``survey`` has the proofs).  Broken and
+sailless frames are counted and built only when asked for.
+
+``build_boxkite`` checks one frame by exact products, and it and
+``classify_sails`` (which re-derives the four sails with ``is_trip``)
+are the oracle the survey and the theorem suite are tested against.
 
 A kite holds its vertices in label order and its edges in the order of
 ``EDGE_LABEL_PAIRS``, so a vertex or an edge is read by its slot.
@@ -41,6 +45,7 @@ from .zd import (
     Assessor,
     Diagonal,
     _bits,
+    _split_signs,
     _xor_permute,
     cluster,
     diagonal_product,
@@ -73,6 +78,16 @@ CATAMARAN_SIGNATURE = "//\\\\"
 ZIGZAG = "ZIGZAG"
 TREFOIL = "TREFOIL"
 _SAIL_SLOTS = (("A", "B", "C"), ("A", "D", "E"), ("F", "D", "B"), ("F", "C", "E"))
+
+#: each edge's two vertex positions and its (l1, l2, colour) row under either
+#: colour, [RED row, BLUE row]: the 24 rows every surveyed kite's edges share
+_EDGE_ROWS = tuple(
+    (_VERTEX_AT[l1], _VERTEX_AT[l2], ((l1, l2, RED), (l1, l2, BLUE)))
+    for l1, l2 in EDGE_LABEL_PAIRS
+)
+#: the one colouring classify_sails accepts, as rows of _EDGE_ROWS: BLUE
+#: exactly on the six edges joining {A, B, C} to {D, E, F}
+_SAIL_COLORS = tuple(rows[(i < 3) != (j < 3)] for i, j, rows in _EDGE_ROWS)
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -131,10 +146,17 @@ class BoxKite:
         return (self.vertices[0].lo, self.vertices[1].lo, self.vertices[2].lo)
 
     def strut_pairs(self) -> tuple[tuple[int, int], ...]:
-        """L-index pairs of the three struts, each sorted ascending; strut
-        opposites sit at vertex positions i and 5 - i (A-F, B-E, C-D)."""
-        v = self.vertices
-        return tuple(sorted(tuple(sorted((v[i].lo, v[5 - i].lo))) for i in range(3)))
+        """L-index pairs of the three struts, each (p, p ^ s) with p the
+        lower end, in order of p.
+
+        Strut opposites sit at vertex positions i and 5 - i (A-F, B-E,
+        C-D) and their L-indices XOR to s, so a strut's lower end is the
+        smaller of the two and the other end is that one XOR s; only the
+        three lower ends are sorted.
+        """
+        v, s = self.vertices, self.s
+        ends = sorted([min(v[0].lo, v[5].lo), min(v[1].lo, v[4].lo), min(v[2].lo, v[3].lo)])
+        return tuple([(p, p ^ s) for p in ends])
 
     def edge_color(self, l1: str, l2: str) -> str:
         try:
@@ -302,16 +324,52 @@ def survey(lvl: Level, s: int) -> Survey:
     ends, p^q is nonzero, is neither p nor q, and has that bit clear, so
     it is the lower end of a third strut.
 
-    Only the kites are built, from the survey's own planes with their
-    edge colours read off the relation.  Broken and sailless frames are
-    counted (broken = C(m, 3) - triangles over m struts) and built only
-    when their views are iterated, broken frames with their silent cross
-    edges, each edge's end on the earlier strut first.  Broken frames
-    are the raw material of hidden emanation-table cells.
+    Each kite is built from its triangle (p, q, r = p^q) by index
+    arithmetic, and is the kite ``_assemble`` builds from the same
+    planes, the all-red face and ``Relation.pattern`` (tests/test_kites.py
+    holds the two equal, and both to ``build_boxkite``'s exact products).
+    Write P, Q, R for the upper ends p^s, q^s, r^s.
+
+    *Zigzag.*  The four trip faces are (p,q,r), (p,Q,R), (P,q,R) and
+    (P,Q,r), and between them they hold each of the twelve cross edges
+    once.  Every cross edge of a triangle makes zero, so an edge is RED
+    exactly when its bit in ``same`` is clear, and the zigzag is the one
+    face with no ``same`` bit on its three edges.  A triangle with any
+    other number of all-red faces is no box-kite anyone has described,
+    and raises ClassificationError.
+
+    *Orientation.*  Sort the zigzag as (x, y, z), so x ^ y = z, and let
+    t(x, y) be the sign of i_x i_y.  ``cpo_orient`` stores it as
+    Trip(x, y, z) with good = t(x, y) > 0, whose CPO is (x, y, z) when
+    good and (x, z, y) otherwise; ``_canonical_zigzag`` then rotates the
+    smallest index to the front, which x already is.  So A, B, C is
+    (x, y, z) when t(x, y) > 0 and (x, z, y) otherwise: one read of the
+    exact sign table, as bit x*g + y of the quadrant of negative signs
+    that ``zd.relation`` splits off it (LL, as x, y < g).  The seed
+    checks ``_canonical_zigzag`` makes hold already: the three are
+    L-indices of the cluster, so they lie in 1..g-1 and none is s.  As
+    in ``_assemble``, D, E, F = C^s, B^s, A^s, each vertex the survey's
+    own plane of its L-index.
+
+    *Colours.*  ``_assemble`` colours edge (u, v) BLUE when
+    ``Relation.pattern(u, v)`` is a same-slope zero, and that pattern is
+    bit v of ``same[u]`` whenever bit v of ``zero[u]`` is set, which the
+    triangle proves for all twelve edges.  So each colour is one read of
+    ``same[u] >> v & 1``, picking one of the edge's two rows in the
+    module's shared table, in ``EDGE_LABEL_PAIRS`` order as ``_assemble``
+    keeps them.  Neither BrokenFrameError (no edge is silent) nor
+    NotZigzagError (the zigzag's edges are red by its choice) can arise.
+
+    Broken and sailless frames are counted (broken = C(m, 3) - triangles
+    over m struts) and built only when their views are iterated, broken
+    frames with their silent cross edges, each edge's end on the earlier
+    strut first.  Broken frames are the raw material of hidden
+    emanation-table cells.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
-    rel = relation(lvl, s)
-    zero, same = rel.zero, rel.same
+    zero, same = relation(lvl, s)
+    g = lvl.g
+    negative = _split_signs(lvl.n).ll  # bit x*g + y is set when t(x, y) = -1
     ends = [p for p in plane if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
     # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
@@ -320,7 +378,7 @@ def survey(lvl: Level, s: int) -> Survey:
     compatible = {}
     for p in ends:
         both = zero[p] & zero[p ^ s]
-        compatible[p] = both & _xor_permute(both, s, lvl.g) & end_mask
+        compatible[p] = both & _xor_permute(both, s, g) & end_mask
 
     triangles = 0
     kites: list[BoxKite] = []
@@ -331,16 +389,21 @@ def survey(lvl: Level, s: int) -> Survey:
             r = p ^ q
             if not common >> r & 1:
                 continue
-            triple = ((p, p ^ s), (q, q ^ s), (r, r ^ s))
-            faces = [f for f in product(*triple) if f[0] ^ f[1] ^ f[2] == 0]
-            all_red = [f for f in faces if not any(same[u] >> v & 1 for u, v in combinations(f, 2))]
-            if len(all_red) != 1:
-                # a triangle with trip faces but not exactly one all-red among
-                # them is no box-kite anyone has described: stop loudly
+            P, Q, R = p ^ s, q ^ s, r ^ s
+            red = [
+                (u, v, w)
+                for u, v, w in ((p, q, r), (p, Q, R), (P, q, R), (P, Q, r))
+                if not (same[u] >> v | same[u] >> w | same[v] >> w) & 1
+            ]
+            if len(red) != 1:
                 raise ClassificationError(
-                    f"frame {triple}: {len(faces)} trip faces but {len(all_red)} all-red"
+                    f"frame {((p, P), (q, Q), (r, R))}: 4 trip faces but {len(red)} all-red"
                 )
-            kites.append(_assemble(lvl, s, plane, all_red[0], rel.pattern))
+            x, y, z = sorted(red[0])
+            a, b, c = (x, z, y) if negative >> x * g + y & 1 else (x, y, z)
+            los = (a, b, c, c ^ s, b ^ s, a ^ s)  # A B C D E F
+            colors = tuple([rows[same[los[i]] >> los[j] & 1] for i, j, rows in _EDGE_ROWS])
+            kites.append(BoxKite(lvl, s, tuple(map(plane.__getitem__, los)), colors))
     kites.sort(key=lambda k: k.zigzag_trip)
 
     def frames(broken: bool) -> Iterator:

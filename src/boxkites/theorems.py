@@ -5,18 +5,21 @@ level from 16 to 256 dimensions, and reports a one-line detail.  Products
 that index arithmetic proves nonzero (the XOR-bucket lemma in ``zd``)
 are ruled out without being multiplied; every zero is an exact product
 or a read of a cluster's relation (``zd.relation``), which a suite run
-builds per cluster and drops when it returns.  Violations come
-back as failed results carrying the counterexample, so the caller can
-print PASS/FAIL lines without re-deriving anything.
+builds per cluster and drops when it returns.  Sails are read off each
+kite's vertex slots, no ``Sail`` is built: Theorem 5 takes a sail's
+three vertices by position, and Theorem 7 checks the one colouring and
+the trips that ``kites.classify_sails``, the oracle it is tested
+against, would check.  Violations come back as failed results carrying
+the counterexample, so the caller can print PASS/FAIL lines without
+re-deriving anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .cdp import MEMO_MAX_N, Level
-from .kites import RED, BoxKite, classify_sails, survey
+from .kites import _SAIL_COLORS, _SAIL_SLOTS, _VERTEX_AT, RED, BoxKite, survey
 from .zd import (
     NotDmzError,
     Relation,
@@ -28,6 +31,9 @@ from .zd import (
     theorem3_check,
     theorem4_check,
 )
+
+#: each sail's three vertex positions in a kite, in kites._SAIL_SLOTS order
+_SAIL_AT = tuple(tuple(_VERTEX_AT[label] for label in slot) for slot in _SAIL_SLOTS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,8 +54,8 @@ def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
     A level outside that range is refused before any survey.  At n = 8
-    a run takes 11 to 15 s (2 cores, CPython 3.11), a third of it
-    Theorem 1's exact products.
+    a run takes about 6 s (2 cores, CPython 3.11), half of it Theorem
+    1's exact products.
     """
     lvl = Level(n)
     if n < 4:
@@ -58,16 +64,14 @@ def run_suite(n: int) -> list[TheoremResult]:
         raise ValueError(f"verification needs at most {2**MEMO_MAX_N} dimensions")
     kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
     relations = {s: relation(lvl, s) for s in range(1, lvl.g)}
-    # sails classified once for Theorems 5 and 7; a ClassificationError is never cached
-    sails_of = cache(classify_sails)
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
         _guard("Theorem 3", lambda: _t3(lvl)),
         _guard("Theorem 4", lambda: _t4(lvl)),
-        _guard("Theorem 5", lambda: _t5(relations, kites, sails_of)),
+        _guard("Theorem 5", lambda: _t5(relations, kites)),
         _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
-        _guard("Theorem 7", lambda: _t7(kites, sails_of)),
+        _guard("Theorem 7", lambda: _t7(kites)),
     ]
 
 
@@ -114,22 +118,22 @@ def _t4(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 4", False, f"self-annihilating planes: {bad[:3]}")
 
 
-def _t5(relations: dict[int, Relation], kites: list[BoxKite], sails_of) -> TheoremResult:
+def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
     # emanate(p, q) read off the relation: a zero pair of cluster s emanates
     # the plane (p.lo ^ q.lo, p.lo ^ q.hi); emanate itself, the exact
     # oracle, is asked only to word a failure
     sails = 0
     for bk in kites:
-        rel = relations[bk.s]
-        for sail in sails_of(bk):
-            va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
+        zero = relations[bk.s].zero
+        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
+            va, vb, vc = bk.vertices[i], bk.vertices[j], bk.vertices[k]
             sails += 1
             for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
-                if not (rel.zero[p.lo] >> q.lo & 1 and (r.lo, r.hi) == (p.lo ^ q.lo, p.lo ^ q.hi)):
+                if not (zero[p.lo] >> q.lo & 1 and (r.lo, r.hi) == (p.lo ^ q.lo, p.lo ^ q.hi)):
                     return TheoremResult(
                         "Theorem 5",
                         False,
-                        f"s={bk.s} sail {sail.labels}: {p} x {q} emanates {emanate(p, q)}, not {r}",
+                        f"s={bk.s} sail {slot}: {p} x {q} emanates {emanate(p, q)}, not {r}",
                     )
     return TheoremResult(
         "Theorem 5", True, f"every sail edge emanates its third vertex ({sails} sails)"
@@ -175,15 +179,40 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> The
     return TheoremResult("Theorem 6", ok, detail)
 
 
-def _t7(kites: list[BoxKite], sails_of) -> TheoremResult:
+def _t7(kites: list[BoxKite]) -> TheoremResult:
+    # What classify_sails checks, read off the slots.  Its colour rules (the
+    # zigzag ABC all RED; each trefoil ADE, FDB, FCE BLUE on the two edges
+    # at its zigzag vertex and RED on the third) cover each of the twelve
+    # edges once, as the four sails' edges are the twelve edges, so they
+    # hold iff the kite's colours are the one pattern they imply: BLUE
+    # exactly on the edges joining {A, B, C} to {D, E, F}.  Its trips hold
+    # by XOR alone.  A sail's L-trip (a, b, c) is a trip iff a ^ b ^ c = 0,
+    # since Assessor keeps every L-index in 1..g-1 and three nonzero
+    # indices XORing to 0 are distinct.  Under the U-index law each U-trip
+    # swaps two members for b ^ x and c ^ x, which lie in g+1..2g-1, and
+    # a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff the L-trip is.
     for bk in kites:
         xval = bk.g + bk.s
+        los = []
         for v in bk.vertices:
             if v.hi != v.lo ^ xval:
                 return TheoremResult(
                     "Theorem 7", False, f"s={bk.s}: vertex {v} breaks hi = lo ^ (g + s)"
                 )
-        sails_of(bk)  # raises ClassificationError on any color-pattern breach
+            los.append(v.lo)
+        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
+            if los[i] ^ los[j] ^ los[k]:
+                trip = (los[i], los[j], los[k])
+                return TheoremResult(
+                    "Theorem 7", False, f"s={bk.s}: sail {slot} carries a non-trip {trip}"
+                )
+        if bk.edge_colors != _SAIL_COLORS:
+            (l1, l2, got), (_, _, want) = next(
+                rows for rows in zip(bk.edge_colors, _SAIL_COLORS) if rows[0] != rows[1]
+            )
+            return TheoremResult(
+                "Theorem 7", False, f"s={bk.s}: edge {l1}-{l2} is {got}, expected {want}"
+            )
     return TheoremResult(
         "Theorem 7",
         True,

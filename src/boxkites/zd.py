@@ -399,9 +399,12 @@ def theorem1_check(lvl: Level):
     already among the 32-dimensional numbers an all-low dyad can
     annihilate an all-high one, e.g. (i_1 + i_10)(i_20 - i_31) = 0.
 
-    Returns None on a clean scan, else the first counterexample
-    ((a, b, sb), (c, d, sd)) meaning (i_a + sb i_b)(i_c + sd i_d) = 0.
+    A level above cdp.MEMO_MAX_N is refused by its exponent, before any
+    dyad is built; one below 16 dimensions is a clean scan.  Returns None
+    on a clean scan, else the first counterexample ((a, b, sb), (c, d, sd))
+    meaning (i_a + sb i_b)(i_c + sd i_d) = 0.
     """
+    _check_ceiling(lvl)
     low = _dyads(range(1, lvl.g))
     elems = [_dyad_element(p) for p in low]
     buckets = _xor_buckets(low)
@@ -420,10 +423,12 @@ def theorem2_check(lvl: Level):
     """Scan for a zero product involving a dyad containing the generator unit.
 
     Each such dyad is multiplied against its own XOR bucket only (the
-    lemma at _xor_buckets rules out every other partner).  Returns None
-    on a clean scan, else the first counterexample in the same shape as
+    lemma at _xor_buckets rules out every other partner).  A level above
+    cdp.MEMO_MAX_N is refused as in theorem1_check.  Returns None on a
+    clean scan, else the first counterexample in the same shape as
     theorem1_check.
     """
+    _check_ceiling(lvl)
     g = lvl.g
     pool = _dyads(range(1, lvl.dim))
     elems = [_dyad_element(q) for q in pool]
@@ -452,6 +457,7 @@ def theorem3_check(lvl: Level) -> tuple[int, int]:
     candidates are the g - 1 clusters' g - 2 planes each, as ``cluster``
     builds them.  Returns (candidate_pairs, pairs_annihilating).
     """
+    check_strut(lvl, 1)  # refuses a level out of reach before g is built
     rels = (relation(lvl, s) for s in range(1, lvl.g))
     hits = sum(m.bit_count() for rel in rels for m in rel.zero) // 2
     return comb((lvl.g - 1) * (lvl.g - 2), 2), hits
@@ -517,16 +523,22 @@ def check_strut(lvl: Level, s: int) -> None:
     """Refuse a level without zero divisors or above the sign tables, or a
     strut constant outside 1..g-1.
 
-    Every sweep over a cluster or a level comes here first, so
+    Every sweep over a cluster or a level comes here first (Theorems 1
+    and 2, clean scans below 16 dimensions, only to _check_ceiling), so
     MEMO_MAX_N is the highest level any of them reaches; the level is
     checked by its exponent, before g is built.
     """
     if lvl.n < 4:
         raise ValueError("no zero divisors below 16 dimensions")
-    if lvl.n > MEMO_MAX_N:
-        raise ValueError(f"sweeps need at most {2**MEMO_MAX_N} dimensions: n = {lvl.n}")
+    _check_ceiling(lvl)
     if not 1 <= s < lvl.g:
         raise ValueError(f"strut constant must lie in 1..{lvl.g - 1}: {s}")
+
+
+def _check_ceiling(lvl: Level) -> None:
+    """Refuse a level above the sign tables, by its exponent."""
+    if lvl.n > MEMO_MAX_N:
+        raise ValueError(f"sweeps need at most {2**MEMO_MAX_N} dimensions: n = {lvl.n}")
 
 
 def check_span(lvl: Level, s_from: int, s_to: int) -> None:

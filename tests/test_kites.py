@@ -1,3 +1,5 @@
+import random
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -17,6 +19,7 @@ from boxkites.kites import (
     BoxKite,
     BrokenChainError,
     BrokenFrameError,
+    ClassificationError,
     NotZigzagError,
     StrutCollisionError,
     blue_hexagon,
@@ -549,3 +552,55 @@ def test_every_dmz_pair_is_an_edge_of_exactly_one_kite(n, total):
         assert len(edges) == 12 * len(kites_of_s) == pairs, s
         found += len(kites_of_s)
     assert found == total
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_surveyed_kite_is_the_one_assemble_builds_from_the_relation(n):
+    # survey labels and colours each kite by index arithmetic; _assemble
+    # orients the zigzag with cpo_orient and reads Relation.pattern per edge
+    lvl = Level(n)
+    for s in range(1, lvl.g):
+        rel = relation(lvl, s)
+        plane = {a.lo: a for a in cluster(lvl, s)}
+        for bk in survey(lvl, s).kites:
+            assert bk == kites._assemble(lvl, s, plane, bk.zigzag_trip, rel.pattern), (s, bk)
+
+
+def _seeded_sample(lvl, k):
+    found = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
+    return random.Random(f"kites-{lvl.n}").sample(found, k)
+
+
+@pytest.mark.parametrize(
+    "lvl, sample",
+    [(LVL4, None), (LVL5, None), (Level(6), 200), (Level(7), 200), (Level(8), 200)],
+    ids=["n4", "n5", "n6-sample", "n7-sample", "n8-sample"],
+)
+def test_surveyed_kites_equal_build_boxkite_exact_products(lvl, sample):
+    if sample is None:
+        found = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
+    else:
+        found = _seeded_sample(lvl, sample)
+    for bk in found:
+        assert bk == build_boxkite(lvl, bk.s, bk.zigzag_trip), bk
+
+
+def test_survey_refuses_a_triangle_with_two_all_red_faces(monkeypatch):
+    lvl, s = LVL5, 9
+    bk = survey(lvl, s).kites[0]
+    los = [v.lo for v in bk.vertices]
+    # clear the same-slope bits of the trefoil ADE's two blue edges, so its
+    # three edges all read red next to the zigzag's
+    same = list(relation(lvl, s).same)
+    for u, v in ((0, 3), (0, 4)):
+        same[los[u]] &= ~(1 << los[v])
+        same[los[v]] &= ~(1 << los[u])
+
+    def doctored(level, t):
+        rel = relation(level, t)
+        return rel._replace(same=tuple(same)) if t == s else rel
+
+    monkeypatch.setattr(kites, "relation", doctored)
+    frame = re.escape(str(bk.strut_pairs()))
+    with pytest.raises(ClassificationError, match=rf"^frame {frame}: 4 trip faces but 2 all-red$"):
+        survey(lvl, s)

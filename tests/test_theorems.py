@@ -1,12 +1,23 @@
 """Theorems 5 and 6 read off the relations, held to the exact oracles;
-the suite classifies each kite's sails once."""
+the suite reads sails off the kites' vertex slots, held to classify_sails."""
+
+import dataclasses
 
 import pytest
 
 from boxkites import theorems
 from boxkites.cdp import Level
-from boxkites.kites import BLUE, ClassificationError, classify_sails, survey
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, emanate, relation, twist
+from boxkites.kites import (
+    _SAIL_COLORS,
+    _SAIL_SLOTS,
+    BLUE,
+    EDGE_LABEL_PAIRS,
+    RED,
+    ClassificationError,
+    classify_sails,
+    survey,
+)
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, emanate, relation, twist
 
 
 def _level(n):
@@ -116,34 +127,89 @@ def test_theorem5_relation_reading_matches_emanate_on_every_sail():
             for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
                 assert emanate(p, q) == r
                 assert relations[bk.s].pattern(p.lo, q.lo) is not None
-    result = theorems._t5(relations, kites, classify_sails)
+    result = theorems._t5(relations, kites)
     assert result.passed
     assert result.detail == f"every sail edge emanates its third vertex ({sails} sails)"
     assert sails == 4 * len(kites) == 308
 
 
-def test_suite_classifies_each_kite_once(monkeypatch):
+def test_suite_reads_sails_by_slot_without_classifying(monkeypatch):
     seen = []
 
     def counting(bk):
         seen.append(bk)
         return classify_sails(bk)
 
-    monkeypatch.setattr(theorems, "classify_sails", counting)
-    results = theorems.run_suite(5)
-    assert all(r.passed for r in results)
-    assert len(seen) == len({id(bk) for bk in seen}) == 77
-
-
-def test_a_classification_error_fails_theorems_5_and_7(monkeypatch):
-    def refusing(bk):
-        if bk.s == 9:
-            raise ClassificationError(f"s={bk.s}: refused")
-        return classify_sails(bk)
-
-    monkeypatch.setattr(theorems, "classify_sails", refusing)
+    monkeypatch.setattr("boxkites.kites.classify_sails", counting)
+    assert not hasattr(theorems, "classify_sails")
     results = {r.name: r for r in theorems.run_suite(5)}
-    for name in ("Theorem 5", "Theorem 7"):
-        assert results[name].passed is False
-        assert results[name].detail == "check aborted: s=9: refused"
-    assert all(r.passed for name, r in results.items() if name not in ("Theorem 5", "Theorem 7"))
+    assert all(r.passed for r in results.values())
+    assert seen == []
+    assert results["Theorem 5"].detail == "every sail edge emanates its third vertex (308 sails)"
+    assert results["Theorem 7"].detail == "U-index law and edge sign patterns hold on all 77 kites"
+
+
+def _flip(bk, edge):
+    colors = list(bk.edge_colors)
+    l1, l2, color = colors[edge]
+    colors[edge] = (l1, l2, RED if color == BLUE else BLUE)
+    return dataclasses.replace(bk, edge_colors=tuple(colors))
+
+
+def test_a_flipped_colour_fails_theorem_7(monkeypatch):
+    def doctored(lvl, s):
+        sv = survey(lvl, s)
+        if s != 9:
+            return sv
+        return dataclasses.replace(sv, kites=(_flip(sv.kites[0], 3), *sv.kites[1:]))
+
+    monkeypatch.setattr(theorems, "survey", doctored)
+    results = {r.name: r for r in theorems.run_suite(5)}
+    assert results["Theorem 7"] == theorems.TheoremResult(
+        "Theorem 7", False, "s=9: edge A-E is RED, expected BLUE"
+    )
+    # Theorem 6 reads the colours too: the flipped edge's slope class is not its relation's
+    assert results["Theorem 6"].detail == (
+        "check aborted: twist needs a pair of diagonals that make zero"
+    )
+    assert all(results[f"Theorem {i}"].passed for i in range(1, 6))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_slot_read_sails_equal_classify_sails(n):
+    lvl = Level(n)
+    found = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
+    for bk in found:
+        sails = classify_sails(bk)  # raises unless the colours are the sails' pattern
+        assert bk.edge_colors == _SAIL_COLORS
+        v = bk.vertices
+        for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, theorems._SAIL_AT):
+            a, b, c = v[i], v[j], v[k]
+            assert sail.labels == slot
+            assert sail.l_trip == (a.lo, b.lo, c.lo)
+            assert sail.u_trips == ((a.lo, b.hi, c.hi), (a.hi, b.lo, c.hi), (a.hi, b.hi, c.lo))
+    assert theorems._t7(found).passed
+
+
+def test_theorem_7_refuses_what_classify_sails_refuses():
+    bk = survey(Level(5), 9).kites[0]
+    for edge, (l1, l2) in enumerate(EDGE_LABEL_PAIRS):
+        doctored = _flip(bk, edge)
+        with pytest.raises(ClassificationError, match=f"edge ({l1}-{l2}|{l2}-{l1}) is "):
+            classify_sails(doctored)
+        assert theorems._t7([doctored]).detail == (
+            f"s=9: edge {l1}-{l2} is {doctored.edge_color(l1, l2)}, "
+            f"expected {bk.edge_color(l1, l2)}"
+        )
+    # another plane of the cluster at D keeps the U-index law but breaks the sail ADE's trips
+    plane = {a.lo: a for a in cluster(bk.lvl, 9)}
+    other = next(lo for lo in plane if lo not in {u.lo for u in bk.vertices})
+    vertices = list(bk.vertices)
+    vertices[3] = plane[other]
+    doctored = dataclasses.replace(bk, vertices=tuple(vertices))
+    with pytest.raises(ClassificationError, match="carries a non-trip"):
+        classify_sails(doctored)
+    a, d, e = (doctored.assessor(lbl).lo for lbl in "ADE")
+    assert theorems._t7([doctored]).detail == (
+        f"s=9: sail ('A', 'D', 'E') carries a non-trip {(a, d, e)}"
+    )

@@ -273,6 +273,22 @@ def test_theorem1_clean_at_3():
     assert theorem1_check(Level(3)) is None
 
 
+@pytest.mark.parametrize("check", [theorem1_check, theorem2_check])
+@pytest.mark.parametrize("n", [9, 4_000_000_000])
+def test_theorems_1_and_2_refuse_a_level_above_the_tables(check, n):
+    # refused by the exponent, before a dyad pool (or 2^n) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            check(Level(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"sweeps need at most 256 dimensions: n = {n}"
+    assert "\n" not in str(err.value)
+    assert peak < 1 << 20
+
+
 def test_theorem2_clean_at_4_and_5():
     assert theorem2_check(LVL4) is None
     assert theorem2_check(LVL5) is None
