@@ -54,8 +54,8 @@ def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
     A level outside that range is refused before any survey.  At n = 8
-    a run takes about 6 s (2 cores, CPython 3.11), half of it Theorem
-    1's exact products.
+    a run takes 7 to 8 s (2 cores, CPython 3.11), more than half of it
+    Theorem 1's exact products.
     """
     lvl = Level(n)
     if n < 4:
