@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cdp import Level
-from .kites import survey
 from .zd import check_span, relation
 
 HIDDEN = None
@@ -47,7 +46,6 @@ class EmanationTable:
 class EtStats:
     filled: int
     hidden: int
-    boxkite_count: int
     density: Fraction
 
 
@@ -66,13 +64,12 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
 
 
 def et_stats(et: EmanationTable) -> EtStats:
-    """Fill counts plus the box-kite census size behind the table."""
+    """Filled and hidden cell counts, and the filled share of the grid."""
     total = len(et.axis) ** 2
     filled = sum(1 for _ in et.filled_cells())
     return EtStats(
         filled=filled,
         hidden=total - filled,
-        boxkite_count=len(survey(et.lvl, et.s).kites),
         density=Fraction(filled, total),
     )
 

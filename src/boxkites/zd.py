@@ -10,21 +10,22 @@ twists into a partner pair with another strut constant.
 
 Nothing here reasons from sign patterns, because above 16 dimensions
 the patterns that hold there silently break (carrybit overflow), and the
-breakage is part of the subject matter.  A cluster's zeros are decided
-by ``relation``: four reads of the exact sign table per plane pair,
-taken for all pairs at once as XORs of bit matrices split from the
-table, with the proof that those reads decide the product written next
-to it.  ``dmz_scan``, ``dmz_report``, ``etable.build_et``,
-``kites.survey`` and Theorems 3, 5 and 6 read it.  ``dmz_pattern``,
-``emanate``, ``twist`` and ``diagonal_product`` (and
-``kites.build_boxkite`` and ``trace_lanyard`` through them) answer
-single queries by exact element arithmetic and are the oracle the
-relation is tested against; each plane builds its two diagonal elements
-once, on first use, and every product taken with the plane multiplies
-those.  What the sweeps skip are the pairs that index arithmetic alone
-proves nonzero: a two-term product can only vanish when both factors
-have the same XOR of their two indices (the lemma at ``_xor_buckets``),
-so all-level sweeps look only within a cluster or an XOR bucket.
+breakage is part of the subject matter.  Every sweep decides its zeros
+with one kernel, ``_zero_test``: four reads of the exact sign table per
+pair of two-term dyads, taken for a whole XOR bucket at once as XORs of
+bit matrices, with the proof that those reads decide the product
+written next to it.  A two-term product can only vanish when both
+factors have the same XOR of their two indices (the lemma there), so a
+sweep tests only within a bucket.  ``relation`` feeds it a cluster, read
+by ``dmz_scan``, ``dmz_report``, ``etable.build_et``, ``kites.survey``
+and Theorems 3, 5 and 6; Theorem 1 feeds it the all-low buckets and
+Theorem 2 the rows of the dyads holding the generator unit.  Theorem 4
+reads one plane's two cross signs.  ``dmz_pattern``, ``emanate``,
+``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
+``trace_lanyard`` through them) answer single queries by exact element
+arithmetic and are the oracle the kernel is tested against; each plane
+builds its two diagonal elements once, on first use, and every product
+taken with the plane multiplies those.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -42,6 +42,7 @@ from .cdp import (
     IndexRangeError,
     InvariantError,
     Level,
+    mul_basis,
     mul_element,
     sign_table,
 )
@@ -211,47 +212,24 @@ class Relation(NamedTuple):
 def relation(lvl: Level, s: int) -> Relation:
     """The zero relation of cluster(lvl, s), read off the exact sign table.
 
-    Proof.  Take planes (a, A) and (b, B) of the cluster, a != b, with
-    A = a ^ x, B = b ^ x and x = g + s, and let t(p, q) be the sign of
-    i_p i_q.  Then A ^ B = a ^ b and a ^ B = A ^ b, so for slopes
-    sa, sb = +-1 the four terms of (i_a + sa i_A)(i_b + sb i_B) collect
-    on two indices:
+    The planes (a, A) and (b, B) of the cluster, A = a ^ x and B = b ^ x
+    with x = g + s, carry diagonals that are dyads of one XOR bucket, so
+    _zero_test's proof decides each pair a != b from four sign reads,
+    slope class included.  In the order (b, a) each of the four reads is
+    negated, since distinct imaginary units anticommute, and the
+    conditions are unchanged: the relation is symmetric and so is its
+    class.
 
-        (t(a,b) + sa sb t(A,B)) i_(a^b)  +  (sb t(a,B) + sa t(A,b)) i_(a^B)
-
-    and a ^ b != a ^ B because b != B.  The product is zero iff both
-    coefficients are: t(a,b) = -sa sb t(A,B) and t(a,B) = -sa sb t(A,b).
-    The slopes enter only through sa sb, so a class vanishes as a whole:
-    the same-slope class (sa sb = 1) iff t(a,b) = -t(A,B) and
-    t(a,B) = -t(A,b), the opposite-slope class iff both are equalities.
-    Signs are +-1, so the two classes never vanish together.  In the
-    order (b, a) each of the four reads is negated, since distinct
-    imaginary units anticommute, and the conditions are unchanged: the
-    relation is symmetric and so is its class.
-
-    Word form.  A g x g bit matrix is one int with cell (r, c) at bit
-    r*g + c.  Split the table's negative signs into four of them, over
-    r, c < g: LL(r, c) for t(r, c), LH for t(r, g+c), HL for t(g+r, c)
-    and HH for t(g+r, g+c).  As a, b < g and s < g, A = g + (a ^ s) and
-    B = g + (b ^ s), so the four reads are LL(a, b), HH(a^s, b^s),
-    LH(a, b^s) and HL(a^s, b).  Signs multiply as their negative bits
-    XOR, so t(a,b) t(A,B) = -1 iff U(a, b) = 1 and t(a,B) t(A,b) = -1
-    iff V(a, b) = 1, with
-
-        U = LL xor P(s,s)(HH),    V = P(0,s)(LH) xor P(s,0)(HL),
-
-    where P(i,j)(M) reads cell (r, c) from (r ^ i, c ^ j).  The pair
-    makes zero iff the two products agree, U = V, and in the same-slope
-    class iff both are -1, U = 1.  So zero = not(U xor V) and
-    same = U and zero, over the cells whose row and column are L-indices
-    of the cluster (neither 0 nor s) and differ.  As c < g and g is a
-    power of 2, (r*g + c) ^ (i*g + j) = (r^i)*g + (c^j): P(i,j) moves
-    the bit at position p to p ^ (i*g + j).  An XOR by a key is the XOR
-    by each of its set bits 2^k in turn, and the XOR by 2^k swaps every
-    position whose bit k is clear with the one 2^k above it, which
-    _xor_permute does with one mask and two shifts.  Every cell is a
-    read of its own, so the relation's symmetry is not used, only
-    checked by the tests.
+    Word form.  Split the table's negative signs into four g x g bit
+    matrices, cell (r, c) at bit r*g + c, over r, c < g: LL(r, c) for
+    t(r, c), LH for t(r, g+c), HL for t(g+r, c) and HH for t(g+r, g+c).
+    As a, b < g and s < g, A = g + (a ^ s) and B = g + (b ^ s), so the
+    four reads t(a,b), t(A,B), t(a,B) and t(A,b) are LL(a, b),
+    HH(a^s, b^s), LH(a, b^s) and HL(a^s, b): _zero_test's four matrices,
+    with row key s*g and column key s.  The cells kept are those whose
+    row and column are L-indices of the cluster (neither 0 nor s) and
+    differ.  Every cell is a read of its own, so the relation's symmetry
+    is not used, only checked by the tests.
 
     The table is the exact one that cdp._double builds, split once per
     level and kept, so no sign pattern is assumed; tests/test_zd.py
@@ -261,21 +239,79 @@ def relation(lvl: Level, s: int) -> Relation:
     check_strut(lvl, s)
     n, g = lvl.n, lvl.g
     signs = _split_signs(n)
-    cells, key = g * g, s << n - 1 | s
-    u = signs.ll ^ _xor_permute(signs.hh, key, cells)
-    v = _xor_permute(signs.lh, s, cells) ^ _xor_permute(signs.hl, s << n - 1, cells)
     rows = signs.rows & ~(1 << s * g)  # L-index rows: neither 0 nor s
     cols = (1 << g) - 2 & ~(1 << s)  # and L-index columns
-    zero = ~(u ^ v) & rows * cols & ~signs.diagonal
-    return Relation(_rows(zero, g), _rows(u & zero, g))
+    keep = rows * cols & ~signs.diagonal
+    zero, same = _zero_test(signs.ll, signs.hh, signs.lh, signs.hl, s << n - 1, s, g * g, keep)
+    return Relation(_rows(zero, g), _rows(same, g))
+
+
+def _zero_test(
+    m1: int, m2: int, m3: int, m4: int, row_key: int, col_key: int, cells: int, keep: int
+) -> tuple[int, int]:
+    """The zero test of two-term dyads, for every pair of one XOR bucket at once.
+
+    Lemma.  With a != A and c != C, (i_a + sa i_A)(i_c + sc i_C) can be
+    zero only if a ^ A == c ^ C.  Its four terms are signed units at a^c,
+    a^C, A^c and A^C, and each must be cancelled by another term at the
+    same index.  a^c differs from a^C (c != C) and from A^c (a != A), so
+    it can only meet A^C, and a^c == A^C is a^A == c^C.  So a pair of
+    dyads from two different XOR buckets is never zero and is never
+    tested; a pair within one bucket may be, as a matter of signs.  An
+    assessor's diagonals are such dyads with lo ^ hi == g ^ s, so a
+    bucket of diagonals is a cluster, and planes of different clusters
+    never make zero.
+
+    Proof of the test.  Take the bucket x != 0, A = a ^ x and C = c ^ x,
+    and let t(p, q) be the sign of i_p i_q.  Then A ^ C = a ^ c and
+    a ^ C = A ^ c, so the four terms collect on two indices:
+
+        (t(a,c) + sa sc t(A,C)) i_(a^c)  +  (sc t(a,C) + sa t(A,c)) i_(a^C)
+
+    and a ^ c != a ^ C because c != C.  The product is zero iff both
+    coefficients are: t(a,c) = -sa sc t(A,C) and t(a,C) = -sa sc t(A,c).
+    The slopes enter only through sa sc, so a class vanishes as a whole:
+    the same-slope class (sa sc = 1) iff t(a,c) = -t(A,C) and
+    t(a,C) = -t(A,c), the opposite-slope class iff both are equalities.
+    Signs are +-1, so the two classes never vanish together.  Nothing
+    here depends on which signs the table holds.
+
+    Word form.  Signs multiply as their negative bits XOR, so
+    t(a,c) t(A,C) = -1 iff U = 1 and t(a,C) t(A,c) = -1 iff V = 1, where
+    U and V XOR the negative bits of those reads.  The pair makes zero
+    iff the two products agree, U = V, and in the same-slope class iff
+    both are -1, U = 1.  A bit matrix w wide (a power of 2) holds cell
+    (r, c) at bit r*w + c, and as c < w, (r*w + c) ^ (i*w + j) =
+    (r^i)*w + (c^j): reading every cell (r, c) from (r ^ i, c ^ j) is
+    P(i*w + j), the permutation that moves the bit at position p to
+    p ^ (i*w + j).  The caller lays the four reads out as matrices over
+    the cells (a, c) it asks about, each read taken where its indices
+    put it: t(a,c) in m1 at (a, c), t(A,C) in m2 at (a^i, c^j), t(a,C)
+    in m3 at (a, c^j) and t(A,c) in m4 at (a^i, c), with row_key = i*w
+    and col_key = j.  Then
+
+        U = m1 xor P(row_key + col_key)(m2),
+        V = P(col_key)(m3) xor P(row_key)(m4),
+
+    and the result is (zero, same) = (not(U xor V) and keep, U and zero),
+    where keep picks the cells asked about among the matrices' ``cells``
+    bits.  relation feeds the sign table's four quadrants, theorem1_check
+    its low quadrant four times, and theorem2_check two rows of the
+    table, each a one-row matrix (so row_key = 0): m1 = m3 the row of a,
+    m2 = m4 the row of A.
+    """
+    u = m1 ^ _xor_permute(m2, row_key | col_key, cells)
+    v = _xor_permute(m3, col_key, cells) ^ _xor_permute(m4, row_key, cells)
+    zero = ~(u ^ v) & keep
+    return zero, u & zero
 
 
 class _Signs(NamedTuple):
     """One level's sign table as four bit matrices of negative signs.
 
     Each matrix is g x g with cell (r, c) at bit r*g + c (``relation``
-    has the layout and the proof).  ``rows`` has bit r*g for every row r
-    but 0, and ``diagonal`` has the cells (r, r).
+    has the layout).  ``rows`` has bit r*g for every row r but 0, and
+    ``diagonal`` has the cells (r, r).
     """
 
     ll: int
@@ -290,22 +326,25 @@ class _Signs(NamedTuple):
 _NEGATIVE = {1: "0", -1: "1"}
 
 
+def _pack(rows) -> int:
+    """The negative signs of equal-length sign rows as one bit matrix:
+    cell (r, c) at bit r*w + c, for rows w long."""
+    digits = ["".join(map(_NEGATIVE.__getitem__, reversed(row))) for row in reversed(rows)]
+    return int("".join(digits), 2)
+
+
 @cache
 def _split_signs(n: int) -> _Signs:
-    """Level n's sign table split into quadrants, built by the first relation call and kept.
+    """Level n's sign table split into quadrants, built by the first call and kept.
 
-    The swap masks that relation permutes them with stay in _swap_mask's
+    The swap masks that _zero_test permutes them with stay in _swap_mask's
     cache, one per width and bit.
     """
     g = 1 << n - 1
-    width, cells = g // 8, g * g
-    quadrants: list[list[bytes]] = [[], [], [], []]  # the rows of LL, LH, HL, HH
-    for r, row in enumerate(sign_table(n)):
-        bits = int("".join(map(_NEGATIVE.__getitem__, reversed(row))), 2)
-        left, right = quadrants[:2] if r < g else quadrants[2:]
-        left.append((bits & (1 << g) - 1).to_bytes(width, "little"))
-        right.append((bits >> g).to_bytes(width, "little"))
-    ll, lh, hl, hh = (int.from_bytes(b"".join(q), "little") for q in quadrants)
+    cells = g * g
+    table = sign_table(n)
+    halves = table[:g], table[g:]
+    ll, lh, hl, hh = (_pack([row[i : i + g] for row in half]) for half in halves for i in (0, g))
     rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
     diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
     return _Signs(ll, lh, hl, hh, rows, diagonal)
@@ -332,7 +371,7 @@ def _xor_permute(m: int, key: int, width: int) -> int:
 
 
 def _rows(m: int, g: int) -> tuple[int, ...]:
-    """The g rows of a g x g bit matrix, as g-bit ints."""
+    """The g rows of a g x g bit matrix, as g-bit ints (g a multiple of 8)."""
     width = g // 8
     data = m.to_bytes(g * width, "little")
     return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
@@ -346,99 +385,86 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dyads(indices) -> list[tuple[int, int, int]]:
-    """All two-term dyads (a, b, s) over the index pool, both inner signs."""
-    out = []
-    for a, b in combinations(indices, 2):
-        out.append((a, b, 1))
-        out.append((a, b, -1))
-    return out
-
-
-def _dyad_element(d: tuple[int, int, int]) -> Element:
-    a, b, s = d
-    return Element({a: 1, b: s})
-
-
-def _xor_buckets(dyads) -> dict[int, list[int]]:
-    """Positions of the dyads (a, b, ...) in their pool, keyed by a ^ b.
-
-    Lemma: with a != b and c != d, (i_a + sb i_b)(i_c + sd i_d) can be
-    zero only if a ^ b == c ^ d.  Its four terms are signed units at
-    a^c, a^d, b^c and b^d, and each must be cancelled by another term at
-    the same index.  a^c differs from a^d (c != d) and from b^c (a != b),
-    so it can only meet b^d, and a^c == b^d is a^b == c^d.  Hence a pair
-    from two different buckets is never zero and need not be multiplied;
-    a pair within one bucket still is, because whether its terms cancel
-    is a matter of signs.  An assessor's diagonals are such dyads with
-    lo ^ hi == g ^ s, so a bucket of diagonals is a cluster.
-
-    Positions come in pool order, so a sweep that walks a bucket meets
-    the zeros in the order a sweep over the whole pool would.
-    """
-    buckets: dict[int, list[int]] = {}
-    for i, (a, b, *_) in enumerate(dyads):
-        buckets.setdefault(a ^ b, []).append(i)
-    return buckets
-
-
 def theorem1_check(lvl: Level):
     """Scan for a forbidden zero product involving an all-low dyad.
 
     An all-low dyad must never annihilate a one-low-one-high (mixed)
     dyad: the all-low dyad's XOR lies below g and the mixed one's at or
-    above it, so by the lemma at _xor_buckets that law holds by index
-    arithmetic and no such product is multiplied.  Zeros among all-low
-    pairs must be inherited, reproducing verbatim one level down;
-    through 16 dimensions the low half is a division algebra and no such
-    zero may exist at all.  (From 32 dimensions on, all-low zeros are the
-    previous level's zero divisors riding along.)  Only all-low pairs
-    within one XOR bucket are multiplied.
+    above it, so by the lemma at _zero_test that law holds by index
+    arithmetic and no such pair is tested.  Zeros among all-low pairs
+    must be inherited, reproducing verbatim one level down; through 16
+    dimensions the low half is a division algebra and no such zero may
+    exist at all.  (From 32 dimensions on, all-low zeros are the
+    previous level's zero divisors riding along.)
 
-    All-high partners are outside the law and stay out of the sweep:
+    All-high partners are outside the law and stay out of the scan:
     already among the 32-dimensional numbers an all-low dyad can
     annihilate an all-high one, e.g. (i_1 + i_10)(i_20 - i_31) = 0.
 
+    Each all-low bucket x < g is one _zero_test over the level's low
+    quadrant: every read t(a,c), t(A,C), t(a,C), t(A,c) has both indices
+    below g.  Its cells (a, c) run over each dyad's lower index, a < a ^ x
+    (bit h of a clear, h the top bit of x), with 1 <= a <= c: each pair
+    of dyads once, and each dyad with itself.  From 32 dimensions on the
+    same test over level n - 1's own table, packed as _split_signs packs
+    its quadrants, clears the zeros it also finds in the same class.
+    Counterexamples are ordered as a sweep over the dyad pool meets them:
+    dyads (a, b, sb), a < b, by (a, b), sb = 1 before -1, each against
+    the dyads of its bucket from itself on.  A row's first zero is its
+    lowest cell with sb = 1, so the first counterexample is the least of
+    the buckets' lowest cells.  tests/test_zd.py holds this and
+    theorem2_check to those exact Element sweeps.
+
     A level above cdp.MEMO_MAX_N is refused by its exponent, before any
-    dyad is built; one below 16 dimensions is a clean scan.  Returns None
+    table is read; one below 16 dimensions is a clean scan.  Returns None
     on a clean scan, else the first counterexample ((a, b, sb), (c, d, sd))
     meaning (i_a + sb i_b)(i_c + sd i_d) = 0.
     """
     _check_ceiling(lvl)
-    low = _dyads(range(1, lvl.g))
-    elems = [_dyad_element(p) for p in low]
-    buckets = _xor_buckets(low)
-    below = Level(lvl.n - 1) if lvl.n > 4 else None
-    for i, p in enumerate(low):
-        for j in buckets[p[0] ^ p[1]]:
-            if j < i:
-                continue
-            if mul_element(elems[i], elems[j], lvl).is_zero():
-                if below is None or not mul_element(elems[i], elems[j], below).is_zero():
-                    return p, low[j]
-    return None
+    n, g = lvl.n, lvl.g
+    cells = g * g
+    low = _split_signs(n).ll
+    below = _pack(sign_table(n - 1)) if n > 4 else None
+    upper = sum(((1 << g) - (1 << a)) << a * g for a in range(1, g))  # 1 <= a <= c
+    first = None
+    for x in range(1, g):
+        h, key = x.bit_length() - 1, x << n - 1
+        keep = upper & _swap_mask(cells, n - 1 + h) & _swap_mask(cells, h)
+        zero, same = _zero_test(low, low, low, low, key, x, cells, keep)
+        if zero and below is not None:
+            old, old_same = _zero_test(below, below, below, below, key, x, cells, zero)
+            zero &= ~old | old_same ^ same  # inherited: a zero one level down, in its class
+        if zero:
+            a, c = divmod((zero & -zero).bit_length() - 1, g)
+            hit = (a, a ^ x, 1), (c, c ^ x, 1 if same >> a * g + c & 1 else -1)
+            first = hit if first is None else min(first, hit)
+    return first
 
 
 def theorem2_check(lvl: Level):
     """Scan for a zero product involving a dyad containing the generator unit.
 
-    Each such dyad is multiplied against its own XOR bucket only (the
-    lemma at _xor_buckets rules out every other partner).  A level above
+    Each such dyad (a, A), a < A, is tested against its own XOR bucket x
+    only (the lemma at _zero_test rules out every other partner), by one
+    _zero_test over the rows of a and A of the level's sign table, each
+    packed as one row: cell (0, c) stands for the partner (c, c ^ x), and
+    the partners run over 1 <= c < c ^ x.  Dyads come in pool order,
+    (a, g) for a < g and then (g, b), each dyad's first zero being its
+    lowest cell with the sign +1 inside it.  A level above
     cdp.MEMO_MAX_N is refused as in theorem1_check.  Returns None on a
     clean scan, else the first counterexample in the same shape as
     theorem1_check.
     """
     _check_ceiling(lvl)
-    g = lvl.g
-    pool = _dyads(range(1, lvl.dim))
-    elems = [_dyad_element(q) for q in pool]
-    buckets = _xor_buckets(pool)
-    for i, p in enumerate(pool):
-        if g not in p[:2]:
-            continue
-        for j in buckets[p[0] ^ p[1]]:
-            if mul_element(elems[i], elems[j], lvl).is_zero():
-                return p, pool[j]
+    g, dim = lvl.g, lvl.dim
+    rows = [_pack([row]) for row in sign_table(lvl.n)]
+    for a, b in [(a, g) for a in range(1, g)] + [(g, b) for b in range(g + 1, dim)]:
+        x = a ^ b
+        keep = _swap_mask(dim, x.bit_length() - 1) & ~1  # 1 <= c < c ^ x
+        zero, same = _zero_test(rows[a], rows[b], rows[a], rows[b], 0, x, dim, keep)
+        if zero:
+            c = (zero & -zero).bit_length() - 1
+            return (a, b, 1), (c, c ^ x, 1 if same >> c & 1 else -1)
     return None
 
 
@@ -452,8 +478,8 @@ def theorem3_check(lvl: Level) -> tuple[int, int]:
     contrary ones (tests/test_zd.py holds the relation to dmz_pattern,
     which checks both facts on exact products).  So the check counts
     the level's relations, one per strut constant.  Pairs across
-    clusters are proven silent by the lemma at _xor_buckets, so they
-    hold the dichotomy trivially and are counted without a product; the
+    clusters are proven silent by the lemma at _zero_test, so they
+    hold the dichotomy trivially and are counted without a test; the
     candidates are the g - 1 clusters' g - 2 planes each, as ``cluster``
     builds them.  Returns (candidate_pairs, pairs_annihilating).
     """
@@ -466,15 +492,13 @@ def theorem3_check(lvl: Level) -> tuple[int, int]:
 def theorem4_check(a: Assessor) -> bool:
     """The two diagonals of one plane never make zero with each other.
 
-    Either cross product collapses to twice the signed unit on the
-    plane's own trip index, which is visibly nonzero.
+    As each unit squares to -1, (i_lo + i_hi)(i_lo - i_hi) =
+    (t(hi,lo) - t(lo,hi)) i_(lo^hi), with t(p, q) the sign of i_p i_q,
+    and the other order is its negative.  Both are twice a signed unit,
+    so nonzero, iff the plane's two cross signs are opposite: one read of
+    each, at any level.
     """
-    k = a.lo ^ a.hi
-    for s1, s2 in ((SLASH, BACKSLASH), (BACKSLASH, SLASH)):
-        prod = mul_element(a.element(s1), a.element(s2), a.lvl)
-        if prod.is_zero() or prod.indices() != (k,) or abs(prod.coeff(k)) != 2:
-            return False
-    return True
+    return mul_basis(a.lo, a.hi, a.lvl).sign == -mul_basis(a.hi, a.lo, a.lvl).sign
 
 
 def emanate(a1: Assessor, a2: Assessor) -> Assessor:
@@ -616,7 +640,7 @@ def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor,
 
     Each cluster's pairs are read off its relation, with dmz_pattern's two
     shared patterns; two planes of different clusters have diagonals in
-    different XOR buckets, so by the lemma at _xor_buckets they never
+    different XOR buckets, so by the lemma at _zero_test they never
     make zero.  Pairs come back sorted by (a1.lo, a1.hi, a2.lo, a2.hi),
     with a1 before a2.
     """

@@ -136,12 +136,11 @@ def test_stats_counts():
     from fractions import Fraction
 
     st4 = et_stats(build_et(LVL4, 4))
-    assert (st4.filled, st4.hidden, st4.boxkite_count) == (24, 12, 1)
-    assert st4.density == Fraction(2, 3)
+    assert (st4.filled, st4.hidden, st4.density) == (24, 12, Fraction(2, 3))
     st9 = et_stats(build_et(LVL5, 9))
-    assert (st9.filled, st9.hidden, st9.boxkite_count) == (72, 124, 3)
+    assert (st9.filled, st9.hidden, st9.density) == (72, 124, Fraction(18, 49))
     st1 = et_stats(build_et(LVL5, 1))
-    assert (st1.filled, st1.hidden, st1.boxkite_count) == (168, 28, 7)
+    assert (st1.filled, st1.hidden, st1.density) == (168, 28, Fraction(6, 7))
 
 
 def test_pathion_high_strut_overflow_hides_more_cells():

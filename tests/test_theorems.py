@@ -1,11 +1,13 @@
 """Theorems 5 and 6 read off the relations, held to the exact oracles;
-the suite reads sails off the kites' vertex slots, held to classify_sails."""
+the suite reads sails off the kites' vertex slots, held to classify_sails,
+and takes no Element product."""
 
 import dataclasses
 
 import pytest
 
-from boxkites import theorems
+import boxkites
+from boxkites import cdp, kites, theorems, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
     _SAIL_COLORS,
@@ -147,6 +149,23 @@ def test_suite_reads_sails_by_slot_without_classifying(monkeypatch):
     assert seen == []
     assert results["Theorem 5"].detail == "every sail edge emanates its third vertex (308 sails)"
     assert results["Theorem 7"].detail == "U-index law and edge sign patterns hold on all 77 kites"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_suite_takes_no_element_product(monkeypatch, n):
+    # every theorem reads the sign table; emanate multiplies only to word a failure
+    calls = []
+    kernel = cdp.mul_element
+
+    def counting(x, y, lvl):
+        calls.append(lvl)
+        return kernel(x, y, lvl)
+
+    for module in (boxkites, cdp, kites, theorems, zd):
+        if hasattr(module, "mul_element"):
+            monkeypatch.setattr(module, "mul_element", counting)
+    assert all(r.passed for r in theorems.run_suite(n))
+    assert calls == []
 
 
 def _flip(bk, edge):

@@ -1,4 +1,5 @@
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from boxkites import etable, kites, theorems, zd
+from boxkites import cdp, etable, kites, theorems, zd
 from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element, sign_table
 from boxkites.trips import enumerate_trips, is_trip
 from boxkites.zd import (
@@ -312,6 +313,243 @@ def test_theorem4_examples_and_scan():
         assert theorem4_check(A4(lo, hi))
     for lvl in (LVL4, LVL5):
         assert all(theorem4_check(a) for a in enumerate_assessors(lvl))
+
+
+# The exact oracles of Theorems 1, 2 and 4: Element sweeps over dyad pools,
+# which theorem1_check, theorem2_check and theorem4_check are held to.
+
+
+def _dyads(indices):
+    """All two-term dyads (a, b, sb) over the index pool, a < b, sb = 1 before -1."""
+    return [(a, b, sb) for a, b in combinations(indices, 2) for sb in (1, -1)]
+
+
+def _dyad_element(d):
+    a, b, sb = d
+    return Element({a: 1, b: sb})
+
+
+def _xor_buckets(dyads):
+    """Positions of the dyads (a, b, ...) in their pool, keyed by a ^ b, in pool order."""
+    buckets = {}
+    for i, (a, b, _) in enumerate(dyads):
+        buckets.setdefault(a ^ b, []).append(i)
+    return buckets
+
+
+def _low_zeros(lvl, xs=None):
+    """Every zero product of two all-low dyads of the buckets xs (all when
+    None), each pair once, in theorem1_check's sweep order."""
+    low = _dyads(range(1, lvl.g))
+    elems = [_dyad_element(p) for p in low]
+    buckets = _xor_buckets(low)
+    for i, p in enumerate(low):
+        if xs is not None and p[0] ^ p[1] not in xs:
+            continue
+        for j in buckets[p[0] ^ p[1]]:
+            if j >= i and mul_element(elems[i], elems[j], lvl).is_zero():
+                yield p, low[j]
+
+
+def _theorem1_sweep(lvl):
+    """The first all-low zero that is not also a zero one level down."""
+    below = Level(lvl.n - 1) if lvl.n > 4 else None
+    for p, q in _low_zeros(lvl):
+        if below is None or not mul_element(_dyad_element(p), _dyad_element(q), below).is_zero():
+            return p, q
+    return None
+
+
+def _bucket_zeros(lvl, a, b):
+    """Every zero product of the dyad (a, b, sb) with a dyad of its own
+    bucket, sb = 1 before -1 and partners in pool order."""
+    x = a ^ b
+    return [
+        ((a, b, sb), (c, c ^ x, sd))
+        for sb in (1, -1)
+        for c in range(1, lvl.dim)
+        if c < c ^ x
+        for sd in (1, -1)
+        if mul_element(Element({a: 1, b: sb}), Element({c: 1, c ^ x: sd}), lvl).is_zero()
+    ]
+
+
+def _generator_dyads(lvl):
+    """The dyads (a, b), a < b, that hold i_g, in pool order."""
+    return [(a, b) for a, b in combinations(range(1, lvl.dim), 2) if lvl.g in (a, b)]
+
+
+def _theorem2_sweep(lvl):
+    """The first zero product of a dyad holding i_g with any dyad."""
+    return next((hit for a, b in _generator_dyads(lvl) for hit in _bucket_zeros(lvl, a, b)), None)
+
+
+def _theorem4_sweep(a):
+    """Both cross products of a plane's diagonals are twice a signed unit."""
+    k = a.lo ^ a.hi
+    for s1, s2 in ((SLASH, BACKSLASH), (BACKSLASH, SLASH)):
+        prod = mul_element(a.element(s1), a.element(s2), a.lvl)
+        if prod.is_zero() or prod.indices() != (k,) or abs(prod.coeff(k)) != 2:
+            return False
+    return True
+
+
+def _signed(a, x, zero, same, w):
+    """The signed dyad pairs of the zero cells (a, c) in row a of a bit
+    matrix w wide, in sweep order: sb = 1 before -1, then c ascending."""
+    return [
+        ((a, a ^ x, sb), (c, c ^ x, sb if same >> a * w + c & 1 else -sb))
+        for sb in (1, -1)
+        for c in range(w)
+        if zero >> a * w + c & 1
+    ]
+
+
+def _kernel_low_zeros(lvl, xs):
+    """_low_zeros read off the kernel: one _zero_test per bucket over the
+    low quadrant, every cell kept, then the sweep's pairs picked out."""
+    n, g = lvl.n, lvl.g
+    ll, everything = zd._split_signs(n).ll, (1 << g * g) - 1
+    found = []
+    for x in xs:
+        zero, same = zd._zero_test(ll, ll, ll, ll, x << n - 1, x, g * g, everything)
+        for a in range(1, g):
+            if a < a ^ x:
+                found += [
+                    (p, q)
+                    for p, q in _signed(a, x, zero, same, g)
+                    if q[0] < q[1] and (q[0], q[2] < 0) >= (a, p[2] < 0)
+                ]
+    return sorted(found, key=lambda pq: [(d[0], d[1], d[2] < 0) for d in pq])
+
+
+@pytest.mark.parametrize("n, signed", [(4, 0), (5, 168), (6, 2520)])
+def test_theorem1_kernel_equals_the_element_sweep(n, signed):
+    lvl = Level(n)
+    xs = range(1, lvl.g)
+    sweep = list(_low_zeros(lvl))
+    assert _kernel_low_zeros(lvl, xs) == sweep and len(sweep) == signed
+    assert theorem1_check(lvl) is _theorem1_sweep(lvl) is None
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_theorem1_kernel_equals_the_element_sweep_on_sampled_buckets(n):
+    lvl = Level(n)
+    xs = sorted(random.Random(f"theorem1-{n}").sample(range(1, lvl.g), 3))
+    sweep = list(_low_zeros(lvl, set(xs)))
+    assert sweep and _kernel_low_zeros(lvl, xs) == sweep
+
+
+def _kernel_bucket_zeros(lvl, a, b):
+    """_bucket_zeros read off the kernel as theorem2_check reads it: the
+    rows of a and b, packed as one-row matrices."""
+    rows = [zd._pack([row]) for row in sign_table(lvl.n)]
+    x = a ^ b
+    keep = sum(1 << c for c in range(1, lvl.dim) if c < c ^ x)
+    zero, same = zd._zero_test(rows[a], rows[b], rows[a], rows[b], 0, x, lvl.dim, keep)
+    return [((a, b, p[2]), q) for p, q in _signed(0, x, zero, same, lvl.dim)]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_theorem2_kernel_equals_the_element_sweep(n):
+    lvl = Level(n)
+    dyads = _generator_dyads(lvl)
+    if n > 6:
+        dyads = random.Random(f"theorem2-{n}").sample(dyads, 20)
+    for a, b in dyads:
+        assert _kernel_bucket_zeros(lvl, a, b) == _bucket_zeros(lvl, a, b) == []
+    if n <= 6:
+        assert theorem2_check(lvl) is _theorem2_sweep(lvl) is None
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_row_read_equals_exact_products_on_any_dyad(n):
+    # theorem2_check's one-row reading, on dyads that do make zero too
+    lvl = Level(n)
+    pool = list(combinations(range(1, lvl.dim), 2))
+    dyads = pool if n == 4 else random.Random(f"rows-{n}").sample(pool, 40)
+    found = 0
+    for a, b in dyads:
+        zeros = _bucket_zeros(lvl, a, b)
+        assert _kernel_bucket_zeros(lvl, a, b) == zeros, (a, b)
+        found += len(zeros)
+    assert found
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_theorem4_antisymmetry_read_equals_the_element_sweep(n):
+    planes = enumerate_assessors(Level(n))
+    if n > 6:
+        planes = random.Random(f"theorem4-{n}").sample(planes, 200)
+    assert all(theorem4_check(a) is _theorem4_sweep(a) is True for a in planes)
+
+
+@pytest.fixture
+def doctored(monkeypatch):
+    """Flip one cell of a copy of the level-5 sign table; the split
+    quadrants are rebuilt from it, and again from the real table after."""
+
+    def flip(r, c):
+        table = [row[:] for row in sign_table(5)]
+        table[r][c] = -table[r][c]
+        monkeypatch.setitem(cdp._TABLES, 5, table)
+        zd._split_signs.cache_clear()
+
+    yield flip
+    zd._split_signs.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "cell, hit",
+    [
+        ((1, 2), ((1, 2, 1), (1, 2, -1))),  # t(1,2) = t(2,1): (i_1 + i_2)(i_1 - i_2) = 0
+        ((3, 6), ((1, 3, 1), (4, 6, 1))),
+        ((13, 6), ((3, 13, 1), (6, 8, 1))),
+    ],
+)
+def test_theorem1_kernel_and_sweep_agree_on_a_doctored_table(doctored, cell, hit):
+    # an all-low zero at n = 5 that n = 4, whose table is left alone, lacks
+    doctored(*cell)
+    assert theorem1_check(LVL5) == _theorem1_sweep(LVL5) == hit
+    assert theorem1_check(LVL4) is None
+
+
+@pytest.mark.parametrize(
+    "cell, hit",
+    [
+        ((16, 3), ((1, 16, 1), (3, 18, 1))),
+        ((3, 16), ((3, 16, 1), (3, 16, -1))),
+        ((17, 30), ((16, 17, 1), (30, 31, -1))),
+    ],
+)
+def test_theorem2_kernel_and_sweep_agree_on_a_doctored_table(doctored, cell, hit):
+    doctored(*cell)
+    assert theorem2_check(LVL5) == _theorem2_sweep(LVL5) == hit
+
+
+def test_theorem4_antisymmetry_read_and_sweep_agree_on_a_doctored_table(doctored):
+    doctored(1, 21)
+    plane = Assessor(1, 21, LVL5)
+    assert theorem4_check(plane) is _theorem4_sweep(plane) is False
+    assert theorem4_check(Assessor(2, 22, LVL5)) is _theorem4_sweep(Assessor(2, 22, LVL5)) is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theorems_1_and_2_scan_below_16_dimensions(monkeypatch, n):
+    # a computed clean scan, not a refusal: one kernel test per all-low
+    # bucket, and one per dyad holding i_g
+    calls = []
+    kernel = zd._zero_test
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(zd, "_zero_test", counting)
+    g = 1 << n - 1
+    assert theorem1_check(Level(n)) is None and len(calls) == g - 1
+    calls.clear()
+    assert theorem2_check(Level(n)) is None and len(calls) == 2 * (g - 1)
 
 
 def test_enumerate_assessors_counts():
