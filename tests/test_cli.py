@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -373,6 +374,25 @@ def test_roadmap_set_keeps_its_output_bytes(tmp_path, monkeypatch):
     import run
 
     assert run.check(tmp_path) == 0
+
+
+def test_catalogue_keeps_its_output_bytes(tmp_path, monkeypatch):
+    # every request any bench workload can issue, against bench/refs.json
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    monkeypatch.syspath_prepend(str(bench))
+    import run
+    import workloads
+
+    refs = json.loads(run.REFS.read_text())
+    requests = workloads.catalogue()
+    bad = {}
+    for argv in requests:
+        why = run.mismatch(run.issue(argv, tmp_path), refs)
+        if why is not None:
+            bad[workloads.key(argv)] = why
+    assert len(requests) == 846
+    assert bad == {}
 
 
 def test_dmz_n6_keeps_its_output_bytes(capsys):

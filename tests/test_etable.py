@@ -1,15 +1,16 @@
+import random
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 
-from boxkites import etable, zd
+from boxkites import cdp, etable, zd
 from boxkites.cdp import Level
 from boxkites.etable import (
     BACKGROUND,
     MAX_SIDE,
     PALETTES,
-    EmanationTable,
     build_et,
     et_stats,
     flipbook,
@@ -76,16 +77,15 @@ def test_xor_fill_and_symmetry():
             assert r ^ c != et.s
 
 
-def _set_probe_et(lvl, s):
-    """The set-probe construction build_et replaced, kept as its oracle."""
+def _set_probe_grid(lvl, s):
+    """The set-probe construction build_et replaced, kept as its oracle: (axis, grid)."""
     planes = zd.cluster(lvl, s)
     axis = tuple(a.lo for a in planes)
     zero = set()
     for a, b in combinations(planes, 2):
         if zd.dmz_pattern(a, b) is not None:
             zero.update(((a.lo, b.lo), (b.lo, a.lo)))
-    grid = tuple(tuple(r ^ c if (r, c) in zero else None for c in axis) for r in axis)
-    return EmanationTable(lvl, s, axis, grid)
+    return axis, tuple(tuple(r ^ c if (r, c) in zero else None for c in axis) for r in axis)
 
 
 def _kernel_calls(monkeypatch):
@@ -122,7 +122,7 @@ def test_build_et_matches_the_set_probe_oracle(lvl, constants, monkeypatch):
         calls.update(relation=0, dmz_pattern=0, mul_element=0)
         et = build_et(lvl, s)
         assert calls == {"relation": 1, "dmz_pattern": 0, "mul_element": 0}, s
-        assert et == _set_probe_et(lvl, s), s
+        assert (et.axis, et.grid) == _set_probe_grid(lvl, s), s
 
 
 def test_build_et_n5_s3_decides_each_pair_once(monkeypatch):
@@ -177,6 +177,25 @@ def test_parse_text_rejects_garbage():
     good = render_text(build_et(LVL4, 4))
     with pytest.raises(ValueError):
         parse_text(good.rsplit("\n", 2)[0])  # a grid row chopped off
+    row1 = "1 . 3 2 . 7 6\n"
+    bad = {
+        "header only": "N 4 S 4\n",
+        "wrong axis and value": "N 4 S 4\n1 2\n1 . 9\n2 3 .\n",
+        "0 on the diagonal": S4_TEXT.replace(row1, "1 0 3 2 . 7 6\n"),
+        "0 off the diagonal": S4_TEXT.replace(row1, "1 . 0 2 . 7 6\n"),
+        "a value other than r ^ c": S4_TEXT.replace(row1, "1 . 3 2 . 7 5\n"),
+        "a row label off the axis": S4_TEXT.replace(row1, "4 . 3 2 . 7 6\n"),
+        "the strut constant on the axis": S4_TEXT.replace("  1 2 3 5", "  1 2 3 4"),
+        "a level above the ceiling": S4_TEXT.replace("N 4", "N 99999"),
+        "a level without zero divisors": S4_TEXT.replace("N 4", "N 3"),
+        "s out of range": S4_TEXT.replace("S 4", "S 8"),
+        "a word for a number": S4_TEXT.replace("N 4", "N four"),
+        "a signed number": S4_TEXT.replace(row1, "1 . +3 2 . 7 6\n"),
+    }
+    for why, text in bad.items():
+        with pytest.raises(ValueError) as refusal:
+            parse_text(text)
+        assert str(refusal.value) and "\n" not in str(refusal.value), why
 
 
 def test_csv_export():
@@ -256,6 +275,86 @@ def test_render_image_matches_the_per_pixel_oracle(lvl, s, sky):
                 palette,
                 scale,
             )
+
+
+class _GridTable(NamedTuple):
+    """A table as the grid of values build_et made before cell codes."""
+
+    lvl: Level
+    s: int
+    axis: tuple[int, ...]
+    grid: tuple[tuple[int | None, ...], ...]
+
+
+def _generator_table(lvl, s):
+    """The per-cell generator build_et replaced, kept as its oracle."""
+    zero = zd.relation(lvl, s).zero
+    axis = tuple(k for k in range(1, lvl.g) if k != s)
+    grid = tuple(tuple(r ^ c if zero[r] >> c & 1 else None for c in axis) for r in axis)
+    return _GridTable(lvl, s, axis, grid)
+
+
+def _per_cell_text(et):
+    """The per-cell render_text replaced by token joins, kept as its oracle."""
+    w = max(len(str(v)) for v in et.axis)
+    lines = [f"N {et.lvl.n} S {et.s}"]
+    lines.append(" " * w + " " + " ".join(f"{v:>{w}}" for v in et.axis))
+    for r, row in zip(et.axis, et.grid):
+        cells = " ".join(f"{'.' if v is None else v:>{w}}" for v in row)
+        lines.append(f"{r:>{w}} {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_csv(et):
+    """The per-cell render_csv replaced by token joins, kept as its oracle."""
+    lines = ["," + ",".join(str(v) for v in et.axis)]
+    for r, row in zip(et.axis, et.grid):
+        lines.append(f"{r}," + ",".join("" if v is None else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _check_codes_and_bytes(lvl, s):
+    et, old = build_et(lvl, s), _generator_table(lvl, s)
+    assert (et.lvl, et.s, et.axis, et.grid) == old
+    filled = [(r, c, v) for r, row in zip(old.axis, old.grid) for c, v in zip(old.axis, row) if v]
+    assert list(et.filled_cells()) == filled
+    st = et_stats(et)
+    assert (st.filled, st.hidden) == (len(filled), len(old.axis) ** 2 - len(filled))
+    r, c, v = filled[0]
+    assert (et.cell(r, c), et.cell(r, r)) == (v, None)
+    text = render_text(et)
+    assert text == _per_cell_text(old)
+    assert parse_text(text) == et
+    assert render_csv(et) == _per_cell_csv(old)
+    for palette in sorted(PALETTES):
+        for scale in (1, 3):
+            assert render_image(et, palette, scale) == _per_pixel_image(old, palette, scale), (
+                palette,
+                scale,
+            )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cell_codes_and_renderings_match_the_per_cell_oracles(n):
+    lvl = Level(n)
+    for s in range(1, lvl.g):
+        _check_codes_and_bytes(lvl, s)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_cell_codes_and_renderings_match_the_per_cell_oracles_on_samples(n):
+    lvl = Level(n)
+    for s in random.Random(n).sample(range(1, lvl.g), 6):
+        _check_codes_and_bytes(lvl, s)
+
+
+def test_cell_codes_fit_in_a_byte_up_to_the_ceiling():
+    top = Level(cdp.MEMO_MAX_N)
+    assert top.g <= 256, (
+        f"ET cell codes are bytes, which hold values below 256, but level "
+        f"{top.n} has L-indices up to {top.g - 1}: widen the codes before "
+        f"raising cdp.MEMO_MAX_N"
+    )
 
 
 def test_palette_functions_are_pure():
