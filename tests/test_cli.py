@@ -411,6 +411,25 @@ def test_dmz_n7_keeps_its_output_bytes(capsys):
     assert hashlib.sha256(out).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("census --n 7", "18ceaa1b45b31e194350139afd7e95d1412fbb5f16d77d0bdac2848459f9cec9"),
+        ("census --n 8", "9ac77a859582f2f909a0cacebf5e44c218a86eec1953c25f79dbcc66ec9effb4"),
+        ("assessors --n 7", "16dc768057c0775da80c25c71077b94316167e7bd116bae9c3956075beca752f"),
+        (
+            "assessors --n 8 --clusters",
+            "0bfa2270c5d4d7455bf1b239443461e00ef6125a9eabc726a94955bd66abca9c",
+        ),
+        ("boxkite --n 7 --s 37", "71a598504dc942e8ed3c3d6b7a533809496b226b042bef274384f46aaa4aa4a9"),
+    ],
+)
+def test_kite_and_plane_listings_keep_their_output_bytes(capsys, argv, digest):
+    # recorded while kites held six Assessor objects and assessors built every plane
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_verify_n6_passes_with_the_sky_twist_law(capsys):
     targets = list(range(9, 16)) + list(range(17, 32))
     sources = list(range(1, 16)) + list(range(25, 32))
