@@ -68,15 +68,12 @@ def cmd_trips(args) -> int:
 
 
 def cmd_assessors(args) -> int:
-    lvl = Level(args.n)
+    groups = zd.cluster_indices(Level(args.n))
     if args.clusters:
-        lines = [
-            f"{s} {a.lo} {a.hi}"
-            for s, group in zd.cluster_assessors(lvl).items()
-            for a in group
-        ]
+        lines = [f"{s} {lo} {hi}" for s, pairs in groups.items() for lo, hi in pairs]
     else:
-        lines = [f"{a.lo} {a.hi}" for a in zd.enumerate_assessors(lvl)]
+        # enumerate_assessors' order, (lo, hi), with no plane object built
+        lines = [f"{lo} {hi}" for lo, hi in sorted([p for pairs in groups.values() for p in pairs])]
     _emit("\n".join(lines) + "\n" if lines else "", args.out)
     return 0
 
@@ -124,9 +121,11 @@ def cmd_census(args) -> int:
         total += len(sv.kites)
         broken_total += len(sv.broken)
         for bk in sv.kites:
-            (p, P), (q, Q), (r, R) = bk.strut_pairs()
-            a, b, c = bk.zigzag_trip
-            lines.append(f"S={s} zigzag=({a},{b},{c}) struts=({p},{P})({q},{Q})({r},{R})")
+            a, b, c, d, e, f = bk.los
+            p, q, r = sorted([min(a, f), min(b, e), min(c, d)])  # as in BoxKite.strut_pairs
+            lines.append(
+                f"S={s} zigzag=({a},{b},{c}) struts=({p},{p ^ s})({q},{q ^ s})({r},{r ^ s})"
+            )
     lines.append(f"{total} box-kite(s)")
     if broken_total:
         lines.append(f"{broken_total} broken frame(s)")

@@ -18,22 +18,26 @@ graph.  The survey keeps one bitmask of compatible struts per strut,
 read off the cluster's ``zd.relation``, finds the triangles as common
 neighbours and builds each kite from its triangle by index arithmetic:
 its labels from one sign-table read, its colours from one read each of
-the relation's ``same`` mask (``survey`` has the proofs).  Broken and
-sailless frames are counted and built only when asked for.
+the relation's ``same`` mask (``survey`` has the proofs), and builds no
+plane.  Broken and sailless frames are counted and built only when
+asked for.
 
 ``build_boxkite`` checks one frame by exact products, and it and
 ``classify_sails`` (which re-derives the four sails with ``is_trip``)
 are the oracle the survey and the theorem suite are tested against.
 
-A kite holds its vertices in label order and its edges in the order of
-``EDGE_LABEL_PAIRS``, so a vertex or an edge is read by its slot.
+A kite is an index record: the six L-indices of its vertices in label
+order, and a 12-bit word with bit e set when edge ``EDGE_LABEL_PAIRS[e]``
+is BLUE, so a vertex or an edge is read by its slot.  Every U-index
+follows from its L-index as lo ^ (g + s), and the six ``Assessor``
+planes are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
@@ -85,9 +89,9 @@ _EDGE_ROWS = tuple(
     (_VERTEX_AT[l1], _VERTEX_AT[l2], ((l1, l2, RED), (l1, l2, BLUE)))
     for l1, l2 in EDGE_LABEL_PAIRS
 )
-#: the one colouring classify_sails accepts, as rows of _EDGE_ROWS: BLUE
-#: exactly on the six edges joining {A, B, C} to {D, E, F}
-_SAIL_COLORS = tuple(rows[(i < 3) != (j < 3)] for i, j, rows in _EDGE_ROWS)
+#: the one colouring classify_sails accepts, as a blue word: BLUE exactly
+#: on the six edges joining {A, B, C} to {D, E, F}
+_SAIL_BLUE = sum(1 << e for e, (i, j, _) in enumerate(_EDGE_ROWS) if (i < 3) != (j < 3))
 
 TYPE_I = "I"
 TYPE_II = "II"
@@ -122,12 +126,23 @@ class BrokenChainError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class BoxKite:
-    """Immutable labeled frame; vertices run in label order A..F."""
+    """Immutable labeled frame, held as indices.
+
+    ``los`` holds the L-indices of A..F, and each vertex is the plane
+    (lo, lo ^ (g + s)) of the cluster of s.  Bit e of ``blue`` is set when
+    edge ``EDGE_LABEL_PAIRS[e]`` is BLUE and clear when it is RED.  The six
+    ``Assessor`` vertices are built on first read and kept; equality, hash
+    and repr see only (lvl, s, los, blue), of which the vertices and the
+    colours are functions.
+    """
 
     lvl: Level
     s: int
-    vertices: tuple[Assessor, ...]
-    edge_colors: tuple[tuple[str, str, str], ...]
+    los: tuple[int, ...]
+    blue: int
+    _vertices: tuple[Assessor, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def g(self) -> int:
@@ -138,39 +153,55 @@ class BoxKite:
         """Generator plus strut constant; every vertex has lo ^ hi = x."""
         return self.g + self.s
 
+    @property
+    def vertices(self) -> tuple[Assessor, ...]:
+        """The six planes in label order, built on first read."""
+        found = self._vertices
+        if found is None:
+            x, lvl = self.x, self.lvl
+            found = tuple([Assessor(lo, lo ^ x, lvl) for lo in self.los])
+            object.__setattr__(self, "_vertices", found)
+        return found
+
+    @property
+    def edge_colors(self) -> tuple[tuple[str, str, str], ...]:
+        """(l1, l2, colour) per edge, in the order of EDGE_LABEL_PAIRS."""
+        blue = self.blue
+        return tuple([rows[blue >> e & 1] for e, (_, _, rows) in enumerate(_EDGE_ROWS)])
+
     def assessor(self, label: str) -> Assessor:
         return self.vertices[_VERTEX_AT[label]]
 
     @property
     def zigzag_trip(self) -> tuple[int, int, int]:
-        return (self.vertices[0].lo, self.vertices[1].lo, self.vertices[2].lo)
+        return self.los[:3]
 
     def strut_pairs(self) -> tuple[tuple[int, int], ...]:
         """L-index pairs of the three struts, each (p, p ^ s) with p the
         lower end, in order of p.
 
-        Strut opposites sit at vertex positions i and 5 - i (A-F, B-E,
-        C-D) and their L-indices XOR to s, so a strut's lower end is the
-        smaller of the two and the other end is that one XOR s; only the
-        three lower ends are sorted.
+        Strut opposites sit at positions i and 5 - i (A-F, B-E, C-D) and
+        their L-indices XOR to s, so a strut's lower end is the smaller of
+        the two and the other end is that one XOR s; only the three lower
+        ends are sorted.
         """
-        v, s = self.vertices, self.s
-        ends = sorted([min(v[0].lo, v[5].lo), min(v[1].lo, v[4].lo), min(v[2].lo, v[3].lo)])
-        return tuple([(p, p ^ s) for p in ends])
+        a, b, c, d, e, f = self.los
+        s = self.s
+        return tuple([(p, p ^ s) for p in sorted([min(a, f), min(b, e), min(c, d)])])
 
     def edge_color(self, l1: str, l2: str) -> str:
         try:
-            return self.edge_colors[_EDGE_AT[l1, l2]][2]
+            e = _EDGE_AT[l1, l2]
         except KeyError:
             raise KeyError(f"{l1}-{l2} is not an edge (strut pairs have none)") from None
+        return BLUE if self.blue >> e & 1 else RED
 
     def dump(self) -> str:
         """Deterministic text form: header, six vertices, twelve edges."""
+        x = self.x
         lines = [f"{self.lvl.n} {self.s}"]
-        for label, a in zip(LABELS, self.vertices):
-            lines.append(f"{label} {a.lo} {a.hi}")
-        for l1, l2, color in self.edge_colors:
-            lines.append(f"{l1} {l2} {color}")
+        lines += [f"{label} {lo} {lo ^ x}" for label, lo in zip(LABELS, self.los)]
+        lines += [f"{l1} {l2} {color}" for l1, l2, color in self.edge_colors]
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
@@ -205,34 +236,32 @@ def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     own three edges are not all red is not the zigzag.
     """
     plane = {a.lo: a for a in cluster(lvl, s)}
-    return _assemble(lvl, s, plane, zigzag_trip, lambda u, v: dmz_pattern(plane[u], plane[v]))
+    return _assemble(lvl, s, zigzag_trip, lambda u, v: dmz_pattern(plane[u], plane[v]))
 
 
-def _assemble(lvl: Level, s: int, plane: dict[int, Assessor], zigzag_trip, decide) -> BoxKite:
-    """build_boxkite on given planes of s, keyed by L-index, whose edges
-    decide(lo1, lo2) answers with a DmzPattern, or None for no zero."""
+def _assemble(lvl: Level, s: int, zigzag_trip, decide) -> BoxKite:
+    """build_boxkite with its edges decided by decide(lo1, lo2), which
+    answers for the planes of s with those L-indices with a DmzPattern,
+    or None for no zero."""
     a, b, c = _canonical_zigzag(lvl, s, zigzag_trip)
     los = (a, b, c, c ^ s, b ^ s, a ^ s)  # A B C D E F
-    colors: dict[tuple[str, str], str] = {}
+    blue = 0
     missing: list[tuple[str, str]] = []
-    for l1, l2 in EDGE_LABEL_PAIRS:
-        pat = decide(los[_VERTEX_AT[l1]], los[_VERTEX_AT[l2]])
+    for e, (i, j, _) in enumerate(_EDGE_ROWS):
+        pat = decide(los[i], los[j])
         if pat is None:
-            missing.append((l1, l2))
-        else:
-            colors[l1, l2] = BLUE if pat.same_slope_zero else RED
+            missing.append(EDGE_LABEL_PAIRS[e])
+        elif pat.same_slope_zero:
+            blue |= 1 << e
     if missing:
         raise BrokenFrameError(
             f"{len(missing)} of 12 edges make no zero at n={lvl.n}, s={s}: {missing}",
             missing,
         )
     for pair in (("A", "B"), ("A", "C"), ("B", "C")):
-        if colors[pair] != RED:
-            raise NotZigzagError(
-                f"seed trip {(a, b, c)} has a {colors[pair]} edge {pair}; not the zigzag"
-            )
-    edge_colors = tuple((l1, l2, color) for (l1, l2), color in colors.items())
-    return BoxKite(lvl, s, tuple(map(plane.__getitem__, los)), edge_colors)
+        if blue >> _EDGE_AT[pair] & 1:
+            raise NotZigzagError(f"seed trip {(a, b, c)} has a {BLUE} edge {pair}; not the zigzag")
+    return BoxKite(lvl, s, los, blue)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,10 +354,10 @@ def survey(lvl: Level, s: int) -> Survey:
     it is the lower end of a third strut.
 
     Each kite is built from its triangle (p, q, r = p^q) by index
-    arithmetic, and is the kite ``_assemble`` builds from the same
-    planes, the all-red face and ``Relation.pattern`` (tests/test_kites.py
-    holds the two equal, and both to ``build_boxkite``'s exact products).
-    Write P, Q, R for the upper ends p^s, q^s, r^s.
+    arithmetic, and is the kite ``_assemble`` builds from the all-red
+    face and ``Relation.pattern`` (tests/test_kites.py holds the two
+    equal, and both to ``build_boxkite``'s exact products).  Write P, Q,
+    R for the upper ends p^s, q^s, r^s.
 
     *Zigzag.*  The four trip faces are (p,q,r), (p,Q,R), (P,q,R) and
     (P,Q,r), and between them they hold each of the twelve cross edges
@@ -346,19 +375,19 @@ def survey(lvl: Level, s: int) -> Survey:
     (x, y, z) when t(x, y) > 0 and (x, z, y) otherwise: one read of the
     exact sign table, as bit x*g + y of the quadrant of negative signs
     that ``zd.relation`` splits off it (LL, as x, y < g).  The seed
-    checks ``_canonical_zigzag`` makes hold already: the three are
-    L-indices of the cluster, so they lie in 1..g-1 and none is s.  As
-    in ``_assemble``, D, E, F = C^s, B^s, A^s, each vertex the survey's
-    own plane of its L-index.
+    checks ``_canonical_zigzag`` makes hold already: every strut end
+    lies in 1..g-1 and none is s (s ^ s = 0 is below s, so s is no lower
+    end, and k ^ s is s only for k = 0).  As in ``_assemble``, D, E, F =
+    C^s, B^s, A^s.
 
     *Colours.*  ``_assemble`` colours edge (u, v) BLUE when
     ``Relation.pattern(u, v)`` is a same-slope zero, and that pattern is
     bit v of ``same[u]`` whenever bit v of ``zero[u]`` is set, which the
     triangle proves for all twelve edges.  So each colour is one read of
-    ``same[u] >> v & 1``, picking one of the edge's two rows in the
-    module's shared table, in ``EDGE_LABEL_PAIRS`` order as ``_assemble``
-    keeps them.  Neither BrokenFrameError (no edge is silent) nor
-    NotZigzagError (the zigzag's edges are red by its choice) can arise.
+    ``same[u] >> v & 1``, written to bit e of the kite's ``blue`` word for
+    edge ``EDGE_LABEL_PAIRS[e]``, as ``_assemble`` writes it.  Neither
+    BrokenFrameError (no edge is silent) nor NotZigzagError (the zigzag's
+    edges are red by its choice) can arise.
 
     Broken and sailless frames are counted (broken = C(m, 3) - triangles
     over m struts) and built only when their views are iterated, broken
@@ -366,11 +395,10 @@ def survey(lvl: Level, s: int) -> Survey:
     strut first.  Broken frames are the raw material of hidden
     emanation-table cells.
     """
-    plane = {a.lo: a for a in cluster(lvl, s)}
     zero, same = relation(lvl, s)
     g = lvl.g
     negative = _split_signs(lvl.n).ll  # bit x*g + y is set when t(x, y) = -1
-    ends = [p for p in plane if p < p ^ s]
+    ends = [p for p in range(1, g) if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
     # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
     # both has bit b when p and p^s each make zero with b; permuted by
@@ -401,10 +429,25 @@ def survey(lvl: Level, s: int) -> Survey:
                 )
             x, y, z = sorted(red[0])
             a, b, c = (x, z, y) if negative >> x * g + y & 1 else (x, y, z)
-            los = (a, b, c, c ^ s, b ^ s, a ^ s)  # A B C D E F
-            colors = tuple([rows[same[los[i]] >> los[j] & 1] for i, j, rows in _EDGE_ROWS])
-            kites.append(BoxKite(lvl, s, tuple(map(plane.__getitem__, los)), colors))
-    kites.sort(key=lambda k: k.zigzag_trip)
+            d, e, f = c ^ s, b ^ s, a ^ s
+            sa, sb, sc, sd = same[a], same[b], same[c], same[d]
+            # bit e is edge EDGE_LABEL_PAIRS[e]: AB AC AD AE BC BD BF CE CF DE DF EF
+            blue = (
+                sa >> b & 1
+                | (sa >> c & 1) << 1
+                | (sa >> d & 1) << 2
+                | (sa >> e & 1) << 3
+                | (sb >> c & 1) << 4
+                | (sb >> d & 1) << 5
+                | (sb >> f & 1) << 6
+                | (sc >> e & 1) << 7
+                | (sc >> f & 1) << 8
+                | (sd >> e & 1) << 9
+                | (sd >> f & 1) << 10
+                | (same[e] >> f & 1) << 11
+            )
+            kites.append(BoxKite(lvl, s, (a, b, c, d, e, f), blue))
+    kites.sort(key=lambda k: k.los[:3])
 
     def frames(broken: bool) -> Iterator:
         for triple in combinations(ends, 3):

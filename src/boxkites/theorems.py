@@ -9,13 +9,18 @@ bucket, Theorem 2 per dyad holding the generator unit, and Theorems 3,
 5 and 6 through each cluster's relation (``zd.relation``), which a
 suite run builds per cluster and drops when it returns.  Theorem 4
 reads a plane's two cross signs.  No ``Element`` product is taken;
-``emanate`` multiplies only to word a Theorem 5 failure.  Sails are
-read off each kite's vertex slots, no ``Sail`` is built: Theorem 5
-takes a sail's three vertices by position, and Theorem 7 checks the one
-colouring and the trips that ``kites.classify_sails``, the oracle it is
-tested against, would check.  Violations come back as failed results
-carrying the counterexample, so the caller can print PASS/FAIL lines
-without re-deriving anything.
+``emanate`` multiplies only to word a Theorem 5 failure.
+
+Theorems 5 to 7 read each kite as the index record it is, its six
+L-indices (``BoxKite.los``) and its 12-bit colour word (``blue``), and
+build no ``Assessor`` and no ``Sail``: Theorem 5 takes a sail's three
+L-indices by position, Theorem 6 an edge's two L-indices by position
+and its slope class by bit, and Theorem 7 checks that every L-index
+names a plane of the kite's cluster, and the one colouring and the
+trips that ``kites.classify_sails``, the oracle it is tested against,
+would check.  Violations come back as failed results carrying the
+counterexample, so the caller can print PASS/FAIL lines without
+re-deriving anything.
 """
 
 from __future__ import annotations
@@ -23,7 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cdp import MEMO_MAX_N, Level
-from .kites import _SAIL_COLORS, _SAIL_SLOTS, _VERTEX_AT, RED, BoxKite, survey
+from .kites import (
+    _EDGE_ROWS,
+    _SAIL_BLUE,
+    _SAIL_SLOTS,
+    _VERTEX_AT,
+    BLUE,
+    EDGE_LABEL_PAIRS,
+    LABELS,
+    RED,
+    BoxKite,
+    survey,
+)
 from .zd import (
     NotDmzError,
     Relation,
@@ -58,8 +74,10 @@ def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
     A level outside that range is refused before any survey.  At n = 8
-    a run takes about 2.3 s (2 cores, CPython 3.11): the 127 surveys and
-    Theorem 6 about 0.8 s each, Theorems 1 to 4 together under 0.2 s.
+    a run takes 1.2 to 1.8 s in-process (CPython 3.11 on a 2-core machine
+    whose speed varies by half from run to run): the 127 surveys and Theorem 6
+    0.3 to 0.6 s each, Theorem 5 0.1 to 0.2 s, Theorems 1 to 4 together
+    about 0.2 s and Theorem 7 about 0.1 s.
     """
     lvl = Level(n)
     if n < 4:
@@ -124,20 +142,25 @@ def _t4(lvl: Level) -> TheoremResult:
 
 def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
     # emanate(p, q) read off the relation: a zero pair of cluster s emanates
-    # the plane (p.lo ^ q.lo, p.lo ^ q.hi); emanate itself, the exact
-    # oracle, is asked only to word a failure
+    # the plane (p.lo ^ q.lo, p.lo ^ q.hi), which must be r.  Every vertex
+    # of a kite record is (lo, lo ^ x), x = g + s, so p.lo ^ q.hi =
+    # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
+    # the first do, and the check is r.lo == p.lo ^ q.lo.  emanate itself,
+    # the exact oracle, is asked only to word a failure
     sails = 0
     for bk in kites:
         zero = relations[bk.s].zero
+        los = bk.los
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
-            va, vb, vc = bk.vertices[i], bk.vertices[j], bk.vertices[k]
             sails += 1
-            for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
-                if not (zero[p.lo] >> q.lo & 1 and (r.lo, r.hi) == (p.lo ^ q.lo, p.lo ^ q.hi)):
+            for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
+                p, q, r = los[u], los[v], los[w]
+                if not (zero[p] >> q & 1 and r == p ^ q):
+                    vp, vq, vr = bk.vertices[u], bk.vertices[v], bk.vertices[w]
                     return TheoremResult(
                         "Theorem 5",
                         False,
-                        f"s={bk.s} sail {slot}: {p} x {q} emanates {emanate(p, q)}, not {r}",
+                        f"s={bk.s} sail {slot}: {vp} x {vq} emanates {emanate(vp, vq)}, not {vr}",
                     )
     return TheoremResult(
         "Theorem 5", True, f"every sail edge emanates its third vertex ({sails} sails)"
@@ -151,23 +174,27 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> The
     # planes of cluster a ^ b ^ s, in the other slope class (the slopes'
     # product changes sign).  So each kite edge's four twists, both slope
     # pairs of its class in both orders, are valid exactly when that
-    # cluster's relation holds (b, a) in the other class.
+    # cluster's relation holds (b, a) in the other class.  An edge's two
+    # L-indices are read from the kite's slots, its class (1 for BLUE,
+    # same-slope) from its bit of the blue word.
     total = valid = 0
     invalid_targets: set[int] = set()
     invalid_sources: set[int] = set()
     for bk in kites:
-        for l1, l2, color in bk.edge_colors:
-            a, b = bk.assessor(l1).lo, bk.assessor(l2).lo
-            pat = relations[bk.s].pattern(a, b)
-            if pat is None or pat.same_slope_zero == (color == RED):
+        s, los, blue = bk.s, bk.los, bk.blue
+        zero, same = relations[s]
+        for e, (i, j, _) in enumerate(_EDGE_ROWS):
+            a, b = los[i], los[j]
+            cls = blue >> e & 1
+            if not zero[a] >> b & 1 or same[a] >> b & 1 != cls:
                 raise NotDmzError("twist needs a pair of diagonals that make zero")
-            target = a ^ b ^ bk.s
-            twisted = relations[target].pattern(b, a)
+            target = a ^ b ^ s
+            twisted_zero, twisted_same = relations[target]
             total += 4
-            if twisted is not None and twisted.same_slope_zero != pat.same_slope_zero:
+            if twisted_zero[b] >> a & 1 and twisted_same[b] >> a & 1 != cls:
                 valid += 4
             else:
-                invalid_sources.add(bk.s)
+                invalid_sources.add(s)
                 invalid_targets.add(target)
     detail = f"{valid}/{total} twisted pairs still make zero"
     if lvl.n == 4:
@@ -184,38 +211,43 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> The
 
 
 def _t7(kites: list[BoxKite]) -> TheoremResult:
-    # What classify_sails checks, read off the slots.  Its colour rules (the
+    # What classify_sails checks, read off the record.  A kite's vertices
+    # are (lo, lo ^ x), x = g + s, by construction, so the U-index law
+    # holds of every record; what it stood for is that each vertex is a
+    # plane of the cluster, which holds iff its L-index lies in 1..g-1 and
+    # is not s (then lo ^ x lies in g+1..2g-1).  Its colour rules (the
     # zigzag ABC all RED; each trefoil ADE, FDB, FCE BLUE on the two edges
     # at its zigzag vertex and RED on the third) cover each of the twelve
     # edges once, as the four sails' edges are the twelve edges, so they
-    # hold iff the kite's colours are the one pattern they imply: BLUE
-    # exactly on the edges joining {A, B, C} to {D, E, F}.  Its trips hold
-    # by XOR alone.  A sail's L-trip (a, b, c) is a trip iff a ^ b ^ c = 0,
-    # since Assessor keeps every L-index in 1..g-1 and three nonzero
-    # indices XORing to 0 are distinct.  Under the U-index law each U-trip
-    # swaps two members for b ^ x and c ^ x, which lie in g+1..2g-1, and
-    # a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff the L-trip is.
+    # hold iff the blue word is the one pattern they imply, _SAIL_BLUE:
+    # BLUE exactly on the edges joining {A, B, C} to {D, E, F}.  Its trips
+    # hold by XOR alone.  A sail's L-trip (a, b, c) is a trip iff
+    # a ^ b ^ c = 0, since three nonzero indices XORing to 0 are distinct.
+    # Each U-trip swaps two members for b ^ x and c ^ x, which lie in
+    # g+1..2g-1, and a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff
+    # the L-trip is.
     for bk in kites:
-        xval = bk.g + bk.s
-        los = []
-        for v in bk.vertices:
-            if v.hi != v.lo ^ xval:
-                return TheoremResult(
-                    "Theorem 7", False, f"s={bk.s}: vertex {v} breaks hi = lo ^ (g + s)"
-                )
-            los.append(v.lo)
+        g, s, los = bk.g, bk.s, bk.los
+        if min(los) < 1 or max(los) >= g or s in los:
+            label, lo = next((lb, lo) for lb, lo in zip(LABELS, los) if not 0 < lo < g or lo == s)
+            return TheoremResult(
+                "Theorem 7",
+                False,
+                f"s={s}: vertex {label} has L-index {lo}, not in 1..{g - 1} without {s}",
+            )
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
             if los[i] ^ los[j] ^ los[k]:
                 trip = (los[i], los[j], los[k])
                 return TheoremResult(
-                    "Theorem 7", False, f"s={bk.s}: sail {slot} carries a non-trip {trip}"
+                    "Theorem 7", False, f"s={s}: sail {slot} carries a non-trip {trip}"
                 )
-        if bk.edge_colors != _SAIL_COLORS:
-            (l1, l2, got), (_, _, want) = next(
-                rows for rows in zip(bk.edge_colors, _SAIL_COLORS) if rows[0] != rows[1]
-            )
+        wrong = bk.blue ^ _SAIL_BLUE
+        if wrong:
+            e = (wrong & -wrong).bit_length() - 1  # the first edge off the pattern
+            l1, l2 = EDGE_LABEL_PAIRS[e]
+            got, want = (BLUE, RED) if bk.blue >> e & 1 else (RED, BLUE)
             return TheoremResult(
-                "Theorem 7", False, f"s={bk.s}: edge {l1}-{l2} is {got}, expected {want}"
+                "Theorem 7", False, f"s={s}: edge {l1}-{l2} is {got}, expected {want}"
             )
     return TheoremResult(
         "Theorem 7",

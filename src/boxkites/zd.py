@@ -573,23 +573,41 @@ def check_span(lvl: Level, s_from: int, s_to: int) -> None:
         raise ValueError(f"range runs backwards: {s_from}..{s_to}")
 
 
-def cluster(lvl: Level, s: int) -> tuple[Assessor, ...]:
-    """The candidate planes of strut constant s, in L-index order.
+def plane_indices(lvl: Level, s: int) -> list[tuple[int, int]]:
+    """The (L-index, U-index) of each candidate plane of strut constant s,
+    in L-index order.
 
-    Every low index k other than s spans the plane (k, k ^ (g + s)); this
-    is the one place that rule is written, and every per-s view (DMZ
-    scan, emanation table, box-kite survey) reads its planes from here.
+    Every low index k other than s spans the plane (k, k ^ (g + s)).
+    ``cluster`` makes its planes from these pairs, and the ``assessors``
+    listing prints them with no plane object built.
     """
     check_strut(lvl, s)
-    return tuple(Assessor(k, k ^ (lvl.g | s), lvl) for k in range(1, lvl.g) if k != s)
+    x = lvl.g | s
+    return [(k, k ^ x) for k in range(1, lvl.g) if k != s]
+
+
+def cluster(lvl: Level, s: int) -> tuple[Assessor, ...]:
+    """The candidate planes of strut constant s, in L-index order, one
+    Assessor per pair of ``plane_indices``; the DMZ scan and
+    ``build_boxkite`` read their planes from here."""
+    return tuple([Assessor(lo, hi, lvl) for lo, hi in plane_indices(lvl, s)])
+
+
+def cluster_indices(lvl: Level) -> dict[int, list[tuple[int, int]]]:
+    """Every candidate plane as (L-index, U-index), grouped by strut
+    constant; empty below 16 dimensions."""
+    if lvl.n < 4:
+        return {}
+    check_strut(lvl, 1)  # refuses a level out of reach before g is built
+    return {s: plane_indices(lvl, s) for s in range(1, lvl.g)}
 
 
 def cluster_assessors(lvl: Level) -> dict[int, list[Assessor]]:
     """Candidate planes grouped by strut constant (the excluded low index)."""
-    if lvl.n < 4:
-        return {}
-    check_strut(lvl, 1)  # refuses a level out of reach before g is built
-    return {s: list(cluster(lvl, s)) for s in range(1, lvl.g)}
+    return {
+        s: [Assessor(lo, hi, lvl) for lo, hi in pairs]
+        for s, pairs in cluster_indices(lvl).items()
+    }
 
 
 def enumerate_assessors(lvl: Level) -> list[Assessor]:

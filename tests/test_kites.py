@@ -7,6 +7,7 @@ import pytest
 
 from boxkites import kites
 from boxkites.cdp import Level, mul_basis
+from boxkites.cli import main
 from boxkites.kites import (
     BLUE,
     CATAMARAN_SIGNATURE,
@@ -31,7 +32,16 @@ from boxkites.kites import (
     viziers_check,
 )
 from boxkites.trips import NotTripError, is_trip, trip_count
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, dmz_pattern, relation, twist
+from boxkites.zd import (
+    BACKSLASH,
+    SLASH,
+    Assessor,
+    Diagonal,
+    cluster,
+    dmz_pattern,
+    relation,
+    twist,
+)
 
 LVL4, LVL5 = Level(4), Level(5)
 
@@ -404,20 +414,33 @@ def test_survey_decides_each_non_strut_pair_once(monkeypatch):
         assert calls == ["relation"], s
 
 
-def test_survey_builds_its_planes_once(monkeypatch):
-    built = []
+def test_survey_and_census_build_no_plane(monkeypatch, capsys):
+    # a kite is an index record: a survey reads no cluster and a census
+    # constructs no Assessor; the planes a kite builds when read are the cluster's
+    built, read = [], []
+    post_init = Assessor.__post_init__
 
-    def counting(lvl, s):
-        built.append(cluster(lvl, s))
-        return built[-1]
+    def counting_init(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(kites, "cluster", counting)
-    for s in range(1, LVL5.g):
-        built.clear()
-        found = survey(LVL5, s).kites
-        assert len(built) == 1
-        planes = {id(a) for a in built[0]}
-        assert all(id(v) in planes for bk in found for v in bk.vertices)
+    def counting_cluster(lvl, s):
+        read.append(s)
+        return cluster(lvl, s)
+
+    monkeypatch.setattr(Assessor, "__post_init__", counting_init)
+    monkeypatch.setattr(kites, "cluster", counting_cluster)
+    found = {s: survey(LVL5, s).kites for s in range(1, LVL5.g)}
+    assert main(["census", "--n", "6"]) == 0
+    assert capsys.readouterr().out.endswith("\n665 box-kite(s)\n8064 broken frame(s)\n")
+    assert read == []
+    assert built == []
+    for s, group in found.items():
+        plane = {a.lo: a for a in cluster(LVL5, s)}
+        for bk in group:
+            assert bk.vertices == tuple(plane[lo] for lo in bk.los)
+            assert bk.vertices is bk.vertices  # built on first read, then kept
+    assert len(built) == 15 * 14 + 6 * 77
 
 
 def test_survey_n6_result_row():
@@ -543,9 +566,9 @@ def test_every_dmz_pair_is_an_edge_of_exactly_one_kite(n, total):
         zero = relation(lvl, s).zero
         kites_of_s = survey(lvl, s).kites
         edges = {
-            tuple(sorted((bk.assessor(l1).lo, bk.assessor(l2).lo)))
+            tuple(sorted((bk.los[i], bk.los[j])))
             for bk in kites_of_s
-            for l1, l2 in EDGE_LABEL_PAIRS
+            for i, j, _ in kites._EDGE_ROWS
         }
         assert all(zero[a] >> b & 1 for a, b in edges), s
         pairs = sum(m.bit_count() for m in zero) // 2
@@ -561,9 +584,8 @@ def test_every_surveyed_kite_is_the_one_assemble_builds_from_the_relation(n):
     lvl = Level(n)
     for s in range(1, lvl.g):
         rel = relation(lvl, s)
-        plane = {a.lo: a for a in cluster(lvl, s)}
         for bk in survey(lvl, s).kites:
-            assert bk == kites._assemble(lvl, s, plane, bk.zigzag_trip, rel.pattern), (s, bk)
+            assert bk == kites._assemble(lvl, s, bk.zigzag_trip, rel.pattern), (s, bk)
 
 
 def _seeded_sample(lvl, k):

@@ -10,16 +10,16 @@ import boxkites
 from boxkites import cdp, kites, theorems, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
-    _SAIL_COLORS,
+    _SAIL_BLUE,
     _SAIL_SLOTS,
     BLUE,
     EDGE_LABEL_PAIRS,
-    RED,
+    LABELS,
     ClassificationError,
     classify_sails,
     survey,
 )
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, cluster, emanate, relation, twist
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, emanate, relation, twist
 
 
 def _level(n):
@@ -109,7 +109,7 @@ def test_suite_at_n8_passes_with_its_counts():
 def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     lvl, relations, kites = _level(5)
     bk = kites[0]
-    a, b = bk.vertices[0].lo, bk.vertices[1].lo
+    a, b = bk.los[:2]
     rel = relations[bk.s]
     zero = list(rel.zero)
     zero[a] &= ~(1 << b)
@@ -133,6 +133,22 @@ def test_theorem5_relation_reading_matches_emanate_on_every_sail():
     assert result.passed
     assert result.detail == f"every sail edge emanates its third vertex ({sails} sails)"
     assert sails == 4 * len(kites) == 308
+
+
+def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
+    # D and E swapped: every edge still makes zero, but the sail now at F, D, B
+    # holds F, E, B, and F x E emanates the plane at C, not B
+    lvl, relations, kites = _level(5)
+    bk = kites[0]
+    a, b, c, d, e, f = bk.los
+    doctored = dataclasses.replace(bk, los=(a, b, c, e, d, f))
+    vf, ve, vb = doctored.assessor("F"), doctored.assessor("D"), doctored.assessor("B")
+    assert emanate(vf, ve) != vb
+    assert theorems._t5(relations, [doctored]) == theorems.TheoremResult(
+        "Theorem 5",
+        False,
+        f"s={bk.s} sail ('F', 'D', 'B'): {vf} x {ve} emanates {emanate(vf, ve)}, not {vb}",
+    )
 
 
 def test_suite_reads_sails_by_slot_without_classifying(monkeypatch):
@@ -169,10 +185,7 @@ def test_suite_takes_no_element_product(monkeypatch, n):
 
 
 def _flip(bk, edge):
-    colors = list(bk.edge_colors)
-    l1, l2, color = colors[edge]
-    colors[edge] = (l1, l2, RED if color == BLUE else BLUE)
-    return dataclasses.replace(bk, edge_colors=tuple(colors))
+    return dataclasses.replace(bk, blue=bk.blue ^ 1 << edge)
 
 
 def test_a_flipped_colour_fails_theorem_7(monkeypatch):
@@ -200,7 +213,7 @@ def test_slot_read_sails_equal_classify_sails(n):
     found = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
     for bk in found:
         sails = classify_sails(bk)  # raises unless the colours are the sails' pattern
-        assert bk.edge_colors == _SAIL_COLORS
+        assert bk.blue == _SAIL_BLUE
         v = bk.vertices
         for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, theorems._SAIL_AT):
             a, b, c = v[i], v[j], v[k]
@@ -220,15 +233,28 @@ def test_theorem_7_refuses_what_classify_sails_refuses():
             f"s=9: edge {l1}-{l2} is {doctored.edge_color(l1, l2)}, "
             f"expected {bk.edge_color(l1, l2)}"
         )
-    # another plane of the cluster at D keeps the U-index law but breaks the sail ADE's trips
-    plane = {a.lo: a for a in cluster(bk.lvl, 9)}
-    other = next(lo for lo in plane if lo not in {u.lo for u in bk.vertices})
-    vertices = list(bk.vertices)
-    vertices[3] = plane[other]
-    doctored = dataclasses.replace(bk, vertices=tuple(vertices))
+    # another plane of the cluster at D breaks the sail ADE's trips
+    other = next(lo for lo in range(1, 16) if lo != 9 and lo not in bk.los)
+    doctored = dataclasses.replace(bk, los=(*bk.los[:3], other, *bk.los[4:]))
     with pytest.raises(ClassificationError, match="carries a non-trip"):
         classify_sails(doctored)
-    a, d, e = (doctored.assessor(lbl).lo for lbl in "ADE")
+    a, _, _, d, e, _ = doctored.los
     assert theorems._t7([doctored]).detail == (
         f"s=9: sail ('A', 'D', 'E') carries a non-trip {(a, d, e)}"
     )
+
+
+@pytest.mark.parametrize("lo", [0, 9, 16, 31], ids=["zero", "s", "g", "above-g"])
+def test_theorem_7_refuses_an_index_outside_the_cluster(lo):
+    # 0 and s span no plane of the cluster, and g = 16 or more is no L-index;
+    # the record builds no Assessor, so Theorem 7 is what refuses them
+    bk = survey(Level(5), 9).kites[0]
+    for slot, label in enumerate(LABELS):
+        los = list(bk.los)
+        los[slot] = lo
+        doctored = dataclasses.replace(bk, los=tuple(los))
+        with pytest.raises(ValueError, match="-index must lie in"):
+            doctored.vertices
+        assert theorems._t7([doctored]) == theorems.TheoremResult(
+            "Theorem 7", False, f"s=9: vertex {label} has L-index {lo}, not in 1..15 without 9"
+        )
