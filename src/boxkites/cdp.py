@@ -3,8 +3,9 @@
 Basis units of the 2^n-dimensional algebra carry indices 0 .. 2^n - 1,
 index 0 being the real unit.  A product of two basis units lands on the
 XOR of the factors' indices; its sign comes from the doubling
-construction and does not depend on the ambient dimension, so one signed
-table serves every level (lower tables sit in the corner of higher ones).
+construction and does not depend on the ambient dimension.  So one sign
+table serves every level: the negative-sign bit rows of the top level
+(cdp.MEMO_MAX_N), built once at import, each lower level their corner.
 
 Coefficients are exact (int or Fraction); floats are rejected so that
 zero detection is never approximate.
@@ -19,9 +20,9 @@ from typing import NamedTuple, Union
 
 Coeff = Union[int, Fraction]
 
-#: sign tables are memoized up to this level, and it is the sweep ceiling too:
-#: zd.check_strut, sign_table and theorems.run_suite refuse any level above it,
-#: where only single products answer, by the bare sign loop
+#: the level of the one sign table, and the sweep ceiling too: zd.check_strut,
+#: sign_table and theorems.run_suite refuse any level above it, where only
+#: single products answer, by the bare sign loop
 MEMO_MAX_N = 8
 
 
@@ -115,56 +116,73 @@ def _validate_convention() -> None:
 
 _validate_convention()
 
-_TABLES: dict[int, list[list[int]]] = {}
 
+def _double(rows: list[int]) -> list[int]:
+    """The negative-sign bit rows one doubling above ``rows``.
 
-def _double(lower: list[list[int]]) -> list[list[int]]:
-    """The sign table one doubling above ``lower``, read off its rows.
-
-    With h = len(lower) and L = lower, cell (a, b) of the doubled table
+    Bit b of row a is set when i_a * i_b has sign -1.  With h = len(rows)
+    and t(a, b) the lower level's sign, cell (a, b) of the doubled table
     falls in one of _basis_sign's cases:
 
-    - a < h, b < h: no top bit to strip, so the sign is L[a][b];
-    - a < h, b = h + j: low * high goes to sign(j, a) = L[j][a], which
-      is +1 at j = 0 (a real left factor), so the row's right half is
-      column a of L;
+    - a < h, b < h: no top bit to strip, so the sign is t(a, b);
+    - a < h, b = h + j: low * high goes to t(j, a), which is +1 at
+      j = 0 (a real left factor), so the row's upper half is column a;
     - a = h + i, b = 0: i_0 is the identity, +1;
-    - a = h + i, 0 < b < h: high * low goes to -sign(i, b) = -L[i][b],
-      also at i = 0, where the loop ends on a = 0 with the sign flipped;
+    - a = h + i, 0 < b < h: high * low goes to -t(i, b), also at i = 0,
+      where the loop ends on a = 0 with the sign flipped;
     - a = h + i, b = h: high * high with j = 0 is -1, also at i = 0,
       where a == b;
-    - a = h + i, b = h + j, j > 0: high * high goes to sign(j, i) =
-      L[j][i], which is -1 at i == j as a == b requires.
+    - a = h + i, b = h + j, j > 0: high * high goes to t(j, i), which is
+      -1 at i == j as a == b requires.
 
-    So low row a is L[a] followed by column a of L, and high row h + i is
-    +1, the negated L[i][1:], -1, and column i of L without its first
-    entry.  Every cell is one read of the lower table, and sign_table(n)
-    equals _basis_sign at every cell for n = 1..8
-    (tests/test_cdp.py::test_doubled_sign_tables_match_basis_sign).
+    So low row a is row a followed by column a, and high row h + i is
+    row i with its bits 1..h-1 flipped and bit 0 clear, followed by
+    column i with bit 0 (the cell b = h) set.
+
+    A column is read off its row.  At every level i_0 is a two-sided
+    identity, every other unit squares to -1 and distinct imaginary
+    units anticommute.  This holds for the reals' one row, and each
+    doubling keeps it, as the cases show, given it one level down:
+    t(h+i, 0) = +1; t(h+i, h+i) = -1; t(a, h+j) = t(j, a) = -t(h+j, a)
+    for a > 0; t(h, h+j) = t(j, 0) = +1 = -t(h+j, h) for j > 0; and
+    t(h+i, h+j) = t(j, i) = -t(i, j) = -t(h+j, h+i) for distinct
+    i, j > 0.  So column a of a level, a > 0, is its row a with every
+    bit flipped but bit 0 (t(0, a) = +1) and bit a (t(a, a) = -1), and
+    column 0 is clear.
+
+    sign_table(n) equals _basis_sign at every cell for n = 1..8
+    (tests/test_cdp.py::test_sign_table_bits_equal_basis_sign).
     """
-    h = len(lower)
-    cols = list(zip(*lower))
-    low = [[*lower[a], *cols[a]] for a in range(h)]
-    high = [[1, *[-v for v in lower[i][1:]], -1, *cols[i][1:]] for i in range(h)]
+    h = len(rows)
+    flip = (1 << h) - 2  # bits 1..h-1
+    cols = [0] + [r ^ flip ^ (1 << a) for a, r in enumerate(rows) if a]
+    low = [r | c << h for r, c in zip(rows, cols)]
+    high = [r ^ flip | (c | 1) << h for r, c in zip(rows, cols)]
     return low + high
 
 
-def sign_table(n: int) -> list[list[int]]:
-    """Signed multiplication table for the 2^n-ions, memoized for n <= 8.
+def _build_rows() -> tuple[int, ...]:
+    rows = [0]  # the reals: i_0 * i_0 = +1
+    for _ in range(MEMO_MAX_N):
+        rows = _double(rows)
+    return tuple(rows)
 
-    A missing table is doubled up from the highest one already built
-    below it (from the reals' [[1]] when there is none), and every level
-    passed on the way is kept, so each level is built once.
+
+#: the top level's negative-sign bit rows: bit b of row a is set when
+#: i_a * i_b has sign -1; level n's table is their 2^n x 2^n corner
+_ROWS = _build_rows()
+
+
+def sign_table(n: int) -> tuple[int, ...]:
+    """The 2^n-ions' negative-sign bit rows, for 1 <= n <= MEMO_MAX_N.
+
+    Row a has bit b set when i_a * i_b has sign -1.  The rows are the
+    corner of the one table: its first 2^n rows, masked to 2^n bits.
     """
     if not 1 <= n <= MEMO_MAX_N:
         raise ValueError(f"sign tables are kept only for 1 <= n <= {MEMO_MAX_N}: {n}")
-    tbl = _TABLES.get(n)
-    if tbl is None:
-        base = max((m for m in _TABLES if m < n), default=0)
-        tbl = _TABLES[base] if base else [[1]]
-        for m in range(base + 1, n + 1):
-            tbl = _TABLES[m] = _double(tbl)
-    return tbl
+    mask = (1 << (1 << n)) - 1
+    return tuple(r & mask for r in _ROWS[: 1 << n])
 
 
 def mul_basis(a: int, b: int, lvl: Level) -> SignedUnit:
@@ -173,13 +191,14 @@ def mul_basis(a: int, b: int, lvl: Level) -> SignedUnit:
     The result index is a ^ b; i_0 is a two-sided identity and every
     other unit squares to -1.  The range check shifts the indices by n
     instead of building 2^n, so a level of any size costs nothing here.
+    Below the ceiling the sign is bit b of the one table's row a; above
+    it the sign loop answers.
     """
     n = lvl.n
     if not (a >= 0 and b >= 0 and not a >> n and not b >> n):
         raise IndexRangeError(f"basis indices ({a}, {b}) out of range for 2^{n}-ions")
     if n <= MEMO_MAX_N:
-        tbl = _TABLES.get(n) or sign_table(n)
-        return SignedUnit(tbl[a][b], a ^ b)
+        return SignedUnit(-1 if _ROWS[a] >> b & 1 else 1, a ^ b)
     return SignedUnit(_basis_sign(a, b), a ^ b)
 
 
@@ -284,25 +303,24 @@ def mul_element(x: Element, y: Element, lvl: Level) -> Element:
     Neither operand is ever mutated and the product is a new element, so
     an element may be shared by any number of products (each assessor
     plane shares its two diagonals this way).
+
+    One range check serves every level: an index fits the 2^n-ions iff
+    shifting it by n leaves 0.  Below the ceiling each sign is bit j of
+    the one table's row i, which is level n's own sign as the indices
+    fit the corner; above it the sign loop answers.
     """
     n = lvl.n
-    tbl = _TABLES.get(n)
-    if tbl is None and n <= MEMO_MAX_N:
-        tbl = sign_table(n)
-    # a built table is 2^n rows long; above the tables (dim 0) the range
-    # check shifts by n instead of building 2^n
-    dim = len(tbl) if tbl is not None else 0
     for terms in (x._terms, y._terms):
         for k in terms:
-            if k >= dim and (dim or k >> n):
+            if k >> n:
                 raise IndexRangeError(f"term index {k} outside 2^{n}-ions (level mismatch)")
     acc: dict[int, Coeff] = {}
     for i, ci in x._terms.items():
-        row = tbl[i] if tbl is not None else None
+        row = _ROWS[i] if n <= MEMO_MAX_N else None
         for j, cj in y._terms.items():
-            s = row[j] if row is not None else _basis_sign(i, j)
+            neg = row >> j & 1 if row is not None else _basis_sign(i, j) < 0
             k = i ^ j
-            c = acc.get(k, 0) + (ci * cj if s > 0 else -(ci * cj))
+            c = acc.get(k, 0) + (-(ci * cj) if neg else ci * cj)
             if c:
                 acc[k] = c
             elif k in acc:

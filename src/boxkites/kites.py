@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
-from .cdp import InvariantError, Level, mul_basis
+from .cdp import InvariantError, Level, mul_basis, sign_table
 from .trips import cpo_orient, is_trip
 from .zd import (
     BACKSLASH,
@@ -49,7 +49,6 @@ from .zd import (
     Assessor,
     Diagonal,
     _bits,
-    _split_signs,
     _xor_permute,
     cluster,
     diagonal_product,
@@ -373,12 +372,11 @@ def survey(lvl: Level, s: int) -> Survey:
     good and (x, z, y) otherwise; ``_canonical_zigzag`` then rotates the
     smallest index to the front, which x already is.  So A, B, C is
     (x, y, z) when t(x, y) > 0 and (x, z, y) otherwise: one read of the
-    exact sign table, as bit x*g + y of the quadrant of negative signs
-    that ``zd.relation`` splits off it (LL, as x, y < g).  The seed
-    checks ``_canonical_zigzag`` makes hold already: every strut end
-    lies in 1..g-1 and none is s (s ^ s = 0 is below s, so s is no lower
-    end, and k ^ s is s only for k = 0).  As in ``_assemble``, D, E, F =
-    C^s, B^s, A^s.
+    exact sign table, bit y of row x of ``cdp.sign_table``, set when
+    t(x, y) = -1.  The seed checks ``_canonical_zigzag`` makes hold
+    already: every strut end lies in 1..g-1 and none is s (s ^ s = 0 is
+    below s, so s is no lower end, and k ^ s is s only for k = 0).  As
+    in ``_assemble``, D, E, F = C^s, B^s, A^s.
 
     *Colours.*  ``_assemble`` colours edge (u, v) BLUE when
     ``Relation.pattern(u, v)`` is a same-slope zero, and that pattern is
@@ -397,7 +395,7 @@ def survey(lvl: Level, s: int) -> Survey:
     """
     zero, same = relation(lvl, s)
     g = lvl.g
-    negative = _split_signs(lvl.n).ll  # bit x*g + y is set when t(x, y) = -1
+    negative = sign_table(lvl.n)  # bit y of row x is set when t(x, y) = -1
     ends = [p for p in range(1, g) if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
     # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
@@ -428,7 +426,7 @@ def survey(lvl: Level, s: int) -> Survey:
                     f"frame {((p, P), (q, Q), (r, R))}: 4 trip faces but {len(red)} all-red"
                 )
             x, y, z = sorted(red[0])
-            a, b, c = (x, z, y) if negative >> x * g + y & 1 else (x, y, z)
+            a, b, c = (x, z, y) if negative[x] >> y & 1 else (x, y, z)
             d, e, f = c ^ s, b ^ s, a ^ s
             sa, sb, sc, sd = same[a], same[b], same[c], same[d]
             # bit e is edge EDGE_LABEL_PAIRS[e]: AB AC AD AE BC BD BF CE CF DE DF EF

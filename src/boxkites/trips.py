@@ -71,16 +71,18 @@ def cpo_orient(a: int, b: int, c: int, lvl: Level) -> Trip:
 def enumerate_trips(lvl: Level) -> list[Trip]:
     """All trips at a level, ascending storage, sorted by (a, b, c).
 
-    Orientations are read off the level's sign table, which refuses a
+    Orientations are read off the level's sign table: a trip is good
+    when bit b of row a is clear, i_a i_b = +i_c.  sign_table refuses a
     level above cdp.MEMO_MAX_N before anything is enumerated.
     """
     table = sign_table(lvl.n)
     out: list[Trip] = []
     for a in range(1, lvl.dim):
+        row = table[a]
         for b in range(a + 1, lvl.dim):
             c = a ^ b
             if c > b:
-                out.append(Trip(a, b, c, table[a][b] > 0))
+                out.append(Trip(a, b, c, not row >> b & 1))
     return out
 
 

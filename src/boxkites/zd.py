@@ -231,10 +231,11 @@ def relation(lvl: Level, s: int) -> Relation:
     differ.  Every cell is a read of its own, so the relation's symmetry
     is not used, only checked by the tests.
 
-    The table is the exact one that cdp._double builds, split once per
-    level and kept, so no sign pattern is assumed; tests/test_zd.py
-    holds the relation to dmz_pattern's exact products and to a
-    pair-by-pair reading of the same four signs.
+    The quadrants are sliced from the level's corner of the one exact
+    sign table (cdp.sign_table) once per level and kept, so no sign
+    pattern is assumed; tests/test_zd.py holds the relation to
+    dmz_pattern's exact products and to a pair-by-pair reading of the
+    same four signs.
     """
     check_strut(lvl, s)
     n, g = lvl.n, lvl.g
@@ -307,11 +308,12 @@ def _zero_test(
 
 
 class _Signs(NamedTuple):
-    """One level's sign table as four bit matrices of negative signs.
+    """One level's negative-sign rows as four quadrant bit matrices.
 
     Each matrix is g x g with cell (r, c) at bit r*g + c (``relation``
-    has the layout).  ``rows`` has bit r*g for every row r but 0, and
-    ``diagonal`` has the cells (r, r).
+    has the layout), so its row r is the g bits of one table row's half.
+    ``rows`` has bit r*g for every row r but 0, and ``diagonal`` has the
+    cells (r, r).
     """
 
     ll: int
@@ -322,29 +324,29 @@ class _Signs(NamedTuple):
     diagonal: int
 
 
-#: a sign's negative bit, as a digit of a row read most significant first
-_NEGATIVE = {1: "0", -1: "1"}
-
-
-def _pack(rows) -> int:
-    """The negative signs of equal-length sign rows as one bit matrix:
-    cell (r, c) at bit r*w + c, for rows w long."""
-    digits = ["".join(map(_NEGATIVE.__getitem__, reversed(row))) for row in reversed(rows)]
-    return int("".join(digits), 2)
+def _join(rows, w: int) -> int:
+    """Rows w bits wide as one bit matrix: row r at bits r*w .. r*w + w - 1."""
+    m = 0
+    for r in reversed(rows):
+        m = m << w | r
+    return m
 
 
 @cache
 def _split_signs(n: int) -> _Signs:
-    """Level n's sign table split into quadrants, built by the first call and kept.
+    """Level n's sign rows split into quadrants, built by the first call and kept.
 
-    The swap masks that _zero_test permutes them with stay in _swap_mask's
-    cache, one per width and bit.
+    Quadrant LL is the low halves of rows 0..g-1, LH their high halves,
+    HL and HH the same of rows g..2g-1: each a slice of the rows, shifted
+    and masked, joined at width g.  Any g works, down to n = 1.  The swap
+    masks that _zero_test permutes them with stay in _swap_mask's cache,
+    one per width and bit.
     """
     g = 1 << n - 1
-    cells = g * g
+    cells, low = g * g, (1 << g) - 1
     table = sign_table(n)
     halves = table[:g], table[g:]
-    ll, lh, hl, hh = (_pack([row[i : i + g] for row in half]) for half in halves for i in (0, g))
+    ll, lh, hl, hh = (_join([r >> i & low for r in half], g) for half in halves for i in (0, g))
     rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
     diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
     return _Signs(ll, lh, hl, hh, rows, diagonal)
@@ -406,8 +408,11 @@ def theorem1_check(lvl: Level):
     below g.  Its cells (a, c) run over each dyad's lower index, a < a ^ x
     (bit h of a clear, h the top bit of x), with 1 <= a <= c: each pair
     of dyads once, and each dyad with itself.  From 32 dimensions on the
-    same test over level n - 1's own table, packed as _split_signs packs
-    its quadrants, clears the zeros it also finds in the same class.
+    same test over level n - 1's own rows clears the zeros it also finds
+    in the same class.  With one sign table those rows are the low
+    quadrant's own bits (level n - 1's table is the corner of level n's),
+    so from 32 dimensions on every all-low zero is inherited by
+    construction and the scan is clean.
     Counterexamples are ordered as a sweep over the dyad pool meets them:
     dyads (a, b, sb), a < b, by (a, b), sb = 1 before -1, each against
     the dyads of its bucket from itself on.  A row's first zero is its
@@ -424,7 +429,7 @@ def theorem1_check(lvl: Level):
     n, g = lvl.n, lvl.g
     cells = g * g
     low = _split_signs(n).ll
-    below = _pack(sign_table(n - 1)) if n > 4 else None
+    below = low if n > 4 else None  # level n - 1's rows, as the corner
     upper = sum(((1 << g) - (1 << a)) << a * g for a in range(1, g))  # 1 <= a <= c
     first = None
     for x in range(1, g):
@@ -447,17 +452,17 @@ def theorem2_check(lvl: Level):
     Each such dyad (a, A), a < A, is tested against its own XOR bucket x
     only (the lemma at _zero_test rules out every other partner), by one
     _zero_test over the rows of a and A of the level's sign table, each
-    packed as one row: cell (0, c) stands for the partner (c, c ^ x), and
-    the partners run over 1 <= c < c ^ x.  Dyads come in pool order,
-    (a, g) for a < g and then (g, b), each dyad's first zero being its
-    lowest cell with the sign +1 inside it.  A level above
+    read as it is, a one-row matrix: cell (0, c) stands for the partner
+    (c, c ^ x), and the partners run over 1 <= c < c ^ x.  Dyads come in
+    pool order, (a, g) for a < g and then (g, b), each dyad's first zero
+    being its lowest cell with the sign +1 inside it.  A level above
     cdp.MEMO_MAX_N is refused as in theorem1_check.  Returns None on a
     clean scan, else the first counterexample in the same shape as
     theorem1_check.
     """
     _check_ceiling(lvl)
     g, dim = lvl.g, lvl.dim
-    rows = [_pack([row]) for row in sign_table(lvl.n)]
+    rows = sign_table(lvl.n)
     for a, b in [(a, g) for a in range(1, g)] + [(g, b) for b in range(g + 1, dim)]:
         x = a ^ b
         keep = _swap_mask(dim, x.bit_length() - 1) & ~1  # 1 <= c < c ^ x

@@ -16,6 +16,7 @@ from boxkites.cdp import (
     mul_element,
     sign_table,
 )
+from boxkites.zd import theorem1_check
 
 LVL2, LVL3, LVL4 = Level(2), Level(3), Level(4)
 
@@ -211,7 +212,7 @@ def test_mul_element_leaves_its_operands_unchanged(data):
     assert (x.terms, y.terms) == before
 
 
-def test_mul_element_reads_built_tables_without_sign_table(monkeypatch):
+def _counting_sign_table(monkeypatch):
     calls = []
     real = cdp.sign_table
 
@@ -219,45 +220,49 @@ def test_mul_element_reads_built_tables_without_sign_table(monkeypatch):
         calls.append(n)
         return real(n)
 
-    sign_table(6)
     monkeypatch.setattr(cdp, "sign_table", counting)
-    x, y = Element({1: 1, 45: 1}), Element({2: 1, 46: -1})
-    expected = Element(
-        (i ^ j, _basis_sign(i, j) * ci * cj) for i, ci in x.terms.items() for j, cj in y.terms.items()
-    )
-    assert all(mul_element(x, y, Level(6)) == expected for _ in range(100))
-    assert calls == []
-    # a level whose table is missing builds it once through sign_table
-    monkeypatch.delitem(cdp._TABLES, 5, raising=False)
-    for _ in range(2):
-        assert mul_element(Element.unit(3), Element.unit(17), Level(5)) == Element.unit(
-            18, _basis_sign(3, 17)
+    return calls
+
+
+def test_mul_element_reads_built_tables_without_sign_table(monkeypatch):
+    # products read the one table's rows below the ceiling and the sign
+    # loop above it: no sign_table call at any level
+    calls = _counting_sign_table(monkeypatch)
+    for n in range(1, 11):
+        top = (1 << n) - 1
+        x, y = Element({top: 1, top >> 1: 3, 0: 1}), Element({1: 1, top ^ 1: -2})
+        expected = Element(
+            (i ^ j, _basis_sign(i, j) * ci * cj)
+            for i, ci in x.terms.items()
+            for j, cj in y.terms.items()
         )
-    assert calls == [5]
+        assert mul_element(x, y, Level(n)) == expected, n
+    assert calls == []
 
 
 def test_mul_basis_reads_built_tables_without_sign_table(monkeypatch):
-    calls = []
-    real = cdp.sign_table
-
-    def counting(n):
-        calls.append(n)
-        return real(n)
-
-    sign_table(6)
-    monkeypatch.setattr(cdp, "sign_table", counting)
-    lvl6 = Level(6)
-    for a, b in ((a, b) for a in range(1, 64, 6) for b in range(0, 64, 7)):
-        assert mul_basis(a, b, lvl6) == (_basis_sign(a, b), a ^ b)
+    calls = _counting_sign_table(monkeypatch)
+    for n in range(1, 11):
+        dim = 1 << n
+        step = max(1, dim // 16)
+        for a in range(0, dim, step):
+            for b in range(dim - 1, -1, -step):
+                assert mul_basis(a, b, Level(n)) == (_basis_sign(a, b), a ^ b), (n, a, b)
     assert calls == []
-    # a level whose table is missing builds it once through sign_table
-    monkeypatch.delitem(cdp._TABLES, 5, raising=False)
-    for _ in range(2):
-        assert mul_basis(3, 17, Level(5)) == (_basis_sign(3, 17), 18)
-    assert calls == [5]
-    # above the memoized levels the sign loop runs bare
-    assert mul_basis(3, 700, Level(10)) == (_basis_sign(3, 700), 3 ^ 700)
-    assert calls == [5]
+
+
+def test_sign_table_hands_out_no_writable_state():
+    # a write into a returned table must fail, and no product may change
+    table = sign_table(5)
+    with pytest.raises(TypeError):
+        table[1][2] = -1
+    with pytest.raises(TypeError):
+        table[1] = table[1] ^ 1 << 2
+    for n in (5, 6):
+        assert mul_basis(1, 2, Level(n)) == (1, 3)
+        assert mul_element(Element.unit(1), Element.unit(2), Level(n)) == Element.unit(3)
+    assert sign_table(5) == table and not table[1] >> 2 & 1
+    assert theorem1_check(Level(5)) is None
 
 
 def _norm_sq(x, lvl):
@@ -308,7 +313,7 @@ def test_basis_sign_loop_matches_recursion():
         dim = 1 << n
         ref = [[_recursive_sign(a, b) for b in range(dim)] for a in range(dim)]
         assert [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)] == ref, n
-        assert sign_table(n) == ref, n
+        assert sign_table(n) == _negative_rows(ref), n
 
 
 @functools.cache
@@ -317,22 +322,41 @@ def _loop_table(n):
     return [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
 
 
-@pytest.mark.parametrize("order", [range(1, 9), range(8, 0, -1)], ids=["up", "down"])
+def _negative_rows(table):
+    """A table of signs packed cell by cell: bit b of row a set at a -1."""
+    return tuple(sum(1 << b for b, sign in enumerate(row) if sign < 0) for row in table)
+
+
+@pytest.mark.parametrize("n", range(1, cdp.MEMO_MAX_N + 1))
+def test_sign_table_bits_equal_basis_sign(n):
+    table = sign_table(n)
+    assert type(table) is tuple and len(table) == 1 << n
+    assert all(type(row) is int and not row >> (1 << n) for row in table)
+    assert table == _negative_rows(_loop_table(n))
+
+
+@pytest.mark.parametrize("n", range(1, cdp.MEMO_MAX_N))
+def test_sign_table_is_the_masked_corner_of_the_next_level(n):
+    dim = 1 << n
+    assert sign_table(n) == tuple(row & (1 << dim) - 1 for row in sign_table(n + 1)[:dim])
+
+
+@pytest.mark.parametrize(
+    "order", [range(1, cdp.MEMO_MAX_N + 1), range(cdp.MEMO_MAX_N, 0, -1)], ids=["up", "down"]
+)
 @pytest.mark.parametrize("held", [(), (5,)], ids=["empty", "only5"])
-def test_doubled_sign_tables_match_basis_sign(monkeypatch, held, order):
-    # cdp._double's row rule against the sign loop at every cell, built from
-    # nothing and from a lone level 5; each missing level is doubled once
-    monkeypatch.setattr(cdp, "_TABLES", {n: [row[:] for row in _loop_table(n)] for n in held})
-    built = []
-    real = cdp._double
-
-    def counting(lower):
-        built.append(len(lower).bit_length())  # the level of the doubled table
-        return real(lower)
-
-    monkeypatch.setattr(cdp, "_double", counting)
+def test_doubled_sign_tables_match_basis_sign(held, order):
+    # cdp._double's row rule against the sign loop at every cell, doubled
+    # from the reals' one row or from a lone loop-built level 5; the last
+    # doubling is the table kept, and its corners read in either order
+    start = held[0] if held else 0
+    rows = list(_negative_rows(_loop_table(start))) if held else [0]
+    doubled = {}
+    for n in range(start + 1, cdp.MEMO_MAX_N + 1):
+        rows = cdp._double(rows)
+        doubled[n] = tuple(rows)
+    assert doubled[cdp.MEMO_MAX_N] == cdp._ROWS
     for n in order:
-        assert sign_table(n) == _loop_table(n), n
-        assert sign_table(n) is cdp._TABLES[n]
-    assert sorted(built) == [n for n in range(1, 9) if n not in held]
-
+        expected = _negative_rows(_loop_table(n))
+        assert doubled.get(n, expected) == expected, n
+        assert sign_table(n) == expected, n

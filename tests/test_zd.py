@@ -1,3 +1,4 @@
+import functools
 import pickle
 import random
 import tracemalloc
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from boxkites import cdp, etable, kites, theorems, zd
-from boxkites.cdp import Element, IndexRangeError, Level, mul_basis, mul_element, sign_table
+from boxkites.cdp import (
+    Element,
+    IndexRangeError,
+    Level,
+    _basis_sign,
+    mul_basis,
+    mul_element,
+    sign_table,
+)
 from boxkites.trips import enumerate_trips, is_trip
 from boxkites.zd import (
     BACKSLASH,
@@ -442,8 +451,8 @@ def test_theorem1_kernel_equals_the_element_sweep_on_sampled_buckets(n):
 
 def _kernel_bucket_zeros(lvl, a, b):
     """_bucket_zeros read off the kernel as theorem2_check reads it: the
-    rows of a and b, packed as one-row matrices."""
-    rows = [zd._pack([row]) for row in sign_table(lvl.n)]
+    sign rows of a and b, each a one-row matrix."""
+    rows = sign_table(lvl.n)
     x = a ^ b
     keep = sum(1 << c for c in range(1, lvl.dim) if c < c ^ x)
     zero, same = zd._zero_test(rows[a], rows[b], rows[a], rows[b], 0, x, lvl.dim, keep)
@@ -476,6 +485,29 @@ def test_row_read_equals_exact_products_on_any_dyad(n):
     assert found
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_signs_quadrants_equal_the_sign_loop(n):
+    # each quadrant packed cell by cell from the sign loop: cell (r, c) at
+    # bit r*g + c when the sign at (r0 + r, c0 + c) is -1
+    g = 1 << n - 1
+
+    def quadrant(r0, c0):
+        m = 0
+        for r in range(g):
+            for c in range(g):
+                if _basis_sign(r0 + r, c0 + c) < 0:
+                    m |= 1 << r * g + c
+        return m
+
+    signs = zd._split_signs(n)
+    assert (signs.ll, signs.lh, signs.hl, signs.hh) == (
+        quadrant(0, 0),
+        quadrant(0, g),
+        quadrant(g, 0),
+        quadrant(g, g),
+    )
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_theorem4_antisymmetry_read_equals_the_element_sweep(n):
     planes = enumerate_assessors(Level(n))
@@ -486,13 +518,13 @@ def test_theorem4_antisymmetry_read_equals_the_element_sweep(n):
 
 @pytest.fixture
 def doctored(monkeypatch):
-    """Flip one cell of a copy of the level-5 sign table; the split
-    quadrants are rebuilt from it, and again from the real table after."""
+    """Flip one bit of a copy of the one sign table, so the cell's sign
+    changes at every level holding it; the split quadrants are rebuilt
+    from it, and again from the real table after."""
 
     def flip(r, c):
-        table = [row[:] for row in sign_table(5)]
-        table[r][c] = -table[r][c]
-        monkeypatch.setitem(cdp._TABLES, 5, table)
+        rows = tuple(row ^ (a == r) << c for a, row in enumerate(cdp._ROWS))
+        monkeypatch.setattr(cdp, "_ROWS", rows)
         zd._split_signs.cache_clear()
 
     yield flip
@@ -504,14 +536,15 @@ def doctored(monkeypatch):
     [
         ((1, 2), ((1, 2, 1), (1, 2, -1))),  # t(1,2) = t(2,1): (i_1 + i_2)(i_1 - i_2) = 0
         ((3, 6), ((1, 3, 1), (4, 6, 1))),
-        ((13, 6), ((3, 13, 1), (6, 8, 1))),
+        ((7, 5), ((1, 7, 1), (3, 5, 1))),
     ],
 )
 def test_theorem1_kernel_and_sweep_agree_on_a_doctored_table(doctored, cell, hit):
-    # an all-low zero at n = 5 that n = 4, whose table is left alone, lacks
+    # an octonion cell flipped makes an all-low zero at n = 4; at n = 5 the
+    # same zero is one level down too, so both scans find it inherited
     doctored(*cell)
-    assert theorem1_check(LVL5) == _theorem1_sweep(LVL5) == hit
-    assert theorem1_check(LVL4) is None
+    assert theorem1_check(LVL4) == _theorem1_sweep(LVL4) == hit
+    assert theorem1_check(LVL5) is _theorem1_sweep(LVL5) is None
 
 
 @pytest.mark.parametrize(
@@ -670,6 +703,13 @@ def test_sweeps_refuse_a_level_above_the_sign_tables_before_building_it():
     assert zd._swap_mask.cache_info().currsize == masks
 
 
+@functools.cache
+def _loop_table(n):
+    """The level's signs from the sign loop, cell by cell, as lists."""
+    dim = 1 << n
+    return [[_basis_sign(a, b) for b in range(dim)] for a in range(dim)]
+
+
 def _four_read_relation(lvl, s):
     """A cluster's relation read pair by pair, four sign reads each.
 
@@ -681,7 +721,7 @@ def _four_read_relation(lvl, s):
     g = lvl.g
     x = g | s
     lows = [k for k in range(1, g) if k != s]
-    table = sign_table(lvl.n)
+    table = _loop_table(lvl.n)
     zero, same = [0] * g, [0] * g
     for i, a in enumerate(lows):
         ta, tA = table[a], table[a ^ x]
