@@ -350,7 +350,9 @@ def survey(lvl: Level, s: int) -> Survey:
     its third strut holds p^q, and then exactly the four faces with an
     even number of upper ends are trips.  As p and q are distinct lower
     ends, p^q is nonzero, is neither p nor q, and has that bit clear, so
-    it is the lower end of a third strut.
+    it is the lower end of a third strut.  So two kites never share an
+    edge: an edge's two planes lie on two struts, and these fix the
+    third, so the edge names its kite (``theorems._t6`` rests on this).
 
     Each kite is built from its triangle (p, q, r = p^q) by index
     arithmetic, and is the kite ``_assemble`` builds from the all-red

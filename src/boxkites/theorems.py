@@ -5,22 +5,23 @@ level from 16 to 256 dimensions, and reports a one-line detail.  Pairs
 that index arithmetic proves nonzero (the XOR-bucket lemma at
 ``zd._zero_test``) are never tested, and every zero is a read of the
 exact sign table through that one kernel: Theorem 1 per all-low XOR
-bucket, Theorem 2 per dyad holding the generator unit, and Theorems 3,
-5 and 6 through each cluster's relation (``zd.relation``), which a
-suite run builds per cluster and drops when it returns.  Theorem 4
-reads a plane's two cross signs.  No ``Element`` product is taken;
-``emanate`` multiplies only to word a Theorem 5 failure.
+bucket through 16 dimensions (above, its scan is clean by proof),
+Theorem 2 per dyad holding the generator unit, and Theorems 3, 5 and 6
+through each cluster's relation (``zd.relation``), which a suite run
+builds per cluster and drops when it returns.  Theorem 4 reads a
+plane's two cross signs.  No ``Element`` product is taken; ``emanate``
+multiplies only to word a Theorem 5 failure.
 
-Theorems 5 to 7 read each kite as the index record it is, its six
-L-indices (``BoxKite.los``) and its 12-bit colour word (``blue``), and
-build no ``Assessor`` and no ``Sail``: Theorem 5 takes a sail's three
-L-indices by position, Theorem 6 an edge's two L-indices by position
-and its slope class by bit, and Theorem 7 checks that every L-index
-names a plane of the kite's cluster, and the one colouring and the
-trips that ``kites.classify_sails``, the oracle it is tested against,
-would check.  Violations come back as failed results carrying the
-counterexample, so the caller can print PASS/FAIL lines without
-re-deriving anything.
+Theorem 6 reads the relations as whole words, one g x g bit matrix per
+cluster, and of the kites only their count.  Only Theorems 5 and 7 read
+kites, each as the index record it is, its six L-indices
+(``BoxKite.los``) and its 12-bit colour word (``blue``), and build no
+``Assessor`` and no ``Sail``: Theorem 5 takes a sail's three L-indices
+by position, and Theorem 7 checks that every L-index names a plane of
+the kite's cluster, and the one colouring and the trips that
+``kites.classify_sails``, the oracle it is tested against, would check.
+Violations come back as failed results carrying the counterexample, so
+the caller can print PASS/FAIL lines without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 from .cdp import MEMO_MAX_N, Level
 from .kites import (
-    _EDGE_ROWS,
     _SAIL_BLUE,
     _SAIL_SLOTS,
     _VERTEX_AT,
@@ -41,8 +41,10 @@ from .kites import (
     survey,
 )
 from .zd import (
-    NotDmzError,
     Relation,
+    _join,
+    _split_signs,
+    _xor_permute,
     emanate,
     enumerate_assessors,
     relation,
@@ -74,10 +76,10 @@ def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
     A level outside that range is refused before any survey.  At n = 8
-    a run takes 1.2 to 1.8 s in-process (CPython 3.11 on a 2-core machine
-    whose speed varies by half from run to run): the 127 surveys and Theorem 6
-    0.3 to 0.6 s each, Theorem 5 0.1 to 0.2 s, Theorems 1 to 4 together
-    about 0.2 s and Theorem 7 about 0.1 s.
+    a run takes 0.7 to 1.3 s in-process (CPython 3.11 on a 2-core machine
+    whose speed varies by half from run to run): the 127 surveys 0.4 to
+    0.65 s, Theorem 5 0.1 to 0.25 s, Theorems 6 and 7 0.06 to 0.13 s each
+    and Theorems 1 to 4 together 0.07 to 0.15 s.
     """
     lvl = Level(n)
     if n < 4:
@@ -92,7 +94,7 @@ def run_suite(n: int) -> list[TheoremResult]:
         _guard("Theorem 3", lambda: _t3(lvl)),
         _guard("Theorem 4", lambda: _t4(lvl)),
         _guard("Theorem 5", lambda: _t5(relations, kites)),
-        _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
+        _guard("Theorem 6", lambda: _t6(lvl, relations, len(kites))),
         _guard("Theorem 7", lambda: _t7(kites)),
     ]
 
@@ -167,35 +169,47 @@ def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
     )
 
 
-def _t6(lvl: Level, relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
-    # zd.twist read off the relations.  A zero pair of diagonals on the
-    # planes (a, a ^ x) and (b, b ^ x) of cluster s, slopes sa and sb,
-    # twists into (b, a ^ x) with slope sb and (a, b ^ x) with slope -sa:
-    # planes of cluster a ^ b ^ s, in the other slope class (the slopes'
-    # product changes sign).  So each kite edge's four twists, both slope
-    # pairs of its class in both orders, are valid exactly when that
-    # cluster's relation holds (b, a) in the other class.  An edge's two
-    # L-indices are read from the kite's slots, its class (1 for BLUE,
-    # same-slope) from its bit of the blue word.
+def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult:
+    # zd.twist read off the relations, as whole words.  A zero pair of
+    # diagonals on the planes (a, a ^ x) and (b, b ^ x) of cluster s,
+    # slopes sa and sb, twists into (b, a ^ x) with slope sb and (a, b ^ x)
+    # with slope -sa: planes of cluster t = a ^ b ^ s, in the other slope
+    # class (the slopes' product changes sign).  So each zero pair's four
+    # twists, both slope pairs of its class in both orders, are valid
+    # exactly when cluster t's relation holds (b, a) in the other class.
+    # The relation and its class are symmetric (proof at zd.relation), so
+    # that is cell (a, b) of Z_t & (S_s ^ S_t), with Z_s and S_s cluster
+    # s's zero and same rows joined into g x g matrices.  The cells (a, b) of
+    # Z_s that twist into t are those with a ^ b = s ^ t = k, the cells of
+    # the XOR diagonal D_k; each zero pair is two cells, (a, b) and (b, a),
+    # so each cell stands for two twists.
+    #
+    # These are the kites' twists.  Each kite edge is a zero pair (Theorem
+    # 5 reads every sail edge, and the four sails' edges are the twelve),
+    # of two planes on different struts, so a ^ b is neither 0 nor s and
+    # the pair lies on some D_k above; and no two kites share an edge, as
+    # two struts of a triangle fix the third (kites.survey).  So the twists
+    # counted here, four per zero pair off the struts, are at least 48 per
+    # kite, and they are exactly the kites' when the two counts agree.
+    g = lvl.g
+    diagonals = [_xor_permute(_split_signs(lvl.n).diagonal, k, g * g) for k in range(g)]
+    words = {s: (_join(rel.zero, g), _join(rel.same, g)) for s, rel in relations.items()}
     total = valid = 0
     invalid_targets: set[int] = set()
     invalid_sources: set[int] = set()
-    for bk in kites:
-        s, los, blue = bk.s, bk.los, bk.blue
-        zero, same = relations[s]
-        for e, (i, j, _) in enumerate(_EDGE_ROWS):
-            a, b = los[i], los[j]
-            cls = blue >> e & 1
-            if not zero[a] >> b & 1 or same[a] >> b & 1 != cls:
-                raise NotDmzError("twist needs a pair of diagonals that make zero")
-            target = a ^ b ^ s
-            twisted_zero, twisted_same = relations[target]
-            total += 4
-            if twisted_zero[b] >> a & 1 and twisted_same[b] >> a & 1 != cls:
-                valid += 4
-            else:
+    for s, (zero_s, same_s) in words.items():
+        for t, (zero_t, same_t) in words.items():
+            twists = zero_s & diagonals[s ^ t]  # none at t = s: no plane pairs with itself
+            kept = twists & zero_t & (same_s ^ same_t)
+            total += 2 * twists.bit_count()
+            valid += 2 * kept.bit_count()
+            if kept != twists:
                 invalid_sources.add(s)
-                invalid_targets.add(target)
+                invalid_targets.add(t)
+    if total != 48 * kites:
+        return TheoremResult(
+            "Theorem 6", False, f"{total // 4} zero pairs against {kites} kites, not 12 per kite"
+        )
     detail = f"{valid}/{total} twisted pairs still make zero"
     if lvl.n == 4:
         return TheoremResult("Theorem 6", valid == total, detail)

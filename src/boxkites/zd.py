@@ -18,8 +18,9 @@ written next to it.  A two-term product can only vanish when both
 factors have the same XOR of their two indices (the lemma there), so a
 sweep tests only within a bucket.  ``relation`` feeds it a cluster, read
 by ``dmz_scan``, ``dmz_report``, ``etable.build_et``, ``kites.survey``
-and Theorems 3, 5 and 6; Theorem 1 feeds it the all-low buckets and
-Theorem 2 the rows of the dyads holding the generator unit.  Theorem 4
+and Theorems 3, 5 and 6; Theorem 1 feeds it the all-low buckets, only
+through 16 dimensions (above, its scan is clean by proof), and Theorem 2
+the rows of the dyads holding the generator unit.  Theorem 4
 reads one plane's two cross signs.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
@@ -228,8 +229,9 @@ def relation(lvl: Level, s: int) -> Relation:
     HH(a^s, b^s), LH(a, b^s) and HL(a^s, b): _zero_test's four matrices,
     with row key s*g and column key s.  The cells kept are those whose
     row and column are L-indices of the cluster (neither 0 nor s) and
-    differ.  Every cell is a read of its own, so the relation's symmetry
-    is not used, only checked by the tests.
+    differ.  Every cell is a read of its own, so building the relation
+    does not use its symmetry; Theorem 6 (``theorems._t6``) does, and the
+    tests check it at n = 4..8.
 
     The quadrants are sliced from the level's corner of the one exact
     sign table (cdp.sign_table) once per level and kept, so no sign
@@ -403,16 +405,19 @@ def theorem1_check(lvl: Level):
     already among the 32-dimensional numbers an all-low dyad can
     annihilate an all-high one, e.g. (i_1 + i_10)(i_20 - i_31) = 0.
 
-    Each all-low bucket x < g is one _zero_test over the level's low
-    quadrant: every read t(a,c), t(A,C), t(a,C), t(A,c) has both indices
-    below g.  Its cells (a, c) run over each dyad's lower index, a < a ^ x
-    (bit h of a clear, h the top bit of x), with 1 <= a <= c: each pair
-    of dyads once, and each dyad with itself.  From 32 dimensions on the
-    same test over level n - 1's own rows clears the zeros it also finds
-    in the same class.  With one sign table those rows are the low
-    quadrant's own bits (level n - 1's table is the corner of level n's),
-    so from 32 dimensions on every all-low zero is inherited by
-    construction and the scan is clean.
+    The inheritance holds by construction.  Level n - 1's table is the
+    corner of level n's (one sign table, ``cdp.sign_table``), so an
+    all-low pair's four reads are level n - 1's reads of the same pair,
+    and each all-low zero is a zero one level down, in the same slope
+    class.  So from 32 dimensions on the scan is clean by proof and runs
+    no kernel; only through 16 dimensions, where the low half must make
+    no zero at all, is it read.
+
+    Through 16 dimensions each all-low bucket x < g is one _zero_test
+    over the level's low quadrant: every read t(a,c), t(A,C), t(a,C),
+    t(A,c) has both indices below g.  Its cells (a, c) run over each
+    dyad's lower index, a < a ^ x (bit h of a clear, h the top bit of x),
+    with 1 <= a <= c: each pair of dyads once, and each dyad with itself.
     Counterexamples are ordered as a sweep over the dyad pool meets them:
     dyads (a, b, sb), a < b, by (a, b), sb = 1 before -1, each against
     the dyads of its bucket from itself on.  A row's first zero is its
@@ -427,18 +432,16 @@ def theorem1_check(lvl: Level):
     """
     _check_ceiling(lvl)
     n, g = lvl.n, lvl.g
+    if n > 4:
+        return None
     cells = g * g
     low = _split_signs(n).ll
-    below = low if n > 4 else None  # level n - 1's rows, as the corner
     upper = sum(((1 << g) - (1 << a)) << a * g for a in range(1, g))  # 1 <= a <= c
     first = None
     for x in range(1, g):
         h, key = x.bit_length() - 1, x << n - 1
         keep = upper & _swap_mask(cells, n - 1 + h) & _swap_mask(cells, h)
         zero, same = _zero_test(low, low, low, low, key, x, cells, keep)
-        if zero and below is not None:
-            old, old_same = _zero_test(below, below, below, below, key, x, cells, zero)
-            zero &= ~old | old_same ^ same  # inherited: a zero one level down, in its class
         if zero:
             a, c = divmod((zero & -zero).bit_length() - 1, g)
             hit = (a, a ^ x, 1), (c, c ^ x, 1 if same >> a * g + c & 1 else -1)

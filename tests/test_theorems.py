@@ -10,6 +10,7 @@ import boxkites
 from boxkites import cdp, kites, theorems, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
+    _EDGE_ROWS,
     _SAIL_BLUE,
     _SAIL_SLOTS,
     BLUE,
@@ -19,7 +20,7 @@ from boxkites.kites import (
     classify_sails,
     survey,
 )
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, emanate, relation, twist
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, NotDmzError, emanate, relation, twist
 
 
 def _level(n):
@@ -52,11 +53,58 @@ def _twist_oracle(kites):
     return valid, total, sorted(targets), sorted(sources)
 
 
+def _t6_by_kite_edges(lvl, relations, kites):
+    """Theorem 6 read edge by edge off the kite records: the oracle of its word reading.
+
+    An edge's two L-indices are read from the kite's slots, its class (1
+    for BLUE, same-slope) from its bit of the blue word, and its four
+    twists are valid exactly when the target cluster's relation holds
+    (b, a) in the other class (the proof is at theorems._t6).
+    """
+    total = valid = 0
+    invalid_targets: set[int] = set()
+    invalid_sources: set[int] = set()
+    for bk in kites:
+        s, los, blue = bk.s, bk.los, bk.blue
+        zero, same = relations[s]
+        for e, (i, j, _) in enumerate(_EDGE_ROWS):
+            a, b = los[i], los[j]
+            cls = blue >> e & 1
+            if not zero[a] >> b & 1 or same[a] >> b & 1 != cls:
+                raise NotDmzError("twist needs a pair of diagonals that make zero")
+            target = a ^ b ^ s
+            twisted_zero, twisted_same = relations[target]
+            total += 4
+            if twisted_zero[b] >> a & 1 and twisted_same[b] >> a & 1 != cls:
+                valid += 4
+            else:
+                invalid_sources.add(s)
+                invalid_targets.add(target)
+    detail = f"{valid}/{total} twisted pairs still make zero"
+    if lvl.n == 4:
+        return theorems.TheoremResult("Theorem 6", valid == total, detail)
+    sky = {s for s in range(9, lvl.g) if s & (s - 1)}
+    ok = invalid_targets == sky
+    detail += (
+        f"; failing twists land at strut constants {sorted(invalid_targets)}"
+        f" (sources {sorted(invalid_sources)})"
+    )
+    return theorems.TheoremResult("Theorem 6", ok, detail)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_theorem6_word_reading_matches_the_kite_edge_reading(n):
+    lvl, relations, kites = _level(n)
+    result = theorems._t6(lvl, relations, len(kites))
+    assert result == _t6_by_kite_edges(lvl, relations, kites)
+    assert result.passed
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_theorem6_relation_reading_matches_the_twist_oracle(n):
     lvl, relations, kites = _level(n)
     valid, total, targets, sources = _twist_oracle(kites)
-    result = theorems._t6(lvl, relations, kites)
+    result = theorems._t6(lvl, relations, len(kites))
     assert result.detail == (
         f"{valid}/{total} twisted pairs still make zero; failing twists land at strut "
         f"constants {targets} (sources {sources})"
@@ -67,7 +115,7 @@ def test_theorem6_relation_reading_matches_the_twist_oracle(n):
 
 def test_theorem6_at_n7_fails_its_twists_exactly_at_the_sky():
     lvl, relations, kites = _level(7)
-    result = theorems._t6(lvl, relations, kites)
+    result = theorems._t6(lvl, relations, len(kites))
     sky = [s for s in range(9, lvl.g) if s & (s - 1)]
     sources = [*range(1, 32), *range(41, 48), *range(49, 64)]
     assert result.passed
@@ -106,7 +154,38 @@ def test_suite_at_n8_passes_with_its_counts():
     ]
 
 
+def test_suite_at_n7_passes_with_its_counts():
+    sky = [s for s in range(9, 64) if s & (s - 1)]
+    sources = [*range(1, 32), *range(41, 48), *range(49, 64)]
+    results = theorems.run_suite(7)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        (
+            "Theorem 1",
+            True,
+            "all-low dyads (3906) never annihilate a mixed dyad, and make no "
+            "zeros of their own beyond those inherited from one level down",
+        ),
+        ("Theorem 2", True, "no dyad containing i_64 annihilates anything"),
+        (
+            "Theorem 3",
+            True,
+            "slope-class dichotomy held on all 7626465 candidate pairs (65100 annihilating)",
+        ),
+        ("Theorem 4", True, "no plane's own diagonals make zero (3906 planes)"),
+        ("Theorem 5", True, "every sail edge emanates its third vertex (21700 sails)"),
+        (
+            "Theorem 6",
+            True,
+            "156240/260400 twisted pairs still make zero; failing twists land at strut "
+            f"constants {sky} (sources {sources})",
+        ),
+        ("Theorem 7", True, "U-index law and edge sign patterns hold on all 5425 kites"),
+    ]
+
+
 def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
+    # one kite edge taken out of its relation leaves 923 zero pairs to twist,
+    # one short of the 12 edges of each of the 77 kites
     lvl, relations, kites = _level(5)
     bk = kites[0]
     a, b = bk.los[:2]
@@ -115,8 +194,17 @@ def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     zero[a] &= ~(1 << b)
     zero[b] &= ~(1 << a)
     relations[bk.s] = rel._replace(zero=tuple(zero))
-    with pytest.raises(ValueError, match="twist needs a pair of diagonals that make zero"):
-        theorems._t6(lvl, relations, kites)
+    assert theorems._t6(lvl, relations, len(kites)) == theorems.TheoremResult(
+        "Theorem 6", False, "923 zero pairs against 77 kites, not 12 per kite"
+    )
+
+
+def test_theorem6_refuses_zero_pairs_no_kite_holds():
+    # a kite lost from the count leaves its 12 zero pairs' twists unaccounted
+    lvl, relations, kites = _level(5)
+    assert theorems._t6(lvl, relations, len(kites) - 1) == theorems.TheoremResult(
+        "Theorem 6", False, "924 zero pairs against 76 kites, not 12 per kite"
+    )
 
 
 def test_theorem5_relation_reading_matches_emanate_on_every_sail():
@@ -200,9 +288,12 @@ def test_a_flipped_colour_fails_theorem_7(monkeypatch):
     assert results["Theorem 7"] == theorems.TheoremResult(
         "Theorem 7", False, "s=9: edge A-E is RED, expected BLUE"
     )
-    # Theorem 6 reads the colours too: the flipped edge's slope class is not its relation's
-    assert results["Theorem 6"].detail == (
-        "check aborted: twist needs a pair of diagonals that make zero"
+    # Theorem 6 reads the relations and the kites' count, not their colours
+    assert results["Theorem 6"] == theorems.TheoremResult(
+        "Theorem 6",
+        True,
+        "3024/3696 twisted pairs still make zero; failing twists land at strut "
+        "constants [9, 10, 11, 12, 13, 14, 15] (sources [1, 2, 3, 4, 5, 6, 7])",
     )
     assert all(results[f"Theorem {i}"].passed for i in range(1, 6))
 

@@ -585,6 +585,22 @@ def test_theorems_1_and_2_scan_below_16_dimensions(monkeypatch, n):
     assert theorem2_check(Level(n)) is None and len(calls) == 2 * (g - 1)
 
 
+@pytest.mark.parametrize("n, kernel_calls", [(4, 7), (5, 0), (6, 0), (7, 0), (8, 0)])
+def test_theorem1_runs_the_kernel_only_through_16_dimensions(monkeypatch, n, kernel_calls):
+    # one kernel test per all-low bucket at n = 4; from n = 5 on every
+    # all-low zero is one level down too, by the one sign table, and none runs
+    calls = []
+    kernel = zd._zero_test
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(zd, "_zero_test", counting)
+    assert theorem1_check(Level(n)) is None
+    assert len(calls) == kernel_calls
+
+
 def test_enumerate_assessors_counts():
     assert enumerate_assessors(Level(3)) == []
     assert len(enumerate_assessors(LVL4)) == 42
