@@ -9,12 +9,19 @@ table serves every level: the negative-sign bit rows of the top level
 
 Coefficients are exact (int or Fraction); floats are rejected so that
 zero detection is never approximate.
+
+The package's records (``Level`` here, and the trips, planes, kites,
+tables and theorem results of the other modules) are named tuples:
+immutable, hashed and compared as the tuple of their fields, so a record
+has a length, iterates over its fields and equals a plain tuple of the
+same values.  A record with a constraint on its fields (``Level``,
+``trips.Trip``, ``zd.Assessor``, ``zd.Diagonal``) refuses bad ones in
+``__new__``, which its ``_make``, ``_replace`` and unpickling go through.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -35,15 +42,20 @@ class InvariantError(RuntimeError):
     bad input."""
 
 
-@dataclass(frozen=True, slots=True)
-class Level:
+class Level(NamedTuple("Level", [("n", int)])):
     """Ambient level: the 2^n-ions, whose generator has index 2^(n-1)."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"level exponent must be a positive int: {self.n!r}")
+    def __new__(cls, n: int) -> Level:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"level exponent must be a positive int: {n!r}")
+        return tuple.__new__(cls, (n,))
+
+    @classmethod
+    def _make(cls, fields) -> Level:
+        """Build through __new__, so ``_replace`` refuses a bad field too."""
+        return cls(*fields)
 
     @property
     def g(self) -> int:
@@ -301,8 +313,7 @@ def mul_element(x: Element, y: Element, lvl: Level) -> Element:
 
     Like terms collect, so exact cancelation can return the zero element.
     Neither operand is ever mutated and the product is a new element, so
-    an element may be shared by any number of products (each assessor
-    plane shares its two diagonals this way).
+    an element may be shared by any number of products.
 
     One range check serves every level: an index fits the 2^n-ions iff
     shifting it by n leaves 0.  Below the ceiling each sign is bit j of

@@ -15,10 +15,10 @@ byte-deterministic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .cdp import Level
 from .zd import check_span, check_strut, relation
@@ -26,8 +26,7 @@ from .zd import check_span, check_strut, relation
 HIDDEN = None
 
 
-@dataclass(frozen=True, slots=True)
-class EmanationTable:
+class EmanationTable(NamedTuple):
     """One table: ``cells`` holds len(axis)^2 cell codes, row-major over the axis.
 
     A code is the cell's value r ^ c where the planes r and c make zero
@@ -65,8 +64,7 @@ def _rows(et: EmanationTable):
     return zip(et.axis, (et.cells[i : i + side] for i in range(0, side * side, side)))
 
 
-@dataclass(frozen=True, slots=True)
-class EtStats:
+class EtStats(NamedTuple):
     filled: int
     hidden: int
     density: Fraction

@@ -30,16 +30,19 @@ A kite is an index record: the six L-indices of its vertices in label
 order, and a 12-bit word with bit e set when edge ``EDGE_LABEL_PAIRS[e]``
 is BLUE, so a vertex or an edge is read by its slot.  Every U-index
 follows from its L-index as lo ^ (g + s), and the six ``Assessor``
-planes are built only when a caller reads them.
+planes are built only when a caller reads them, on each read.
+
+Kites, frames, surveys, sails, lanyards and the reports are named
+tuples (see ``cdp``): a kite is also the tuple (lvl, s, los, blue).
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from .cdp import InvariantError, Level, mul_basis, sign_table
 from .trips import cpo_orient, is_trip
@@ -123,15 +126,14 @@ class BrokenChainError(ValueError):
     """No diagonal assignment closes the requested lanyard."""
 
 
-@dataclass(frozen=True, slots=True)
-class BoxKite:
+class BoxKite(NamedTuple):
     """Immutable labeled frame, held as indices.
 
     ``los`` holds the L-indices of A..F, and each vertex is the plane
     (lo, lo ^ (g + s)) of the cluster of s.  Bit e of ``blue`` is set when
-    edge ``EDGE_LABEL_PAIRS[e]`` is BLUE and clear when it is RED.  The six
-    ``Assessor`` vertices are built on first read and kept; equality, hash
-    and repr see only (lvl, s, los, blue), of which the vertices and the
+    edge ``EDGE_LABEL_PAIRS[e]`` is BLUE and clear when it is RED.  The
+    ``Assessor`` vertices are built on each read, none kept: the record
+    is the tuple (lvl, s, los, blue), of which the vertices and the
     colours are functions.
     """
 
@@ -139,9 +141,6 @@ class BoxKite:
     s: int
     los: tuple[int, ...]
     blue: int
-    _vertices: tuple[Assessor, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def g(self) -> int:
@@ -154,13 +153,9 @@ class BoxKite:
 
     @property
     def vertices(self) -> tuple[Assessor, ...]:
-        """The six planes in label order, built on first read."""
-        found = self._vertices
-        if found is None:
-            x, lvl = self.x, self.lvl
-            found = tuple([Assessor(lo, lo ^ x, lvl) for lo in self.los])
-            object.__setattr__(self, "_vertices", found)
-        return found
+        """The six planes in label order, built on each read."""
+        x, lvl = self.x, self.lvl
+        return tuple([Assessor(lo, lo ^ x, lvl) for lo in self.los])
 
     @property
     def edge_colors(self) -> tuple[tuple[str, str, str], ...]:
@@ -169,7 +164,9 @@ class BoxKite:
         return tuple([rows[blue >> e & 1] for e, (_, _, rows) in enumerate(_EDGE_ROWS)])
 
     def assessor(self, label: str) -> Assessor:
-        return self.vertices[_VERTEX_AT[label]]
+        """The plane of one vertex, built alone."""
+        lo = self.los[_VERTEX_AT[label]]
+        return Assessor(lo, lo ^ self.x, self.lvl)
 
     @property
     def zigzag_trip(self) -> tuple[int, int, int]:
@@ -263,8 +260,7 @@ def _assemble(lvl: Level, s: int, zigzag_trip, decide) -> BoxKite:
     return BoxKite(lvl, s, los, blue)
 
 
-@dataclass(frozen=True, slots=True)
-class BrokenFrame:
+class BrokenFrame(NamedTuple):
     """Candidate frame whose edges did not all make zero."""
 
     s: int
@@ -272,8 +268,7 @@ class BrokenFrame:
     missing_edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SaillessFrame:
+class SaillessFrame(NamedTuple):
     """Candidate frame whose edges all make zero but whose faces carry no
     trips, so no sail structure and no A..F labeling exists.
 
@@ -317,8 +312,7 @@ class FrameView:
         return f"FrameView({self._count} frames)"
 
 
-@dataclass(frozen=True, slots=True)
-class Survey:
+class Survey(NamedTuple):
     kites: tuple[BoxKite, ...]
     broken: FrameView  # of BrokenFrame
     sailless: FrameView  # of SaillessFrame
@@ -447,7 +441,7 @@ def survey(lvl: Level, s: int) -> Survey:
                 | (same[e] >> f & 1) << 11
             )
             kites.append(BoxKite(lvl, s, (a, b, c, d, e, f), blue))
-    kites.sort(key=lambda k: k.los[:3])
+    kites.sort()  # lvl and s are shared, so by los: by the zigzag los[:3], which fixes it
 
     def frames(broken: bool) -> Iterator:
         for triple in combinations(ends, 3):
@@ -473,8 +467,7 @@ def survey(lvl: Level, s: int) -> Survey:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Sail:
+class Sail(NamedTuple):
     """A face whose three assessors mutually make zero."""
 
     kind: str
@@ -528,8 +521,7 @@ def classify_sails(bk: BoxKite) -> tuple[Sail, Sail, Sail, Sail]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Lanyard:
+class Lanyard(NamedTuple):
     """Closed chain of diagonals in which every consecutive pair makes zero."""
 
     signature: str
@@ -607,8 +599,7 @@ def trace_lanyard(bk: BoxKite, signature: str, labels: tuple[str, ...] | None = 
     raise BrokenChainError(f"no rotation of {signature!r} closes over {labels}")
 
 
-@dataclass(frozen=True, slots=True)
-class StrutReport:
+class StrutReport(NamedTuple):
     """Orientation flags for one strut's three triplet families.
 
     Each pair of flags covers the family's two triplets in the order
@@ -631,8 +622,7 @@ class StrutReport:
         return not self.vz1[0]
 
 
-@dataclass(frozen=True, slots=True)
-class VizierReport:
+class VizierReport(NamedTuple):
     struts: tuple[StrutReport, ...]
     kite_type: str
 
@@ -675,8 +665,7 @@ def viziers_check(bk: BoxKite) -> VizierReport:
     return VizierReport(tuple(reports), kite_type)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeColorStats:
+class EdgeColorStats(NamedTuple):
     red_edges: tuple[tuple[str, str], ...]
     blue_edges: tuple[tuple[str, str], ...]
 

@@ -26,7 +26,7 @@ the caller can print PASS/FAIL lines without re-deriving anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdp import MEMO_MAX_N, Level
 from .kites import (
@@ -58,8 +58,7 @@ from .zd import (
 _SAIL_AT = tuple(tuple(_VERTEX_AT[label] for label in slot) for slot in _SAIL_SLOTS)
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremResult:
+class TheoremResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -149,23 +148,22 @@ def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
     # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
     # the first do, and the check is r.lo == p.lo ^ q.lo.  emanate itself,
     # the exact oracle, is asked only to word a failure
-    sails = 0
     for bk in kites:
-        zero = relations[bk.s].zero
-        los = bk.los
+        _, s, los, _ = bk
+        zero = relations[s].zero
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
-            sails += 1
             for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
                 p, q, r = los[u], los[v], los[w]
                 if not (zero[p] >> q & 1 and r == p ^ q):
-                    vp, vq, vr = bk.vertices[u], bk.vertices[v], bk.vertices[w]
+                    vertices = bk.vertices
+                    vp, vq, vr = vertices[u], vertices[v], vertices[w]
                     return TheoremResult(
                         "Theorem 5",
                         False,
-                        f"s={bk.s} sail {slot}: {vp} x {vq} emanates {emanate(vp, vq)}, not {vr}",
+                        f"s={s} sail {slot}: {vp} x {vq} emanates {emanate(vp, vq)}, not {vr}",
                     )
     return TheoremResult(
-        "Theorem 5", True, f"every sail edge emanates its third vertex ({sails} sails)"
+        "Theorem 5", True, f"every sail edge emanates its third vertex ({4 * len(kites)} sails)"
     )
 
 
@@ -240,8 +238,8 @@ def _t7(kites: list[BoxKite]) -> TheoremResult:
     # Each U-trip swaps two members for b ^ x and c ^ x, which lie in
     # g+1..2g-1, and a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff
     # the L-trip is.
-    for bk in kites:
-        g, s, los = bk.g, bk.s, bk.los
+    for lvl, s, los, blue in kites:
+        g = lvl.g
         if min(los) < 1 or max(los) >= g or s in los:
             label, lo = next((lb, lo) for lb, lo in zip(LABELS, los) if not 0 < lo < g or lo == s)
             return TheoremResult(
@@ -255,11 +253,11 @@ def _t7(kites: list[BoxKite]) -> TheoremResult:
                 return TheoremResult(
                     "Theorem 7", False, f"s={s}: sail {slot} carries a non-trip {trip}"
                 )
-        wrong = bk.blue ^ _SAIL_BLUE
+        wrong = blue ^ _SAIL_BLUE
         if wrong:
             e = (wrong & -wrong).bit_length() - 1  # the first edge off the pattern
             l1, l2 = EDGE_LABEL_PAIRS[e]
-            got, want = (BLUE, RED) if bk.blue >> e & 1 else (RED, BLUE)
+            got, want = (BLUE, RED) if blue >> e & 1 else (RED, BLUE)
             return TheoremResult(
                 "Theorem 7", False, f"s={s}: edge {l1}-{l2} is {got}, expected {want}"
             )

@@ -5,11 +5,14 @@ associative (quaternionic) subalgebra.  Written in cyclically positive
 order (CPO), left-to-right products of adjacent members come out
 positive.  A trip stored ascending is "good" when ascending order is
 already CPO and "bad" when the cycle runs the other way.
+
+``Trip`` and ``TripCount`` are named tuples (see ``cdp``): a trip is
+also the 4-tuple (a, b, c, good).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdp import IndexRangeError, InvariantError, Level, mul_basis, sign_table
 
@@ -18,31 +21,33 @@ class NotTripError(ValueError):
     """The given indices do not form an associative triplet."""
 
 
-@dataclass(frozen=True, slots=True)
-class Trip:
+class Trip(NamedTuple("Trip", [("a", int), ("b", int), ("c", int), ("good", bool)])):
     """Canonical trip: indices ascending, orientation in the good flag."""
 
-    a: int
-    b: int
-    c: int
-    good: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.a < self.b < self.c:
-            raise ValueError(f"trip must be stored ascending: {(self.a, self.b, self.c)}")
-        if self.a ^ self.b != self.c:
-            raise ValueError(f"not closed under XOR: {(self.a, self.b, self.c)}")
+    def __new__(cls, a: int, b: int, c: int, good: bool) -> Trip:
+        if not 0 < a < b < c:
+            raise ValueError(f"trip must be stored ascending: {(a, b, c)}")
+        if a ^ b != c:
+            raise ValueError(f"not closed under XOR: {(a, b, c)}")
+        return tuple.__new__(cls, (a, b, c, good))
+
+    @classmethod
+    def _make(cls, fields) -> Trip:
+        """Build through __new__, so ``_replace`` refuses a bad field too."""
+        return cls(*fields)
 
     def indices(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
     def cpo(self) -> tuple[int, int, int]:
         """CPO rotation starting from the smallest index."""
-        return (self.a, self.b, self.c) if self.good else (self.a, self.c, self.b)
+        a, b, c, good = self
+        return (a, b, c) if good else (a, c, b)
 
 
-@dataclass(frozen=True, slots=True)
-class TripCount:
+class TripCount(NamedTuple):
     n: int
     total: int
     good: int

@@ -24,15 +24,16 @@ the rows of the dyads holding the generator unit.  Theorem 4
 reads one plane's two cross signs.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
-arithmetic and are the oracle the kernel is tested against; each plane
-builds its two diagonal elements once, on first use, and every product
-taken with the plane multiplies those.
+arithmetic and are the oracle the kernel is tested against; they build
+a plane's diagonal elements for each product they take.
+
+``Assessor``, ``Diagonal``, ``DmzPattern`` and ``TwistResult`` are named
+tuples (see ``cdp``): a plane is also the tuple (lo, hi, lvl).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cache
 from math import comb
 from typing import NamedTuple
@@ -58,34 +59,33 @@ class NotDmzError(ValueError):
     """Operands were expected to make zero and do not."""
 
 
-@dataclass(frozen=True, slots=True)
-class Assessor:
+class Assessor(NamedTuple("Assessor", [("lo", int), ("hi", int), ("lvl", Level)])):
     """Plane spanned by i_lo (below the generator) and i_hi (above it).
 
-    Its two diagonals are built once, on first use, and shared by every
-    product taken with the plane; equality, hash and repr see only
-    (lo, hi, lvl).
+    A named tuple of (lo, hi, lvl).  Its two diagonal elements are built
+    on each read; only the exact-product oracle reads them.
     """
 
-    lo: int
-    hi: int
-    lvl: Level
-    _diagonals: tuple[Element, Element] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for k in (self.lo, self.hi):
+    def __new__(cls, lo: int, hi: int, lvl: Level) -> Assessor:
+        for k in (lo, hi):
             if isinstance(k, bool) or not isinstance(k, int):
                 raise IndexRangeError(f"assessor index must be an int: {k!r}")
         # checked by bit length, never building 2^(n-1) or 2^n, so a level
         # of any size costs nothing here: an L-index has fewer than n bits,
         # a U-index exactly n and is not g, the only power of 2 with n bits
-        n = self.lvl.n
-        if not (self.lo > 0 and self.lo.bit_length() < n):
-            raise ValueError(f"L-index must lie in 1..2^{n - 1} - 1: {self.lo}")
-        if not (self.hi > 0 and self.hi.bit_length() == n and self.hi & (self.hi - 1)):
-            raise ValueError(f"U-index must lie in 2^{n - 1} + 1..2^{n} - 1: {self.hi}")
+        n = lvl.n
+        if not (lo > 0 and lo.bit_length() < n):
+            raise ValueError(f"L-index must lie in 1..2^{n - 1} - 1: {lo}")
+        if not (hi > 0 and hi.bit_length() == n and hi & (hi - 1)):
+            raise ValueError(f"U-index must lie in 2^{n - 1} + 1..2^{n} - 1: {hi}")
+        return tuple.__new__(cls, (lo, hi, lvl))
+
+    @classmethod
+    def _make(cls, fields) -> Assessor:
+        """Build through __new__, so ``_replace`` refuses a bad field too."""
+        return cls(*fields)
 
     @property
     def strut_constant(self) -> int:
@@ -95,33 +95,35 @@ class Assessor:
     @property
     def diagonals(self) -> tuple[Element, Element]:
         """(slash, backslash): the elements i_lo + i_hi and i_lo - i_hi."""
-        pair = self._diagonals
-        if pair is None:
-            pair = (Element({self.lo: 1, self.hi: 1}), Element({self.lo: 1, self.hi: -1}))
-            object.__setattr__(self, "_diagonals", pair)
-        return pair
+        lo, hi, _ = self
+        return Element({lo: 1, hi: 1}), Element({lo: 1, hi: -1})
 
     def element(self, slope: int) -> Element:
-        return self.diagonals[0 if slope > 0 else 1]
+        lo, hi, _ = self
+        return Element({lo: 1, hi: 1 if slope > 0 else -1})
 
     def __repr__(self) -> str:
         return f"Assessor({self.lo}, {self.hi})"
 
 
-@dataclass(frozen=True, slots=True)
-class Diagonal:
+class Diagonal(NamedTuple("Diagonal", [("assessor", Assessor), ("slope", int)])):
     """One zero-divisor line of an assessor: i_lo + i_hi or i_lo - i_hi.
 
     Real scalings stay on the same line and never change annihilation
     behavior, so the slope symbol identifies the line fully.
     """
 
-    assessor: Assessor
-    slope: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.slope not in (SLASH, BACKSLASH):
-            raise ValueError(f"slope must be +1 (slash) or -1 (backslash): {self.slope}")
+    def __new__(cls, assessor: Assessor, slope: int) -> Diagonal:
+        if slope not in (SLASH, BACKSLASH):
+            raise ValueError(f"slope must be +1 (slash) or -1 (backslash): {slope}")
+        return tuple.__new__(cls, (assessor, slope))
+
+    @classmethod
+    def _make(cls, fields) -> Diagonal:
+        """Build through __new__, so ``_replace`` refuses a bad field too."""
+        return cls(*fields)
 
     def element(self) -> Element:
         return self.assessor.element(self.slope)
@@ -130,8 +132,7 @@ class Diagonal:
         return f"Diagonal({self.assessor.lo}, {self.assessor.hi}, {_SLOPE_CHAR[self.slope]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class DmzPattern:
+class DmzPattern(NamedTuple):
     """Which slope pairing annihilates for a DMZ assessor pair."""
 
     same_slope_zero: bool
@@ -162,11 +163,10 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
     """Annihilation pattern of an assessor pair, or None if nothing cancels.
 
     All four slope pairings, (/,/), (/,\\), (\\,/) and (\\,\\), are
-    multiplied out exactly on every call; only the planes' diagonal
-    elements are reused, each built once per plane.  When anything
-    cancels, the two pairings of one slope class must vanish together
-    while the other class stays nonzero; both facts are checked rather
-    than assumed.
+    multiplied out exactly on every call, from the planes' diagonal
+    elements built for the call.  When anything cancels, the two
+    pairings of one slope class must vanish together while the other
+    class stays nonzero; both facts are checked rather than assumed.
 
     Planes at different levels and a plane paired with itself are
     refused, whatever objects carry them.  A zero returns one of two
@@ -506,7 +506,8 @@ def theorem4_check(a: Assessor) -> bool:
     so nonzero, iff the plane's two cross signs are opposite: one read of
     each, at any level.
     """
-    return mul_basis(a.lo, a.hi, a.lvl).sign == -mul_basis(a.hi, a.lo, a.lvl).sign
+    lo, hi, lvl = a
+    return mul_basis(lo, hi, lvl).sign == -mul_basis(hi, lo, lvl).sign
 
 
 def emanate(a1: Assessor, a2: Assessor) -> Assessor:
@@ -527,8 +528,7 @@ def emanate(a1: Assessor, a2: Assessor) -> Assessor:
     return Assessor(lo, hi, lvl)
 
 
-@dataclass(frozen=True, slots=True)
-class TwistResult:
+class TwistResult(NamedTuple):
     pair: tuple[Diagonal, Diagonal]
     valid: bool
 

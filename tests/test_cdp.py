@@ -203,7 +203,7 @@ def test_mul_element_is_bilinear(x, y, z):
 
 @given(data=st.data())
 def test_mul_element_leaves_its_operands_unchanged(data):
-    # the contract that lets every plane share its two diagonals
+    # the contract that lets an element serve any number of products
     n = data.draw(st.integers(1, 6))
     x, y = data.draw(_elements(n)), data.draw(_elements(n))
     before = (x.terms, y.terms)

@@ -454,3 +454,22 @@ def test_package_has_no_bare_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: bare assert at lines {found}"
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses():
+    # every start-up pays for what the package imports: dataclasses would
+    # bring inspect, ast, dis and tokenize with it, and each decorated
+    # record compiles its methods at import.  -I ignores PYTHONPATH, so the
+    # child puts the package root on sys.path itself
+    code = (
+        f"import sys; sys.path.insert(0, {PKG_ROOT!r}); import boxkites, boxkites.cli; "
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "\n", proc.stdout

@@ -1,7 +1,9 @@
 import random
 import re
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -418,17 +420,17 @@ def test_survey_and_census_build_no_plane(monkeypatch, capsys):
     # a kite is an index record: a survey reads no cluster and a census
     # constructs no Assessor; the planes a kite builds when read are the cluster's
     built, read = [], []
-    post_init = Assessor.__post_init__
+    new = Assessor.__new__
 
-    def counting_init(self):
-        built.append(self)
-        post_init(self)
+    def counting_new(cls, lo, hi, lvl):
+        built.append((lo, hi))
+        return new(cls, lo, hi, lvl)
 
     def counting_cluster(lvl, s):
         read.append(s)
         return cluster(lvl, s)
 
-    monkeypatch.setattr(Assessor, "__post_init__", counting_init)
+    monkeypatch.setattr(Assessor, "__new__", counting_new)
     monkeypatch.setattr(kites, "cluster", counting_cluster)
     found = {s: survey(LVL5, s).kites for s in range(1, LVL5.g)}
     assert main(["census", "--n", "6"]) == 0
@@ -439,7 +441,7 @@ def test_survey_and_census_build_no_plane(monkeypatch, capsys):
         plane = {a.lo: a for a in cluster(LVL5, s)}
         for bk in group:
             assert bk.vertices == tuple(plane[lo] for lo in bk.los)
-            assert bk.vertices is bk.vertices  # built on first read, then kept
+    # the 15 clusters' 14 planes each, and six per kite for its one vertices read
     assert len(built) == 15 * 14 + 6 * 77
 
 
@@ -575,6 +577,49 @@ def test_every_dmz_pair_is_an_edge_of_exactly_one_kite(n, total):
         assert len(edges) == 12 * len(kites_of_s) == pairs, s
         found += len(kites_of_s)
     assert found == total
+
+
+# Closed forms of the census.  PAPER.md holds only the abstract, so these
+# are identities measured against exact surveys at n = 4..8, not results
+# quoted from the paper or proven here: each is checked against a survey
+# and replaces none.  g is the generator 2^(n-1); a non-Sky strut constant
+# is one at most 8 or a power of 2.
+
+
+@cache
+def _census(n):
+    """{s: (kites, broken, sailless, DMZ pairs)} over every strut constant at level n."""
+    lvl = Level(n)
+    counts = {}
+    for s in range(1, lvl.g):
+        sv = survey(lvl, s)
+        pairs = sum(m.bit_count() for m in relation(lvl, s).zero) // 2
+        counts[s] = (len(sv.kites), len(sv.broken), len(sv.sailless), pairs)
+    return counts
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_census_meets_the_closed_form_kite_and_dmz_counts(n):
+    # K(n) = (g - 2)(g - 4)(g + 6)/48 box-kites, and 12 K(n) DMZ pairs
+    g = Level(n).g
+    census = _census(n).values()
+    kites_total = sum(k for k, _, _, _ in census)
+    assert (g - 2) * (g - 4) * (g + 6) % 48 == 0
+    assert kites_total == (g - 2) * (g - 4) * (g + 6) // 48
+    assert sum(pairs for _, _, _, pairs in census) == 12 * kites_total
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_every_non_sky_strut_constant_meets_the_closed_form_frame_counts(n):
+    # (h - 1)(h - 2)/6 kites with h = g/2, no broken frame, and the other
+    # C(h - 1, 3) frames of its h - 1 struts sailless
+    h = Level(n).g // 2
+    kites_each = (h - 1) * (h - 2) // 6
+    non_sky = [s for s in _census(n) if s <= 8 or not s & (s - 1)]
+    assert non_sky == [*range(1, 9), *(1 << k for k in range(4, n - 1))]
+    for s in non_sky:
+        kites_s, broken, sailless, _ = _census(n)[s]
+        assert (kites_s, broken, sailless) == (kites_each, 0, comb(h - 1, 3) - kites_each), s
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

@@ -2,8 +2,6 @@
 the suite reads sails off the kites' vertex slots, held to classify_sails,
 and takes no Element product."""
 
-import dataclasses
-
 import pytest
 
 import boxkites
@@ -229,7 +227,7 @@ def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
     lvl, relations, kites = _level(5)
     bk = kites[0]
     a, b, c, d, e, f = bk.los
-    doctored = dataclasses.replace(bk, los=(a, b, c, e, d, f))
+    doctored = bk._replace(los=(a, b, c, e, d, f))
     vf, ve, vb = doctored.assessor("F"), doctored.assessor("D"), doctored.assessor("B")
     assert emanate(vf, ve) != vb
     assert theorems._t5(relations, [doctored]) == theorems.TheoremResult(
@@ -273,7 +271,7 @@ def test_suite_takes_no_element_product(monkeypatch, n):
 
 
 def _flip(bk, edge):
-    return dataclasses.replace(bk, blue=bk.blue ^ 1 << edge)
+    return bk._replace(blue=bk.blue ^ 1 << edge)
 
 
 def test_a_flipped_colour_fails_theorem_7(monkeypatch):
@@ -281,7 +279,7 @@ def test_a_flipped_colour_fails_theorem_7(monkeypatch):
         sv = survey(lvl, s)
         if s != 9:
             return sv
-        return dataclasses.replace(sv, kites=(_flip(sv.kites[0], 3), *sv.kites[1:]))
+        return sv._replace(kites=(_flip(sv.kites[0], 3), *sv.kites[1:]))
 
     monkeypatch.setattr(theorems, "survey", doctored)
     results = {r.name: r for r in theorems.run_suite(5)}
@@ -326,7 +324,7 @@ def test_theorem_7_refuses_what_classify_sails_refuses():
         )
     # another plane of the cluster at D breaks the sail ADE's trips
     other = next(lo for lo in range(1, 16) if lo != 9 and lo not in bk.los)
-    doctored = dataclasses.replace(bk, los=(*bk.los[:3], other, *bk.los[4:]))
+    doctored = bk._replace(los=(*bk.los[:3], other, *bk.los[4:]))
     with pytest.raises(ClassificationError, match="carries a non-trip"):
         classify_sails(doctored)
     a, _, _, d, e, _ = doctored.los
@@ -343,7 +341,7 @@ def test_theorem_7_refuses_an_index_outside_the_cluster(lo):
     for slot, label in enumerate(LABELS):
         los = list(bk.los)
         los[slot] = lo
-        doctored = dataclasses.replace(bk, los=tuple(los))
+        doctored = bk._replace(los=tuple(los))
         with pytest.raises(ValueError, match="-index must lie in"):
             doctored.vertices
         assert theorems._t7([doctored]) == theorems.TheoremResult(

@@ -90,7 +90,7 @@ def test_assessor_identity_ignores_its_built_diagonals():
     a, twin = Assessor(3, 22, LVL5), Assessor(3, 22, LVL5)
     before = (repr(a), hash(a), a == twin)
     assert a.diagonals == (Element({3: 1, 22: 1}), Element({3: 1, 22: -1}))
-    assert a.element(SLASH) is a.diagonals[0] and a.element(BACKSLASH) is a.diagonals[1]
+    assert a.element(SLASH) == a.diagonals[0] and a.element(BACKSLASH) == a.diagonals[1]
     assert (repr(a), hash(a), a == twin) == before == ("Assessor(3, 22)", hash(twin), True)
     assert {a: 1}[twin] == 1 and pickle.loads(pickle.dumps(a)) == a
 
@@ -184,7 +184,7 @@ def test_dmz_pattern_agrees_with_fresh_diagonals(lvl):
     for group in cluster_assessors(lvl).values():
         for a1, a2 in combinations(group, 2):
             want = _fresh_pattern(a1, a2)
-            # first call builds the planes' diagonals, the second reuses them
+            # each call builds the planes' diagonals afresh, and the calls agree
             assert dmz_pattern(a1, a2) == dmz_pattern(a1, a2) == want
             assert dmz_pattern(a2, a1) == want
 
