@@ -20,7 +20,9 @@ neighbours and builds each kite from its triangle by index arithmetic:
 its labels from one sign-table read, its colours from one read each of
 the relation's ``same`` mask (``survey`` has the proofs), and builds no
 plane.  Broken and sailless frames are counted and built only when
-asked for.
+asked for.  The survey hands the relation on with its kites
+(``Survey.relation``), so the theorem suite, which walks the clusters
+once, reads each cluster's relation without building it again.
 
 ``build_boxkite`` checks one frame by exact products, and it and
 ``classify_sails`` (which re-derives the four sails with ``is_trip``)
@@ -51,6 +53,7 @@ from .zd import (
     SLASH,
     Assessor,
     Diagonal,
+    Relation,
     _bits,
     _xor_permute,
     cluster,
@@ -313,9 +316,14 @@ class FrameView:
 
 
 class Survey(NamedTuple):
+    """One strut constant's kites, its broken and sailless frames, and the
+    cluster's relation they were read from, which a caller reads on
+    rather than building it again."""
+
     kites: tuple[BoxKite, ...]
     broken: FrameView  # of BrokenFrame
     sailless: FrameView  # of SaillessFrame
+    relation: Relation
 
 
 def survey(lvl: Level, s: int) -> Survey:
@@ -325,7 +333,8 @@ def survey(lvl: Level, s: int) -> Survey:
     by their lower end p; every choice of three struts is a candidate
     frame, and its twelve edges are the cross edges of its three strut
     pairs.  Every plane pair of the cluster is decided by one
-    ``zd.relation`` call.  Two struts are compatible when their four
+    ``zd.relation`` call, and the survey returns that relation with its
+    kites and frames.  Two struts are compatible when their four
     cross edges all make zero, and each strut keeps the mask of the
     struts compatible with it.  A frame is broken exactly when two of
     its struts are incompatible; otherwise it is a triangle of the strut
@@ -389,7 +398,7 @@ def survey(lvl: Level, s: int) -> Survey:
     strut first.  Broken frames are the raw material of hidden
     emanation-table cells.
     """
-    zero, same = relation(lvl, s)
+    zero, same = rel = relation(lvl, s)
     g = lvl.g
     negative = sign_table(lvl.n)  # bit y of row x is set when t(x, y) = -1
     ends = [p for p in range(1, g) if p < p ^ s]
@@ -458,12 +467,11 @@ def survey(lvl: Level, s: int) -> Survey:
             elif not broken and fits and p ^ q != r:
                 yield SaillessFrame(s, tuple((k, k ^ s) for k in triple))
 
-    broken = comb(len(ends), 3) - triangles
-    sailless = triangles - len(kites)
     return Survey(
         tuple(kites),
-        FrameView(broken, lambda: frames(True)),
-        FrameView(sailless, lambda: frames(False)),
+        FrameView(comb(len(ends), 3) - triangles, lambda: frames(True)),
+        FrameView(triangles - len(kites), lambda: frames(False)),
+        rel,
     )
 
 

@@ -7,21 +7,24 @@ that index arithmetic proves nonzero (the XOR-bucket lemma at
 exact sign table through that one kernel: Theorem 1 per all-low XOR
 bucket through 16 dimensions (above, its scan is clean by proof),
 Theorem 2 per dyad holding the generator unit, and Theorems 3, 5 and 6
-through each cluster's relation (``zd.relation``), which a suite run
-builds per cluster and drops when it returns.  Theorem 4 reads a
-plane's two cross signs.  No ``Element`` product is taken; ``emanate``
-multiplies only to word a Theorem 5 failure.
+through each cluster's relation (``zd.relation``).  A suite run walks
+the clusters once: each cluster's relation is built once, by its
+survey, and held until the run returns.  Theorem 4 reads a plane's two
+cross signs.  No ``Element`` product is taken; ``emanate`` multiplies
+only to word a Theorem 5 failure.
 
 Theorem 6 reads the relations as whole words, one g x g bit matrix per
 cluster, and of the kites only their count.  Only Theorems 5 and 7 read
-kites, each as the index record it is, its six L-indices
-(``BoxKite.los``) and its 12-bit colour word (``blue``), and build no
-``Assessor`` and no ``Sail``: Theorem 5 takes a sail's three L-indices
-by position, and Theorem 7 checks that every L-index names a plane of
-the kite's cluster, and the one colouring and the trips that
-``kites.classify_sails``, the oracle it is tested against, would check.
-Violations come back as failed results carrying the counterexample, so
-the caller can print PASS/FAIL lines without re-deriving anything.
+kites, one cluster's at a time as its survey makes them, each as the
+index record it is, its six L-indices (``BoxKite.los``) and its 12-bit
+colour word (``blue``), and build no ``Assessor`` and no ``Sail``:
+Theorem 5 takes a sail's three L-indices by position, and Theorem 7
+checks that every L-index names a plane of the kite's cluster, and the
+one colouring and the trips that ``kites.classify_sails``, the oracle it
+is tested against, would check.  Both return ``None`` on a cluster that
+passes.  Violations come back as failed results carrying the
+counterexample, so the caller can print PASS/FAIL lines without
+re-deriving anything.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .zd import (
     _xor_permute,
     emanate,
     enumerate_assessors,
-    relation,
     theorem1_check,
     theorem2_check,
     theorem3_check,
@@ -64,7 +66,7 @@ class TheoremResult(NamedTuple):
     detail: str
 
 
-def _guard(name: str, fn) -> TheoremResult:
+def _guard(name: str, fn) -> TheoremResult | None:
     try:
         return fn()
     except (RuntimeError, ValueError) as exc:
@@ -74,27 +76,44 @@ def _guard(name: str, fn) -> TheoremResult:
 def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
-    A level outside that range is refused before any survey.  At n = 8
-    a run takes 0.7 to 1.3 s in-process (CPython 3.11 on a 2-core machine
-    whose speed varies by half from run to run): the 127 surveys 0.4 to
-    0.65 s, Theorem 5 0.1 to 0.25 s, Theorems 6 and 7 0.06 to 0.13 s each
-    and Theorems 1 to 4 together 0.07 to 0.15 s.
+    A level outside that range is refused before any survey.  The suite
+    walks the clusters once, s = 1..g-1.  Each survey builds its
+    cluster's relation, which the suite keeps for Theorems 3 and 6, and
+    its kites, which Theorems 5 and 7 check at once and which are let go
+    when the next survey returns, so at most two clusters' kites are ever
+    held and no list of the level's kites is made.  Each of Theorems 5
+    and 7 keeps its first failure; their PASS lines and Theorem 6 read
+    only the running kite count.
+
+    At n = 8 a run takes 1.1 to 1.2 s in-process (CPython 3.11 on a
+    2-core machine whose speed varies by half from run to run): within
+    the walk the 127 surveys, relations included, 0.56 to 0.61 s,
+    Theorem 5 0.22 to 0.25 s and Theorem 7 0.12 to 0.15 s; after it
+    Theorem 6 0.13 s, Theorem 4 0.09 s and Theorems 1 to 3 together under
+    0.01 s.
     """
     lvl = Level(n)
     if n < 4:
         raise ValueError("verification needs at least 16 dimensions")
     if n > MEMO_MAX_N:
         raise ValueError(f"verification needs at most {2**MEMO_MAX_N} dimensions")
-    kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
-    relations = {s: relation(lvl, s) for s in range(1, lvl.g)}
+    relations: dict[int, Relation] = {}
+    kites, t5, t7 = 0, None, None  # the kite count, Theorems 5 and 7's first failures
+    for s in range(1, lvl.g):
+        found, _, _, relations[s] = survey(lvl, s)
+        kites += len(found)
+        t5 = t5 or _guard("Theorem 5", lambda: _t5(relations[s], found))
+        t7 = t7 or _guard("Theorem 7", lambda: _t7(found))
+    sails = f"every sail edge emanates its third vertex ({4 * kites} sails)"
+    laws = f"U-index law and edge sign patterns hold on all {kites} kites"
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
-        _guard("Theorem 3", lambda: _t3(lvl)),
+        _guard("Theorem 3", lambda: _t3(lvl, relations)),
         _guard("Theorem 4", lambda: _t4(lvl)),
-        _guard("Theorem 5", lambda: _t5(relations, kites)),
-        _guard("Theorem 6", lambda: _t6(lvl, relations, len(kites))),
-        _guard("Theorem 7", lambda: _t7(kites)),
+        t5 or TheoremResult("Theorem 5", True, sails),
+        _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
+        t7 or TheoremResult("Theorem 7", True, laws),
     ]
 
 
@@ -122,8 +141,8 @@ def _t2(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 2", False, f"counterexample: {hit[0]} x {hit[1]} = 0")
 
 
-def _t3(lvl: Level) -> TheoremResult:
-    pairs, hits = theorem3_check(lvl)
+def _t3(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
+    pairs, hits = theorem3_check(lvl, relations.values())
     return TheoremResult(
         "Theorem 3",
         True,
@@ -141,16 +160,17 @@ def _t4(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 4", False, f"self-annihilating planes: {bad[:3]}")
 
 
-def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
+def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
     # emanate(p, q) read off the relation: a zero pair of cluster s emanates
     # the plane (p.lo ^ q.lo, p.lo ^ q.hi), which must be r.  Every vertex
     # of a kite record is (lo, lo ^ x), x = g + s, so p.lo ^ q.hi =
     # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
     # the first do, and the check is r.lo == p.lo ^ q.lo.  emanate itself,
-    # the exact oracle, is asked only to word a failure
+    # the exact oracle, is asked only to word a failure.  The kites are
+    # one cluster's, and rel is that cluster's relation
+    zero = rel.zero
     for bk in kites:
         _, s, los, _ = bk
-        zero = relations[s].zero
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
             for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
                 p, q, r = los[u], los[v], los[w]
@@ -162,9 +182,7 @@ def _t5(relations: dict[int, Relation], kites: list[BoxKite]) -> TheoremResult:
                         False,
                         f"s={s} sail {slot}: {vp} x {vq} emanates {emanate(vp, vq)}, not {vr}",
                     )
-    return TheoremResult(
-        "Theorem 5", True, f"every sail edge emanates its third vertex ({4 * len(kites)} sails)"
-    )
+    return None
 
 
 def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult:
@@ -222,7 +240,7 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult
     return TheoremResult("Theorem 6", ok, detail)
 
 
-def _t7(kites: list[BoxKite]) -> TheoremResult:
+def _t7(kites: tuple[BoxKite, ...]) -> TheoremResult | None:
     # What classify_sails checks, read off the record.  A kite's vertices
     # are (lo, lo ^ x), x = g + s, by construction, so the U-index law
     # holds of every record; what it stood for is that each vertex is a
@@ -261,8 +279,4 @@ def _t7(kites: list[BoxKite]) -> TheoremResult:
             return TheoremResult(
                 "Theorem 7", False, f"s={s}: edge {l1}-{l2} is {got}, expected {want}"
             )
-    return TheoremResult(
-        "Theorem 7",
-        True,
-        f"U-index law and edge sign patterns hold on all {len(kites)} kites",
-    )
+    return None

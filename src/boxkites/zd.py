@@ -17,10 +17,11 @@ bit matrices, with the proof that those reads decide the product
 written next to it.  A two-term product can only vanish when both
 factors have the same XOR of their two indices (the lemma there), so a
 sweep tests only within a bucket.  ``relation`` feeds it a cluster, read
-by ``dmz_scan``, ``dmz_report``, ``etable.build_et``, ``kites.survey``
-and Theorems 3, 5 and 6; Theorem 1 feeds it the all-low buckets, only
-through 16 dimensions (above, its scan is clean by proof), and Theorem 2
-the rows of the dyads holding the generator unit.  Theorem 4
+by ``dmz_scan``, ``dmz_report``, ``etable.build_et`` and ``kites.survey``,
+and by Theorems 3, 5 and 6 as each survey hands it on (a suite run builds
+each cluster's relation once); Theorem 1 feeds it the all-low buckets,
+only through 16 dimensions (above, its scan is clean by proof), and
+Theorem 2 the rows of the dyads holding the generator unit.  Theorem 4
 reads one plane's two cross signs.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
@@ -33,7 +34,7 @@ tuples (see ``cdp``): a plane is also the tuple (lo, hi, lvl).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
 from math import comb
 from typing import NamedTuple
@@ -476,7 +477,7 @@ def theorem2_check(lvl: Level):
     return None
 
 
-def theorem3_check(lvl: Level) -> tuple[int, int]:
+def theorem3_check(lvl: Level, relations: Iterable[Relation]) -> tuple[int, int]:
     """Slope-class dichotomy over every candidate assessor pair.
 
     Every annihilating pair must kill exactly one slope class, both of
@@ -484,16 +485,17 @@ def theorem3_check(lvl: Level) -> tuple[int, int]:
     proves of each pair it reads: a class vanishes under one pair of
     sign conditions for both its members, and the two classes under
     contrary ones (tests/test_zd.py holds the relation to dmz_pattern,
-    which checks both facts on exact products).  So the check counts
-    the level's relations, one per strut constant.  Pairs across
-    clusters are proven silent by the lemma at _zero_test, so they
-    hold the dichotomy trivially and are counted without a test; the
-    candidates are the g - 1 clusters' g - 2 planes each, as ``cluster``
-    builds them.  Returns (candidate_pairs, pairs_annihilating).
+    which checks both facts on exact products).  So the check counts the
+    zero pairs of the relations it is given, the level's, one per strut
+    constant, and builds none of its own (``theorems.run_suite`` hands it
+    the ones its surveys built).  Pairs across clusters are proven silent
+    by the lemma at _zero_test, so they hold the dichotomy trivially and
+    are counted without a test; the candidates are the g - 1 clusters'
+    g - 2 planes each, as ``cluster`` builds them.  Returns
+    (candidate_pairs, pairs_annihilating).
     """
     check_strut(lvl, 1)  # refuses a level out of reach before g is built
-    rels = (relation(lvl, s) for s in range(1, lvl.g))
-    hits = sum(m.bit_count() for rel in rels for m in rel.zero) // 2
+    hits = sum(m.bit_count() for rel in relations for m in rel.zero) // 2
     return comb((lvl.g - 1) * (lvl.g - 2), 2), hits
 
 

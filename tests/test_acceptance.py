@@ -30,6 +30,7 @@ from boxkites.zd import (
     dmz_pattern,
     emanate,
     enumerate_assessors,
+    relation,
     theorem1_check,
     theorem2_check,
     theorem3_check,
@@ -134,7 +135,8 @@ def test_criterion_06_theorem_suite():
         for lvl in (LVL4, LVL5):
             assert theorem1_check(lvl) is None
             assert theorem2_check(lvl) is None
-            theorem3_check(lvl)  # zd.relation proves the dichotomy pair by pair
+            # zd.relation proves the dichotomy pair by pair
+            theorem3_check(lvl, [relation(lvl, s) for s in range(1, lvl.g)])
             assert all(theorem4_check(a) for a in enumerate_assessors(lvl))
         # emanation closure on every sedenion sail
         for s in range(1, 8):

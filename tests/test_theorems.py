@@ -1,11 +1,14 @@
 """Theorems 5 and 6 read off the relations, held to the exact oracles;
 the suite reads sails off the kites' vertex slots, held to classify_sails,
-and takes no Element product."""
+takes no Element product, builds each cluster's relation once and holds
+no list of the level's kites."""
+
+from collections import Counter
 
 import pytest
 
 import boxkites
-from boxkites import cdp, kites, theorems, zd
+from boxkites import cdp, etable, kites, theorems, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
     _EDGE_ROWS,
@@ -14,17 +17,19 @@ from boxkites.kites import (
     BLUE,
     EDGE_LABEL_PAIRS,
     LABELS,
+    BoxKite,
     ClassificationError,
     classify_sails,
     survey,
 )
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, NotDmzError, emanate, relation, twist
+from boxkites.zd import BACKSLASH, SLASH, Diagonal, NotDmzError, emanate, twist
 
 
 def _level(n):
     lvl = Level(n)
-    kites = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
-    return lvl, {s: relation(lvl, s) for s in range(1, lvl.g)}, kites
+    surveys = {s: survey(lvl, s) for s in range(1, lvl.g)}
+    kites = [bk for sv in surveys.values() for bk in sv.kites]
+    return lvl, {s: sv.relation for s, sv in surveys.items()}, kites
 
 
 def _twist_oracle(kites):
@@ -206,19 +211,23 @@ def test_theorem6_refuses_zero_pairs_no_kite_holds():
 
 
 def test_theorem5_relation_reading_matches_emanate_on_every_sail():
-    lvl, relations, kites = _level(5)
+    lvl = Level(5)
     sails = 0
-    for bk in kites:
-        for sail in classify_sails(bk):
-            va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
-            sails += 1
-            for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
-                assert emanate(p, q) == r
-                assert relations[bk.s].pattern(p.lo, q.lo) is not None
-    result = theorems._t5(relations, kites)
-    assert result.passed
-    assert result.detail == f"every sail edge emanates its third vertex ({sails} sails)"
-    assert sails == 4 * len(kites) == 308
+    for s in range(1, lvl.g):
+        sv = survey(lvl, s)
+        for bk in sv.kites:
+            for sail in classify_sails(bk):
+                va, vb, vc = (bk.assessor(lbl) for lbl in sail.labels)
+                sails += 1
+                for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
+                    assert emanate(p, q) == r
+                    assert sv.relation.pattern(p.lo, q.lo) is not None
+        assert theorems._t5(sv.relation, sv.kites) is None
+    result = theorems.run_suite(5)[4]
+    assert result == theorems.TheoremResult(
+        "Theorem 5", True, f"every sail edge emanates its third vertex ({sails} sails)"
+    )
+    assert sails == 4 * 77 == 308
 
 
 def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
@@ -230,7 +239,7 @@ def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
     doctored = bk._replace(los=(a, b, c, e, d, f))
     vf, ve, vb = doctored.assessor("F"), doctored.assessor("D"), doctored.assessor("B")
     assert emanate(vf, ve) != vb
-    assert theorems._t5(relations, [doctored]) == theorems.TheoremResult(
+    assert theorems._t5(relations[bk.s], (doctored,)) == theorems.TheoremResult(
         "Theorem 5",
         False,
         f"s={bk.s} sail ('F', 'D', 'B'): {vf} x {ve} emanates {emanate(vf, ve)}, not {vb}",
@@ -270,6 +279,50 @@ def test_suite_takes_no_element_product(monkeypatch, n):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_suite_builds_each_cluster_relation_once(monkeypatch, n):
+    # each survey's relation feeds Theorems 3, 5 and 6: g - 1 relations a run
+    calls = []
+    kernel = zd.relation
+
+    def counting(lvl, s):
+        calls.append((lvl.n, s))
+        return kernel(lvl, s)
+
+    for module in (boxkites, etable, kites, theorems, zd):
+        if hasattr(module, "relation"):
+            monkeypatch.setattr(module, "relation", counting)
+    assert all(r.passed for r in theorems.run_suite(n))
+    assert calls == [(n, s) for s in range(1, 2 ** (n - 1))]
+
+
+def test_suite_streams_its_kites_one_cluster_at_a_time(monkeypatch):
+    # a kite of a cluster s counts in live[s] from its survey until it is freed;
+    # before each survey at most the previous cluster's kites may be alive
+    live = Counter()
+    alive_before = []
+
+    class Tracked(BoxKite):
+        __slots__ = ()
+
+        def __del__(self):
+            live[self.s] -= 1
+
+    def tracking(lvl, s):
+        held = sorted(t for t, count in live.items() if count)
+        assert len(held) <= 1, f"before survey {s}: kites of clusters {held} alive"
+        alive_before.append(live.total())
+        sv = survey(lvl, s)
+        live[s] += len(sv.kites)
+        return sv._replace(kites=tuple(Tracked(*bk) for bk in sv.kites))
+
+    monkeypatch.setattr(theorems, "survey", tracking)
+    assert all(r.passed for r in theorems.run_suite(5))
+    assert len(alive_before) == 15
+    assert max(alive_before) == 7  # one cluster of s = 1..8, never two
+    assert live.total() == 0
+
+
 def _flip(bk, edge):
     return bk._replace(blue=bk.blue ^ 1 << edge)
 
@@ -299,17 +352,22 @@ def test_a_flipped_colour_fails_theorem_7(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_slot_read_sails_equal_classify_sails(n):
     lvl = Level(n)
-    found = [bk for s in range(1, lvl.g) for bk in survey(lvl, s).kites]
-    for bk in found:
-        sails = classify_sails(bk)  # raises unless the colours are the sails' pattern
-        assert bk.blue == _SAIL_BLUE
-        v = bk.vertices
-        for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, theorems._SAIL_AT):
-            a, b, c = v[i], v[j], v[k]
-            assert sail.labels == slot
-            assert sail.l_trip == (a.lo, b.lo, c.lo)
-            assert sail.u_trips == ((a.lo, b.hi, c.hi), (a.hi, b.lo, c.hi), (a.hi, b.hi, c.lo))
-    assert theorems._t7(found).passed
+    for s in range(1, lvl.g):
+        found = survey(lvl, s).kites
+        for bk in found:
+            sails = classify_sails(bk)  # raises unless the colours are the sails' pattern
+            assert bk.blue == _SAIL_BLUE
+            v = bk.vertices
+            for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, theorems._SAIL_AT):
+                a, b, c = v[i], v[j], v[k]
+                assert sail.labels == slot
+                assert sail.l_trip == (a.lo, b.lo, c.lo)
+                assert sail.u_trips == (
+                    (a.lo, b.hi, c.hi),
+                    (a.hi, b.lo, c.hi),
+                    (a.hi, b.hi, c.lo),
+                )
+        assert theorems._t7(found) is None
 
 
 def test_theorem_7_refuses_what_classify_sails_refuses():

@@ -311,9 +311,9 @@ def test_theorem2_instance():
 
 
 def test_theorem3_dichotomy_exhaustive():
-    pairs4, hits4 = theorem3_check(LVL4)
+    pairs4, hits4 = theorem3_check(LVL4, [relation(LVL4, s) for s in range(1, 8)])
     assert pairs4 == 861 and hits4 == 84
-    pairs5, hits5 = theorem3_check(LVL5)
+    pairs5, hits5 = theorem3_check(LVL5, [relation(LVL5, s) for s in range(1, 16)])
     assert pairs5 == 21945 and hits5 == 924
 
 
@@ -704,6 +704,8 @@ def test_sweeps_refuse_a_level_above_the_sign_tables_before_building_it():
         "cluster_assessors": lambda: cluster_assessors(huge),
         "enumerate_trips": lambda: enumerate_trips(huge),
         "run_suite": lambda: theorems.run_suite(huge.n),
+        # comb((g - 1)(g - 2), 2) is unbounded at such an n, relations or none
+        "theorem3_check": lambda: theorem3_check(huge, []),
     }
     masks = zd._swap_mask.cache_info().currsize
     for name, sweep in sweeps.items():
