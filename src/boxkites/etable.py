@@ -93,11 +93,13 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
     reversing the string puts bit c of row r at character r*g + c;
     translating '1' to 0xff and '0' to 0 spreads it to that byte.  The
     AND of the two words then holds r ^ c exactly where the pair makes
-    zero and 0 elsewhere.  The relation never sets a bit on the
-    diagonal, in row or column 0 or in row or column s, and r ^ c is 0
-    only on the diagonal, so a code is 0 exactly where the cell is
-    hidden.  Deleting rows s and 0 and then, from each remaining row,
-    columns 0 and s leaves the axis x axis cells in row-major order.
+    zero and 0 elsewhere.  The relation never sets a bit in row or
+    column 0 or in row or column s.  A diagonal code r ^ r is 0 whatever
+    the relation holds there (a plane against itself, set only where
+    Theorem 4 fails), and off the diagonal r ^ c is never 0, so a code
+    is 0 exactly where the cell is hidden.  Deleting rows s and 0 and
+    then, from each remaining row, columns 0 and s leaves the axis x
+    axis cells in row-major order.
     The tests hold the codes equal to a cell-by-cell reading of the
     relation and to dmz_pattern's exact products.
     """

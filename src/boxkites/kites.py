@@ -220,15 +220,13 @@ def _canonical_zigzag(lvl: Level, s: int, trip) -> tuple[int, int, int]:
             f"trip {t.indices()} contains the strut constant {s}, so two of its "
             "members are strut-opposite"
         )
-    cpo = t.cpo()
-    i = cpo.index(min(cpo))
-    return cpo[i:] + cpo[:i]
+    return t.cpo()
 
 
 def build_boxkite(lvl: Level, s: int, zigzag_trip) -> BoxKite:
     """Assemble and fully check the frame whose all-red sail is the seed trip.
 
-    The trip is rotated so its smallest index leads in CPO; strut
+    The trip is taken in CPO, which leads with its smallest index; strut
     opposites follow by XOR with s and their planes from the cluster of s.
     Every one of the twelve edges is then decided by exact products: a
     frame with any silent edge is rejected as broken, and a seed whose
@@ -374,10 +372,9 @@ def survey(lvl: Level, s: int) -> Survey:
     *Orientation.*  Sort the zigzag as (x, y, z), so x ^ y = z, and let
     t(x, y) be the sign of i_x i_y.  ``cpo_orient`` stores it as
     Trip(x, y, z) with good = t(x, y) > 0, whose CPO is (x, y, z) when
-    good and (x, z, y) otherwise; ``_canonical_zigzag`` then rotates the
-    smallest index to the front, which x already is.  So A, B, C is
-    (x, y, z) when t(x, y) > 0 and (x, z, y) otherwise: one read of the
-    exact sign table, bit y of row x of ``cdp.sign_table``, set when
+    good and (x, z, y) otherwise, so A, B, C is (x, y, z) when
+    t(x, y) > 0 and (x, z, y) otherwise: one read of the exact sign
+    table, bit y of row x of ``cdp.sign_table``, set when
     t(x, y) = -1.  The seed checks ``_canonical_zigzag`` makes hold
     already: every strut end lies in 1..g-1 and none is s (s ^ s = 0 is
     below s, so s is no lower end, and k ^ s is s only for k = 0).  As

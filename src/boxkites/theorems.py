@@ -6,12 +6,13 @@ that index arithmetic proves nonzero (the XOR-bucket lemma at
 ``zd._zero_test``) are never tested, and every zero is a read of the
 exact sign table through that one kernel: Theorem 1 per all-low XOR
 bucket through 16 dimensions (above, its scan is clean by proof),
-Theorem 2 per dyad holding the generator unit, and Theorems 3, 5 and 6
+Theorem 2 per dyad holding the generator unit, and Theorems 3 to 6
 through each cluster's relation (``zd.relation``).  A suite run walks
 the clusters once: each cluster's relation is built once, by its
-survey, and held until the run returns.  Theorem 4 reads a plane's two
-cross signs.  No ``Element`` product is taken; ``emanate`` multiplies
-only to word a Theorem 5 failure.
+survey, and held until the run returns.  Theorem 4 reads the relations'
+diagonals, each plane against itself.  No ``Element`` product is taken
+and ``cdp.mul_basis`` is never read: a failure is worded from the
+indices that found it.
 
 Theorem 6 reads the relations as whole words, one g x g bit matrix per
 cluster, and of the kites only their count.  Only Theorems 5 and 7 read
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cdp import MEMO_MAX_N, Level
+from .cdp import Level
 from .kites import (
     _SAIL_BLUE,
     _SAIL_SLOTS,
@@ -44,16 +45,15 @@ from .kites import (
     survey,
 )
 from .zd import (
+    Assessor,
     Relation,
     _join,
     _split_signs,
     _xor_permute,
-    emanate,
-    enumerate_assessors,
+    check_strut,
     theorem1_check,
     theorem2_check,
     theorem3_check,
-    theorem4_check,
 )
 
 #: each sail's three vertex positions in a kite, in kites._SAIL_SLOTS order
@@ -76,27 +76,25 @@ def _guard(name: str, fn) -> TheoremResult | None:
 def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
-    A level outside that range is refused before any survey.  The suite
+    A level outside that range is refused, as every sweep refuses it
+    (``zd.check_strut``), before any survey.  The suite
     walks the clusters once, s = 1..g-1.  Each survey builds its
-    cluster's relation, which the suite keeps for Theorems 3 and 6, and
+    cluster's relation, which the suite keeps for Theorems 3, 4 and 6, and
     its kites, which Theorems 5 and 7 check at once and which are let go
     when the next survey returns, so at most two clusters' kites are ever
     held and no list of the level's kites is made.  Each of Theorems 5
     and 7 keeps its first failure; their PASS lines and Theorem 6 read
     only the running kite count.
 
-    At n = 8 a run takes 1.1 to 1.2 s in-process (CPython 3.11 on a
-    2-core machine whose speed varies by half from run to run): within
-    the walk the 127 surveys, relations included, 0.56 to 0.61 s,
-    Theorem 5 0.22 to 0.25 s and Theorem 7 0.12 to 0.15 s; after it
-    Theorem 6 0.13 s, Theorem 4 0.09 s and Theorems 1 to 3 together under
-    0.01 s.
+    At n = 8 a run takes 0.8 to 1.1 s in-process (CPython 3.11 on a
+    2-core machine whose speed varies by half from run to run, 5 runs):
+    within the walk the 127 surveys, relations included, 0.32 to 0.56 s,
+    Theorem 5 0.13 to 0.23 s and Theorem 7 0.06 to 0.12 s; after it
+    Theorem 6 0.10 to 0.13 s, and Theorems 1 to 4 together under 0.01 s
+    (Theorem 4 1 to 2 ms).
     """
     lvl = Level(n)
-    if n < 4:
-        raise ValueError("verification needs at least 16 dimensions")
-    if n > MEMO_MAX_N:
-        raise ValueError(f"verification needs at most {2**MEMO_MAX_N} dimensions")
+    check_strut(lvl, 1)
     relations: dict[int, Relation] = {}
     kites, t5, t7 = 0, None, None  # the kite count, Theorems 5 and 7's first failures
     for s in range(1, lvl.g):
@@ -110,7 +108,7 @@ def run_suite(n: int) -> list[TheoremResult]:
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
         _guard("Theorem 3", lambda: _t3(lvl, relations)),
-        _guard("Theorem 4", lambda: _t4(lvl)),
+        _guard("Theorem 4", lambda: _t4(lvl, relations)),
         t5 or TheoremResult("Theorem 5", True, sails),
         _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
         t7 or TheoremResult("Theorem 7", True, laws),
@@ -150,14 +148,20 @@ def _t3(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
     )
 
 
-def _t4(lvl: Level) -> TheoremResult:
-    cands = enumerate_assessors(lvl)
-    bad = [a for a in cands if not theorem4_check(a)]
-    if not bad:
-        return TheoremResult(
-            "Theorem 4", True, f"no plane's own diagonals make zero ({len(cands)} planes)"
-        )
-    return TheoremResult("Theorem 4", False, f"self-annihilating planes: {bad[:3]}")
+def _t4(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
+    # zd.theorem4_check read off the relations: bit a of zero[a] in
+    # cluster s is the plane (a, a ^ x), x = g + s, against itself, set
+    # exactly when its two diagonals make zero (proof at zd.relation).
+    # Each cluster has g - 2 planes, one per L-index other than 0 and s
+    g = lvl.g
+    bad = sorted(
+        (a, a ^ g ^ s) for s, rel in relations.items() for a, m in enumerate(rel.zero) if m >> a & 1
+    )
+    if bad:
+        first = [Assessor(lo, hi, lvl) for lo, hi in bad[:3]]
+        return TheoremResult("Theorem 4", False, f"self-annihilating planes: {first}")
+    planes = (g - 1) * (g - 2)
+    return TheoremResult("Theorem 4", True, f"no plane's own diagonals make zero ({planes} planes)")
 
 
 def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
@@ -165,23 +169,25 @@ def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
     # the plane (p.lo ^ q.lo, p.lo ^ q.hi), which must be r.  Every vertex
     # of a kite record is (lo, lo ^ x), x = g + s, so p.lo ^ q.hi =
     # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
-    # the first do, and the check is r.lo == p.lo ^ q.lo.  emanate itself,
-    # the exact oracle, is asked only to word a failure.  The kites are
-    # one cluster's, and rel is that cluster's relation
+    # the first do, and the check is r.lo == p.lo ^ q.lo.  A failure is
+    # worded from the indices as emanate words it: an edge that makes no
+    # zero, or the plane (p ^ q, p ^ q ^ x) the edge emanates.  The kites
+    # are one cluster's, and rel is that cluster's relation
     zero = rel.zero
     for bk in kites:
-        _, s, los, _ = bk
+        lvl, s, los, _ = bk
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
             for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
                 p, q, r = los[u], los[v], los[w]
-                if not (zero[p] >> q & 1 and r == p ^ q):
-                    vertices = bk.vertices
-                    vp, vq, vr = vertices[u], vertices[v], vertices[w]
-                    return TheoremResult(
-                        "Theorem 5",
-                        False,
-                        f"s={s} sail {slot}: {vp} x {vq} emanates {emanate(vp, vq)}, not {vr}",
-                    )
+                if zero[p] >> q & 1 and r == p ^ q:
+                    continue
+                vertices = bk.vertices
+                vp, vq, vr = vertices[u], vertices[v], vertices[w]
+                if zero[p] >> q & 1:
+                    why = f"{vp} x {vq} emanates {Assessor(p ^ q, p ^ vq.hi, lvl)}, not {vr}"
+                else:
+                    why = f"{vp} and {vq} make no zero"
+                return TheoremResult("Theorem 5", False, f"s={s} sail {slot}: {why}")
     return None
 
 
@@ -215,7 +221,8 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult
     invalid_sources: set[int] = set()
     for s, (zero_s, same_s) in words.items():
         for t, (zero_t, same_t) in words.items():
-            twists = zero_s & diagonals[s ^ t]  # none at t = s: no plane pairs with itself
+            # at t = s, only a plane against itself, set only where Theorem 4 fails
+            twists = zero_s & diagonals[s ^ t]
             kept = twists & zero_t & (same_s ^ same_t)
             total += 2 * twists.bit_count()
             valid += 2 * kept.bit_count()

@@ -16,13 +16,14 @@ pair of two-term dyads, taken for a whole XOR bucket at once as XORs of
 bit matrices, with the proof that those reads decide the product
 written next to it.  A two-term product can only vanish when both
 factors have the same XOR of their two indices (the lemma there), so a
-sweep tests only within a bucket.  ``relation`` feeds it a cluster, read
-by ``dmz_scan``, ``dmz_report``, ``etable.build_et`` and ``kites.survey``,
-and by Theorems 3, 5 and 6 as each survey hands it on (a suite run builds
-each cluster's relation once); Theorem 1 feeds it the all-low buckets,
-only through 16 dimensions (above, its scan is clean by proof), and
-Theorem 2 the rows of the dyads holding the generator unit.  Theorem 4
-reads one plane's two cross signs.  ``dmz_pattern``, ``emanate``,
+sweep tests only within a bucket.  ``relation`` feeds it a cluster,
+each plane against itself included, read by ``dmz_scan``,
+``dmz_report``, ``etable.build_et`` and ``kites.survey``, and by
+Theorems 3 to 6 as each survey hands it on (a suite run builds each
+cluster's relation once; Theorem 4 reads its diagonal, a plane against
+itself); Theorem 1 feeds it the all-low buckets, only through 16
+dimensions (above, its scan is clean by proof), and Theorem 2 the rows
+of the dyads holding the generator unit.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
 arithmetic and are the oracle the kernel is tested against; they build
@@ -199,6 +200,9 @@ class Relation(NamedTuple):
     zero; ``same[a]`` keeps those of them whose same-slope class vanishes,
     the others vanishing in the opposite-slope class.  Both tuples have
     one entry per L-index 0..g-1, so the entries at 0 and s are empty.
+    Bit a of ``zero[a]`` is the plane's two diagonals against each
+    other: it is clear exactly when Theorem 4 holds of that plane, so on
+    the exact sign table the diagonal is clear.
     """
 
     zero: tuple[int, ...]
@@ -216,11 +220,22 @@ def relation(lvl: Level, s: int) -> Relation:
 
     The planes (a, A) and (b, B) of the cluster, A = a ^ x and B = b ^ x
     with x = g + s, carry diagonals that are dyads of one XOR bucket, so
-    _zero_test's proof decides each pair a != b from four sign reads,
-    slope class included.  In the order (b, a) each of the four reads is
+    _zero_test's proof decides each pair from four sign reads, slope
+    class included.  In the order (b, a) each of the four reads is
     negated, since distinct imaginary units anticommute, and the
     conditions are unchanged: the relation is symmetric and so is its
     class.
+
+    The diagonal.  Cell (a, a) is the plane (a, A) against itself, and
+    the proof covers it (it never uses c != a).  Its reads t(a,a) and
+    t(A,A) are both -1, as every imaginary unit squares to -1, so the
+    same-slope class never vanishes, and the cell is zero, in the
+    opposite-slope class, iff t(a,A) = t(A,a): exactly when the plane's
+    two diagonals make zero and theorem4_check fails.  As distinct units
+    anticommute (the proof at cdp._double), t(a,A) = -t(A,a) and the
+    diagonal is clear; it is read, not masked, so Theorem 4
+    (``theorems._t4``) reads the cell, and tests/test_zd.py holds it to
+    theorem4_check on every plane at n = 4..8.
 
     Word form.  Split the table's negative signs into four g x g bit
     matrices, cell (r, c) at bit r*g + c, over r, c < g: LL(r, c) for
@@ -229,8 +244,8 @@ def relation(lvl: Level, s: int) -> Relation:
     four reads t(a,b), t(A,B), t(a,B) and t(A,b) are LL(a, b),
     HH(a^s, b^s), LH(a, b^s) and HL(a^s, b): _zero_test's four matrices,
     with row key s*g and column key s.  The cells kept are those whose
-    row and column are L-indices of the cluster (neither 0 nor s) and
-    differ.  Every cell is a read of its own, so building the relation
+    row and column are L-indices of the cluster (neither 0 nor s).
+    Every cell is a read of its own, so building the relation
     does not use its symmetry; Theorem 6 (``theorems._t6``) does, and the
     tests check it at n = 4..8.
 
@@ -245,7 +260,7 @@ def relation(lvl: Level, s: int) -> Relation:
     signs = _split_signs(n)
     rows = signs.rows & ~(1 << s * g)  # L-index rows: neither 0 nor s
     cols = (1 << g) - 2 & ~(1 << s)  # and L-index columns
-    keep = rows * cols & ~signs.diagonal
+    keep = rows * cols
     zero, same = _zero_test(signs.ll, signs.hh, signs.lh, signs.hl, s << n - 1, s, g * g, keep)
     return Relation(_rows(zero, g), _rows(same, g))
 
@@ -278,7 +293,9 @@ def _zero_test(
     the same-slope class (sa sc = 1) iff t(a,c) = -t(A,C) and
     t(a,C) = -t(A,c), the opposite-slope class iff both are equalities.
     Signs are +-1, so the two classes never vanish together.  Nothing
-    here depends on which signs the table holds.
+    here depends on which signs the table holds, nor on c != a: with
+    c = a, C = A the two indices are 0 and a ^ A, and the product is a
+    plane's two diagonals against each other.
 
     Word form.  Signs multiply as their negative bits XOR, so
     t(a,c) t(A,C) = -1 iff U = 1 and t(a,C) t(A,c) = -1 iff V = 1, where
@@ -488,7 +505,10 @@ def theorem3_check(lvl: Level, relations: Iterable[Relation]) -> tuple[int, int]
     which checks both facts on exact products).  So the check counts the
     zero pairs of the relations it is given, the level's, one per strut
     constant, and builds none of its own (``theorems.run_suite`` hands it
-    the ones its surveys built).  Pairs across clusters are proven silent
+    the ones its surveys built): each zero pair is two bits, (a, b) and
+    (b, a).  A bit on a relation's diagonal, a plane against itself, is
+    set only where Theorem 4 fails (proof at ``relation``), and there it
+    counts as half a pair.  Pairs across clusters are proven silent
     by the lemma at _zero_test, so they hold the dichotomy trivially and
     are counted without a test; the candidates are the g - 1 clusters'
     g - 2 planes each, as ``cluster`` builds them.  Returns
@@ -506,7 +526,9 @@ def theorem4_check(a: Assessor) -> bool:
     (t(hi,lo) - t(lo,hi)) i_(lo^hi), with t(p, q) the sign of i_p i_q,
     and the other order is its negative.  Both are twice a signed unit,
     so nonzero, iff the plane's two cross signs are opposite: one read of
-    each, at any level.
+    each, at any level.  The suite reads the same cell off the plane's
+    relation (its diagonal bit, proof at ``relation``); this per-plane
+    read is the oracle that reading is tested against.
     """
     lo, hi, lvl = a
     return mul_basis(lo, hi, lvl).sign == -mul_basis(hi, lo, lvl).sign

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import boxkites
-from boxkites import cdp, etable, kites, theorems, zd
+from boxkites import cdp, etable, kites, theorems, trips, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
     _EDGE_ROWS,
@@ -246,6 +246,22 @@ def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
     )
 
 
+def test_theorem5_names_a_sail_edge_that_makes_no_zero():
+    # B's L-index replaced by 4: the zigzag's edge A-B now joins two planes
+    # that make no zero, and the failure names the sail and both planes
+    lvl = Level(5)
+    sv = survey(lvl, 9)
+    bk = sv.kites[0]
+    assert bk.los[:2] == (2, 8)
+    doctored = bk._replace(los=(2, 4, *bk.los[2:]))
+    assert sv.relation.pattern(2, 4) is None
+    assert theorems._t5(sv.relation, (doctored,)) == theorems.TheoremResult(
+        "Theorem 5",
+        False,
+        "s=9 sail ('A', 'B', 'C'): Assessor(2, 27) and Assessor(4, 29) make no zero",
+    )
+
+
 def test_suite_reads_sails_by_slot_without_classifying(monkeypatch):
     seen = []
 
@@ -264,7 +280,7 @@ def test_suite_reads_sails_by_slot_without_classifying(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_suite_takes_no_element_product(monkeypatch, n):
-    # every theorem reads the sign table; emanate multiplies only to word a failure
+    # every theorem reads the sign table, and a failure is worded from indices
     calls = []
     kernel = cdp.mul_element
 
@@ -279,9 +295,32 @@ def test_suite_takes_no_element_product(monkeypatch, n):
     assert calls == []
 
 
+def test_suite_reads_theorem4_off_the_relations(monkeypatch):
+    # no plane list, no per-plane check and no single-product read: Theorem
+    # 4 reads the diagonals of the relations the surveys built
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for holder, name in ((zd, "enumerate_assessors"), (zd, "theorem4_check"), (cdp, "mul_basis")):
+        original = getattr(holder, name)
+        for module in (boxkites, cdp, etable, kites, theorems, trips, zd):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    results = theorems.run_suite(5)
+    assert all(r.passed for r in results)
+    assert results[3].detail == "no plane's own diagonals make zero (210 planes)"
+    assert calls == Counter()
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_suite_builds_each_cluster_relation_once(monkeypatch, n):
-    # each survey's relation feeds Theorems 3, 5 and 6: g - 1 relations a run
+    # each survey's relation feeds Theorems 3 to 6: g - 1 relations a run
     calls = []
     kernel = zd.relation
 

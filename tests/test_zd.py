@@ -567,6 +567,35 @@ def test_theorem4_antisymmetry_read_and_sweep_agree_on_a_doctored_table(doctored
     assert theorem4_check(Assessor(2, 22, LVL5)) is _theorem4_sweep(Assessor(2, 22, LVL5)) is True
 
 
+@pytest.mark.parametrize(
+    "n, lo, hi, t5",
+    [
+        (5, 1, 21, (True, "every sail edge emanates its third vertex (276 sails)")),
+        (4, 3, 13, (True, "every sail edge emanates its third vertex (20 sails)")),
+        (
+            6,
+            5,
+            45,
+            (False, "s=12 sail ('A', 'D', 'E'): Assessor(5, 41) and Assessor(1, 45) make no zero"),
+        ),
+    ],
+)
+def test_theorem4_reads_the_relation_diagonal_on_a_doctored_table(doctored, n, lo, hi, t5):
+    # t(lo, hi) flipped to equal t(hi, lo): the plane's two diagonals make
+    # zero, its cell in its cluster's relation is set, and the suite names
+    # it; at n = 6 the flip also silences a sail edge, which Theorem 5 names
+    doctored(lo, hi)
+    lvl = Level(n)
+    for s in range(1, lvl.g):
+        _diagonal_fails_theorem4(relation(lvl, s), cluster(lvl, s))
+    assert relation(lvl, lo ^ hi ^ lvl.g).zero[lo] >> lo & 1
+    results = {r.name: r for r in theorems.run_suite(n)}
+    assert results["Theorem 4"] == theorems.TheoremResult(
+        "Theorem 4", False, f"self-annihilating planes: [Assessor({lo}, {hi})]"
+    )
+    assert results["Theorem 5"] == theorems.TheoremResult("Theorem 5", *t5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_theorems_1_and_2_scan_below_16_dimensions(monkeypatch, n):
     # a computed clean scan, not a refusal: one kernel test per all-low
@@ -657,6 +686,13 @@ def test_dmz_scan_multiplies_only_within_clusters(monkeypatch):
     assert multiplied == []
 
 
+def _diagonal_fails_theorem4(rel, planes):
+    """The relation's diagonal bit of each plane is set iff theorem4_check fails."""
+    assert [rel.zero[p.lo] >> p.lo & 1 for p in planes] == [
+        0 if theorem4_check(p) else 1 for p in planes
+    ]
+
+
 def _check_relation(rel, pairs):
     """A cluster's relation against dmz_pattern on its given plane pairs, both orders."""
     for a1, a2 in pairs:
@@ -677,6 +713,7 @@ def test_relation_matches_dmz_pattern_on_every_cluster_pair(n):
         assert all(zero >> g == 0 and zero & (1 | 1 << s) == 0 for zero in rel.zero)
         planes = cluster(lvl, s)
         _check_relation(rel, combinations(planes, 2))
+        _diagonal_fails_theorem4(rel, planes)
         pairs += len(planes) * (len(planes) - 1) // 2
         zeros += sum(zero.bit_count() for zero in rel.zero) // 2
     assert (pairs, zeros) == {4: (105, 84), 5: (1365, 924), 6: (13485, 7980)}[n]
@@ -762,6 +799,7 @@ def test_relation_matches_the_four_read_loop_on_every_cluster(n, zeros):
     for s in range(1, lvl.g):
         rel = relation(lvl, s)
         assert rel == _four_read_relation(lvl, s), s
+        _diagonal_fails_theorem4(rel, cluster(lvl, s))
         total += sum(zero.bit_count() for zero in rel.zero) // 2
     assert total == zeros
 
