@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import cdp, etable, kites, theorems, trips, zd
@@ -78,15 +79,19 @@ def cmd_assessors(args) -> int:
     return 0
 
 
+def _emit_blocks(blocks: Iterable[str], out: str | None) -> None:
+    """Write each block as it is made, none held after it is written."""
+    if out is None:
+        sys.stdout.writelines(blocks)
+    else:
+        with open(out, "w") as f:
+            f.writelines(blocks)
+
+
 def cmd_dmz(args) -> int:
     # written as it is formatted, one plane's lines at a time: at --n 8 the
     # report has 523,404 lines
-    blocks = zd.dmz_report(Level(args.n), args.s)
-    if args.out is None:
-        sys.stdout.writelines(blocks)
-    else:
-        with open(args.out, "w") as f:
-            f.writelines(blocks)
+    _emit_blocks(zd.dmz_report(Level(args.n), args.s), args.out)
     return 0
 
 
@@ -114,23 +119,31 @@ def cmd_census(args) -> int:
         zd.check_strut(lvl, 1)  # refuses a level out of reach before g is built
         span = (1, lvl.g - 1)
     zd.check_span(lvl, *span)
-    lines = []
+    # written one cluster's lines at a time, as each survey returns, with
+    # the totals last: every refusal above comes before the first byte, but
+    # a ClassificationError from a later survey leaves the clusters before
+    # it written, as dmz can
+    _emit_blocks(_census_blocks(lvl, span), args.out)
+    return 0
+
+
+def _census_blocks(lvl: Level, span: tuple[int, int]) -> Iterator[str]:
     total = broken_total = 0
     for s in range(span[0], span[1] + 1):
         sv = kites.survey(lvl, s)
         total += len(sv.kites)
         broken_total += len(sv.broken)
+        lines = []
         for bk in sv.kites:
             a, b, c, d, e, f = bk.los
             p, q, r = sorted([min(a, f), min(b, e), min(c, d)])  # as in BoxKite.strut_pairs
             lines.append(
-                f"S={s} zigzag=({a},{b},{c}) struts=({p},{p ^ s})({q},{q ^ s})({r},{r ^ s})"
+                f"S={s} zigzag=({a},{b},{c}) struts=({p},{p ^ s})({q},{q ^ s})({r},{r ^ s})\n"
             )
-    lines.append(f"{total} box-kite(s)")
+        yield "".join(lines)
+    yield f"{total} box-kite(s)\n"
     if broken_total:
-        lines.append(f"{broken_total} broken frame(s)")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        yield f"{broken_total} broken frame(s)\n"
 
 
 def cmd_verify(args) -> int:

@@ -14,13 +14,15 @@ opposite-slope diagonal pairings make zero, BLUE for same-slope ones.
 A frame's twelve edges are the four cross edges of each of its three
 strut pairs, so it fully annihilates exactly when its three struts are
 pairwise compatible (no silent cross edge), a triangle of the strut
-graph.  The survey keeps one bitmask of compatible struts per strut,
-read off the cluster's ``zd.relation``, finds the triangles as common
-neighbours and builds each kite from its triangle by index arithmetic:
-its labels from one sign-table read, its colours from one read each of
-the relation's ``same`` mask (``survey`` has the proofs), and builds no
-plane.  Broken and sailless frames are counted and built only when
-asked for.  The survey hands the relation on with its kites
+graph.  The survey keeps one bitmask of compatible struts per strut, in
+a list indexed by the strut's lower end, read off the cluster's
+``zd.relation``.  It finds the triangles as common neighbours, walking
+each mask's set bits lowest first, and builds each kite from its
+triangle by index arithmetic: its zigzag from four int flags, one per
+trip face, its labels from one sign-table read, its colours from one
+read each of the relation's ``same`` mask (``survey`` has the proofs),
+and builds no plane.  Broken and sailless frames are counted and built
+only when asked for.  The survey hands the relation on with its kites
 (``Survey.relation``), so the theorem suite, which walks the clusters
 once, reads each cluster's relation without building it again.
 
@@ -46,7 +48,8 @@ from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
 
-from .cdp import InvariantError, Level, mul_basis, sign_table
+from . import cdp
+from .cdp import InvariantError, Level, mul_basis
 from .trips import cpo_orient, is_trip
 from .zd import (
     BACKSLASH,
@@ -54,7 +57,6 @@ from .zd import (
     Assessor,
     Diagonal,
     Relation,
-    _bits,
     _xor_permute,
     cluster,
     diagonal_product,
@@ -336,10 +338,15 @@ def survey(lvl: Level, s: int) -> Survey:
     cross edges all make zero, and each strut keeps the mask of the
     struts compatible with it.  A frame is broken exactly when two of
     its struts are incompatible; otherwise it is a triangle of the strut
-    graph and fully annihilates.  Triangles are enumerated as the common
-    neighbours of each compatible pair; a triangle becomes a box-kite
-    when one of its faces is an all-red trip (the zigzag, which fixes
-    the labeling) and is sailless when no face is a trip.
+    graph and fully annihilates.  The masks sit in a list indexed by the
+    lower end.  Triangles are enumerated as the common neighbours of each
+    compatible pair: for each end p, the set bits q > p of its mask are
+    peeled off lowest first (q is the bit length of mask & -mask, less
+    one), and the ends above q in both masks close a triangle each, so
+    each triangle p < q < r is met once, by its two lowest struts.  A
+    triangle becomes a box-kite when one of its faces is an all-red trip
+    (the zigzag, which fixes the labeling) and is sailless when no face
+    is a trip.
 
     Faces are told by index arithmetic.  A face takes one end of each of
     the struts {p, p^s}, {q, q^s} and {r, r^s}, so its three indices XOR
@@ -365,20 +372,25 @@ def survey(lvl: Level, s: int) -> Survey:
     (P,Q,r), and between them they hold each of the twelve cross edges
     once.  Every cross edge of a triangle makes zero, so an edge is RED
     exactly when its bit in ``same`` is clear, and the zigzag is the one
-    face with no ``same`` bit on its three edges.  A triangle with any
-    other number of all-red faces is no box-kite anyone has described,
-    and raises ClassificationError.
+    face with no ``same`` bit on its three edges.  Each face gets one int
+    flag, the OR of its three edges' ``same`` bits, so the all-red faces
+    number 4 less the sum of the flags.  A triangle with any other
+    number of all-red faces than one is no box-kite anyone has
+    described, and raises ClassificationError, a raise that runs under
+    ``python -O`` too.
 
     *Orientation.*  Sort the zigzag as (x, y, z), so x ^ y = z, and let
     t(x, y) be the sign of i_x i_y.  ``cpo_orient`` stores it as
     Trip(x, y, z) with good = t(x, y) > 0, whose CPO is (x, y, z) when
     good and (x, z, y) otherwise, so A, B, C is (x, y, z) when
     t(x, y) > 0 and (x, z, y) otherwise: one read of the exact sign
-    table, bit y of row x of ``cdp.sign_table``, set when
-    t(x, y) = -1.  The seed checks ``_canonical_zigzag`` makes hold
-    already: every strut end lies in 1..g-1 and none is s (s ^ s = 0 is
-    below s, so s is no lower end, and k ^ s is s only for k = 0).  As
-    in ``_assemble``, D, E, F = C^s, B^s, A^s.
+    table, bit y of row x, set when t(x, y) = -1.  It is read from the
+    top level's rows (``cdp._ROWS``), with no level's corner sliced
+    (``cdp.sign_table``): that corner's row x is the same row masked to
+    2^n bits, and y < g < 2^n.  The seed checks ``_canonical_zigzag``
+    makes hold already: every strut end lies in 1..g-1 and none is s
+    (s ^ s = 0 is below s, so s is no lower end, and k ^ s is s only
+    for k = 0).  As in ``_assemble``, D, E, F = C^s, B^s, A^s.
 
     *Colours.*  ``_assemble`` colours edge (u, v) BLUE when
     ``Relation.pattern(u, v)`` is a same-slope zero, and that pattern is
@@ -387,7 +399,9 @@ def survey(lvl: Level, s: int) -> Survey:
     ``same[u] >> v & 1``, written to bit e of the kite's ``blue`` word for
     edge ``EDGE_LABEL_PAIRS[e]``, as ``_assemble`` writes it.  Neither
     BrokenFrameError (no edge is silent) nor NotZigzagError (the zigzag's
-    edges are red by its choice) can arise.
+    edges are red by its choice) can arise.  The (los, blue) pairs are
+    sorted by los, distinct for distinct kites, and the records are built
+    in that order.
 
     Broken and sailless frames are counted (broken = C(m, 3) - triangles
     over m struts) and built only when their views are iterated, broken
@@ -397,37 +411,49 @@ def survey(lvl: Level, s: int) -> Survey:
     """
     zero, same = rel = relation(lvl, s)
     g = lvl.g
-    negative = sign_table(lvl.n)  # bit y of row x is set when t(x, y) = -1
+    negative = cdp._ROWS  # bit y of row x is set when t(x, y) = -1
     ends = [p for p in range(1, g) if p < p ^ s]
     end_mask = sum(1 << p for p in ends)
     # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
     # both has bit b when p and p^s each make zero with b; permuted by
     # XOR with s it has bit q where both has bit q^s
-    compatible = {}
+    compatible = [0] * g
     for p in ends:
         both = zero[p] & zero[p ^ s]
         compatible[p] = both & _xor_permute(both, s, g) & end_mask
 
     triangles = 0
-    kites: list[BoxKite] = []
+    found: list[tuple[tuple[int, ...], int]] = []  # (los, blue) per kite
     for p in ends:
-        for q in _bits(compatible[p] >> p + 1 << p + 1):
-            common = compatible[p] & compatible[q] >> q + 1 << q + 1
+        at_p = compatible[p]
+        rest = at_p >> p + 1 << p + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
+            common = at_p & compatible[q] >> q + 1 << q + 1
             triangles += common.bit_count()
             r = p ^ q
             if not common >> r & 1:
                 continue
             P, Q, R = p ^ s, q ^ s, r ^ s
-            red = [
-                (u, v, w)
-                for u, v, w in ((p, q, r), (p, Q, R), (P, q, R), (P, Q, r))
-                if not (same[u] >> v | same[u] >> w | same[v] >> w) & 1
-            ]
-            if len(red) != 1:
+            sp, sP, sq, sQ = same[p], same[P], same[q], same[Q]
+            # one flag per trip face, set when any of its three edges is BLUE
+            pqr = (sp >> q | sp >> r | sq >> r) & 1
+            pQR = (sp >> Q | sp >> R | sQ >> R) & 1
+            PqR = (sP >> q | sP >> R | sq >> R) & 1
+            PQr = (sP >> Q | sP >> r | sQ >> r) & 1
+            if pqr + pQR + PqR + PQr != 3:
                 raise ClassificationError(
-                    f"frame {((p, P), (q, Q), (r, R))}: 4 trip faces but {len(red)} all-red"
+                    f"frame {((p, P), (q, Q), (r, R))}: 4 trip faces but "
+                    f"{4 - pqr - pQR - PqR - PQr} all-red"
                 )
-            x, y, z = sorted(red[0])
+            zigzag = (
+                (p, q, r) if not pqr else (p, Q, R) if not pQR else (P, q, R) if not PqR else (P, Q, r)
+            )
+            x, y, z = sorted(zigzag)
+            # bit y of row x of the top level's table is the same bit of
+            # sign_table(n)'s row x, its corner masked to 2^n bits, as x, y < g
             a, b, c = (x, z, y) if negative[x] >> y & 1 else (x, y, z)
             d, e, f = c ^ s, b ^ s, a ^ s
             sa, sb, sc, sd = same[a], same[b], same[c], same[d]
@@ -446,8 +472,9 @@ def survey(lvl: Level, s: int) -> Survey:
                 | (sd >> f & 1) << 10
                 | (same[e] >> f & 1) << 11
             )
-            kites.append(BoxKite(lvl, s, (a, b, c, d, e, f), blue))
-    kites.sort()  # lvl and s are shared, so by los: by the zigzag los[:3], which fixes it
+            found.append(((a, b, c, d, e, f), blue))
+    found.sort()  # by los: by the zigzag los[:3], which fixes it
+    kites = tuple([BoxKite(lvl, s, los, blue) for los, blue in found])
 
     def frames(broken: bool) -> Iterator:
         for triple in combinations(ends, 3):
@@ -465,7 +492,7 @@ def survey(lvl: Level, s: int) -> Survey:
                 yield SaillessFrame(s, tuple((k, k ^ s) for k in triple))
 
     return Survey(
-        tuple(kites),
+        kites,
         FrameView(comb(len(ends), 3) - triangles, lambda: frames(True)),
         FrameView(triangles - len(kites), lambda: frames(False)),
         rel,

@@ -86,12 +86,12 @@ def run_suite(n: int) -> list[TheoremResult]:
     and 7 keeps its first failure; their PASS lines and Theorem 6 read
     only the running kite count.
 
-    At n = 8 a run takes 0.8 to 1.1 s in-process (CPython 3.11 on a
+    At n = 8 a run takes 0.48 to 0.59 s in-process (CPython 3.11 on a
     2-core machine whose speed varies by half from run to run, 5 runs):
-    within the walk the 127 surveys, relations included, 0.32 to 0.56 s,
-    Theorem 5 0.13 to 0.23 s and Theorem 7 0.06 to 0.12 s; after it
-    Theorem 6 0.10 to 0.13 s, and Theorems 1 to 4 together under 0.01 s
-    (Theorem 4 1 to 2 ms).
+    within the walk the 127 surveys, relations included, 0.24 to 0.33 s,
+    Theorem 5 0.11 to 0.16 s and Theorem 7 0.06 to 0.09 s; after it
+    Theorem 6 0.07 to 0.09 s, and Theorems 1 to 4 together about 3 ms
+    (Theorem 4 about 1 ms).
     """
     lvl = Level(n)
     check_strut(lvl, 1)

@@ -359,8 +359,8 @@ def _split_signs(n: int) -> _Signs:
     Quadrant LL is the low halves of rows 0..g-1, LH their high halves,
     HL and HH the same of rows g..2g-1: each a slice of the rows, shifted
     and masked, joined at width g.  Any g works, down to n = 1.  The swap
-    masks that _zero_test permutes them with stay in _swap_mask's cache,
-    one per width and bit.
+    masks that _zero_test permutes them with stay in _swap_masks' cache,
+    one tuple per width.
     """
     g = 1 << n - 1
     cells, low = g * g, (1 << g) - 1
@@ -373,22 +373,33 @@ def _split_signs(n: int) -> _Signs:
 
 
 @cache
-def _swap_mask(width: int, k: int) -> int:
-    """The positions below width whose bit k is clear (width a multiple of 2^(k+1))."""
-    d = 1 << k
-    return ((1 << width) - 1) // ((1 << 2 * d) - 1) * ((1 << d) - 1)
+def _swap_masks(width: int) -> tuple[int, ...]:
+    """Entry k: the positions below width whose bit k is clear, for each
+    2^k below width (a power of 2)."""
+    masks, full = [], (1 << width) - 1
+    for k in range(width.bit_length() - 1):
+        d = 1 << k
+        masks.append(full // ((1 << 2 * d) - 1) * ((1 << d) - 1))
+    return tuple(masks)
 
 
 def _xor_permute(m: int, key: int, width: int) -> int:
     """m with the bit at each position p below width moved to p ^ key.
 
-    The XOR by each set bit 2^k of the key swaps the positions whose bit
-    k is clear, _swap_mask(width, k), with the ones 2^k above; width is a
-    multiple of 2^(k+1) for each of them.
+    The XOR by each set bit d = 2^k of the key swaps the positions whose
+    bit k is clear, entry k of _swap_masks(width), with the ones d above;
+    width is a multiple of 2d for each of them.  The bits are taken
+    lowest first, each peeled off the key as key & -key (the swaps
+    commute, so any order gives the same word), and the masks are read
+    from the width's one cached tuple.  tests/test_zd.py holds it to a
+    bit-by-bit move at every width the sweeps use.
     """
-    for k in _bits(key):
-        d, keep = 1 << k, _swap_mask(width, k)
+    masks = _swap_masks(width)
+    while key:
+        d = key & -key
+        keep = masks[d.bit_length() - 1]
         m = m >> d & keep | (m & keep) << d
+        key ^= d
     return m
 
 
@@ -453,12 +464,12 @@ def theorem1_check(lvl: Level):
     if n > 4:
         return None
     cells = g * g
-    low = _split_signs(n).ll
+    low, masks = _split_signs(n).ll, _swap_masks(cells)
     upper = sum(((1 << g) - (1 << a)) << a * g for a in range(1, g))  # 1 <= a <= c
     first = None
     for x in range(1, g):
         h, key = x.bit_length() - 1, x << n - 1
-        keep = upper & _swap_mask(cells, n - 1 + h) & _swap_mask(cells, h)
+        keep = upper & masks[n - 1 + h] & masks[h]
         zero, same = _zero_test(low, low, low, low, key, x, cells, keep)
         if zero:
             a, c = divmod((zero & -zero).bit_length() - 1, g)
@@ -486,7 +497,7 @@ def theorem2_check(lvl: Level):
     rows = sign_table(lvl.n)
     for a, b in [(a, g) for a in range(1, g)] + [(g, b) for b in range(g + 1, dim)]:
         x = a ^ b
-        keep = _swap_mask(dim, x.bit_length() - 1) & ~1  # 1 <= c < c ^ x
+        keep = _swap_masks(dim)[x.bit_length() - 1] & ~1  # 1 <= c < c ^ x
         zero, same = _zero_test(rows[a], rows[b], rows[a], rows[b], 0, x, dim, keep)
         if zero:
             c = (zero & -zero).bit_length() - 1

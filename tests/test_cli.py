@@ -107,6 +107,39 @@ def test_census_range(capsys):
     assert "7 box-kite(s)" in out
 
 
+def test_census_writes_each_cluster_as_its_survey_returns(monkeypatch, capsys):
+    # each write holds one cluster's lines, the cluster last surveyed, and
+    # the totals come last: census never holds the level's lines at once
+    assert main(["census", "--n", "6"]) == 0
+    whole = capsys.readouterr().out
+    events = []
+    survey = kites.survey
+
+    def surveyed(lvl, s):
+        sv = survey(lvl, s)
+        events.append(("survey", s, len(sv.kites)))
+        return sv
+
+    class Writer:
+        def write(self, text):
+            events.append(("write", text))
+
+        def writelines(self, blocks):
+            for block in blocks:
+                self.write(block)
+
+    monkeypatch.setattr(kites, "survey", surveyed)
+    monkeypatch.setattr(sys, "stdout", Writer())
+    assert main(["census", "--n", "6"]) == 0
+    writes = [e[1] for e in events if e[0] == "write"]
+    assert "".join(writes) == whole
+    assert [e[0] for e in events] == ["survey", "write"] * 31 + ["write", "write"]
+    for (_, s, count), (_, text) in zip(events[0:62:2], events[1:62:2]):
+        lines = text.splitlines()
+        assert len(lines) == count and all(line.startswith(f"S={s} ") for line in lines), s
+    assert writes[-2:] == ["665 box-kite(s)\n", "8064 broken frame(s)\n"]
+
+
 def test_verify_level4(capsys):
     assert main(["verify", "--n", "4"]) == 0
     out = capsys.readouterr().out

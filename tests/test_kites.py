@@ -463,6 +463,15 @@ def test_survey_n7_result_row():
     assert totals == {"kites": 5425, "broken": 180544, "sailless": 97216}
 
 
+def test_survey_n8_result_row():
+    # read from the cached census the closed-form tests share, so it runs
+    # no survey of its own
+    totals = Counter()
+    for kites_s, broken, sailless, _ in _census(8).values():
+        totals.update(kites=kites_s, broken=broken, sailless=sailless)
+    assert totals == {"kites": 43617, "broken": 3374784, "sailless": 1624896}
+
+
 @pytest.mark.parametrize(
     "lvl, constants", [(LVL5, range(1, 16)), (Level(7), (37,))], ids=["n5", "n7"]
 )
@@ -652,22 +661,51 @@ def test_surveyed_kites_equal_build_boxkite_exact_products(lvl, sample):
         assert bk == build_boxkite(lvl, bk.s, bk.zigzag_trip), bk
 
 
-def test_survey_refuses_a_triangle_with_two_all_red_faces(monkeypatch):
-    lvl, s = LVL5, 9
-    bk = survey(lvl, s).kites[0]
-    los = [v.lo for v in bk.vertices]
-    # clear the same-slope bits of the trefoil ADE's two blue edges, so its
-    # three edges all read red next to the zigzag's
+def _doctor_same(monkeypatch, lvl, s, flips):
+    """Make survey read cluster s's relation with the same-slope bit of
+    each edge in flips, a pair of L-indices, flipped both ways."""
     same = list(relation(lvl, s).same)
-    for u, v in ((0, 3), (0, 4)):
-        same[los[u]] &= ~(1 << los[v])
-        same[los[v]] &= ~(1 << los[u])
+    for u, v in flips:
+        same[u] ^= 1 << v
+        same[v] ^= 1 << u
 
     def doctored(level, t):
         rel = relation(level, t)
         return rel._replace(same=tuple(same)) if t == s else rel
 
     monkeypatch.setattr(kites, "relation", doctored)
+
+
+def test_survey_refuses_a_triangle_with_two_all_red_faces(monkeypatch):
+    lvl, s = LVL5, 9
+    bk = survey(lvl, s).kites[0]
+    los = [v.lo for v in bk.vertices]
+    # clear the same-slope bits of the trefoil ADE's two blue edges, so its
+    # three edges all read red next to the zigzag's
+    _doctor_same(monkeypatch, lvl, s, [(los[0], los[3]), (los[0], los[4])])
     frame = re.escape(str(bk.strut_pairs()))
     with pytest.raises(ClassificationError, match=rf"^frame {frame}: 4 trip faces but 2 all-red$"):
+        survey(lvl, s)
+
+
+@pytest.mark.parametrize(
+    "edges, red_faces",
+    [
+        ([("A", "B")], 0),  # a blue edge on the zigzag leaves no face all red
+        ([("A", "D"), ("A", "E"), ("B", "D"), ("B", "F")], 3),  # trefoils ADE and FDB
+        ([("A", "D"), ("A", "E"), ("B", "D"), ("B", "F"), ("C", "E"), ("C", "F")], 4),
+    ],
+    ids=["none", "three", "all-four"],
+)
+def test_survey_refuses_a_triangle_without_exactly_one_all_red_face(monkeypatch, edges, red_faces):
+    # each edge flipped is a blue trefoil edge made red, or the red zigzag
+    # edge AB made blue; the face test must count the faces left all red
+    lvl, s = LVL5, 9
+    bk = survey(lvl, s).kites[0]
+    los = dict(zip("ABCDEF", bk.los))
+    assert {bk.edge_color(*e) for e in edges} == {RED if red_faces == 0 else BLUE}
+    _doctor_same(monkeypatch, lvl, s, [(los[u], los[v]) for u, v in edges])
+    frame = re.escape(str(bk.strut_pairs()))
+    message = rf"^frame {frame}: 4 trip faces but {red_faces} all-red$"
+    with pytest.raises(ClassificationError, match=message):
         survey(lvl, s)

@@ -485,6 +485,32 @@ def test_row_read_equals_exact_products_on_any_dyad(n):
     assert found
 
 
+def _moved(m, key, width):
+    """m with the bit at each position p below width moved to p ^ key, one bit at a time."""
+    bits = format(m, f"0{width}b")[::-1]  # bits[p] is bit p of m
+    out = ["0"] * width
+    for p in range(width):
+        out[p ^ key] = bits[p]
+    return int("".join(reversed(out)), 2)
+
+
+#: every width the sweeps permute at: g (survey) and g * g (relation,
+#: theorem1_check, Theorem 6) for n = 1..8, which include every 2^n
+#: (theorem2_check)
+_PERMUTE_WIDTHS = sorted({w for n in range(1, 9) for w in (1 << n - 1, 1 << 2 * n - 2)})
+
+
+@pytest.mark.parametrize("width", _PERMUTE_WIDTHS)
+def test_xor_permute_equals_the_bit_by_bit_move(width):
+    rng = random.Random(f"xor-permute-{width}")
+    singles = [1 << k for k in range(width.bit_length() - 1)]
+    keys = sorted({0, width - 1, *singles, *(rng.randrange(width) for _ in range(6))})
+    words = [rng.getrandbits(width) for _ in range(2)] + [1, 1 << width - 1, (1 << width) - 1]
+    for key in keys:
+        for m in words:
+            assert zd._xor_permute(m, key, width) == _moved(m, key, width), (key, m)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_split_signs_quadrants_equal_the_sign_loop(n):
     # each quadrant packed cell by cell from the sign loop: cell (r, c) at
@@ -744,7 +770,7 @@ def test_sweeps_refuse_a_level_above_the_sign_tables_before_building_it():
         # comb((g - 1)(g - 2), 2) is unbounded at such an n, relations or none
         "theorem3_check": lambda: theorem3_check(huge, []),
     }
-    masks = zd._swap_mask.cache_info().currsize
+    masks = zd._swap_masks.cache_info().currsize
     for name, sweep in sweeps.items():
         tracemalloc.start()
         try:
@@ -755,7 +781,7 @@ def test_sweeps_refuse_a_level_above_the_sign_tables_before_building_it():
             tracemalloc.stop()
         assert peak < 1 << 20, name
         assert str(refusal.value) and "\n" not in str(refusal.value), name
-    assert zd._swap_mask.cache_info().currsize == masks
+    assert zd._swap_masks.cache_info().currsize == masks
 
 
 @functools.cache
