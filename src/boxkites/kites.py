@@ -26,9 +26,11 @@ only when asked for.  The survey hands the relation on with its kites
 (``Survey.relation``), so the theorem suite, which walks the clusters
 once, reads each cluster's relation without building it again.
 
-``build_boxkite`` checks one frame by exact products, and it and
-``classify_sails`` (which re-derives the four sails with ``is_trip``)
-are the oracle the survey and the theorem suite are tested against.
+``build_boxkite`` checks one frame by exact products, the oracle the
+survey is tested against.  ``classify_sails`` re-derives a kite's four
+sails with ``is_trip`` and checks its colours: it is the oracle of what
+the theorem suite proves of every surveyed kite from word laws on the
+cluster's relation (``theorems._strut_laws``), reading no kite record.
 
 A kite is an index record: the six L-indices of its vertices in label
 order, and a 12-bit word with bit e set when edge ``EDGE_LABEL_PAIRS[e]``
@@ -96,9 +98,6 @@ _EDGE_ROWS = tuple(
     (_VERTEX_AT[l1], _VERTEX_AT[l2], ((l1, l2, RED), (l1, l2, BLUE)))
     for l1, l2 in EDGE_LABEL_PAIRS
 )
-#: the one colouring classify_sails accepts, as a blue word: BLUE exactly
-#: on the six edges joining {A, B, C} to {D, E, F}
-_SAIL_BLUE = sum(1 << e for e, (i, j, _) in enumerate(_EDGE_ROWS) if (i < 3) != (j < 3))
 
 TYPE_I = "I"
 TYPE_II = "II"

@@ -6,7 +6,7 @@ that index arithmetic proves nonzero (the XOR-bucket lemma at
 ``zd._zero_test``) are never tested, and every zero is a read of the
 exact sign table through that one kernel: Theorem 1 per all-low XOR
 bucket through 16 dimensions (above, its scan is clean by proof),
-Theorem 2 per dyad holding the generator unit, and Theorems 3 to 6
+Theorem 2 per dyad holding the generator unit, and Theorems 3 to 7
 through each cluster's relation (``zd.relation``).  A suite run walks
 the clusters once: each cluster's relation is built once, by its
 survey, and held until the run returns.  Theorem 4 reads the relations'
@@ -14,18 +14,16 @@ diagonals, each plane against itself.  No ``Element`` product is taken
 and ``cdp.mul_basis`` is never read: a failure is worded from the
 indices that found it.
 
-Theorem 6 reads the relations as whole words, one g x g bit matrix per
-cluster, and of the kites only their count.  Only Theorems 5 and 7 read
-kites, one cluster's at a time as its survey makes them, each as the
-index record it is, its six L-indices (``BoxKite.los``) and its 12-bit
-colour word (``blue``), and build no ``Assessor`` and no ``Sail``:
-Theorem 5 takes a sail's three L-indices by position, and Theorem 7
-checks that every L-index names a plane of the kite's cluster, and the
-one colouring and the trips that ``kites.classify_sails``, the oracle it
-is tested against, would check.  Both return ``None`` on a cluster that
-passes.  Violations come back as failed results carrying the
-counterexample, so the caller can print PASS/FAIL lines without
-re-deriving anything.
+Theorems 5, 6 and 7 read the relations as whole words, one g x g bit
+matrix per cluster for its zero pairs and one for their slope class,
+joined once as the walk meets the cluster.  Theorems 5 and 7 are word
+laws on one cluster's two matrices (symmetry, sail closure and the
+strut flips, with their proofs at ``_sail_laws`` and ``_strut_laws``),
+and Theorem 6 reads pairs of clusters.  Of the kites the suite reads
+only their count: the laws' proofs say what they give every kite
+record ``kites.survey`` returns, so no record is read.  Violations come
+back as failed results carrying the counterexample, so the caller can
+print PASS/FAIL lines without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -33,31 +31,20 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cdp import Level
-from .kites import (
-    _SAIL_BLUE,
-    _SAIL_SLOTS,
-    _VERTEX_AT,
-    BLUE,
-    EDGE_LABEL_PAIRS,
-    LABELS,
-    RED,
-    BoxKite,
-    survey,
-)
+from .kites import survey
 from .zd import (
     Assessor,
     Relation,
     _join,
+    _row_xor_permute,
     _split_signs,
+    _transpose,
     _xor_permute,
     check_strut,
     theorem1_check,
     theorem2_check,
     theorem3_check,
 )
-
-#: each sail's three vertex positions in a kite, in kites._SAIL_SLOTS order
-_SAIL_AT = tuple(tuple(_VERTEX_AT[label] for label in slot) for slot in _SAIL_SLOTS)
 
 
 class TheoremResult(NamedTuple):
@@ -77,31 +64,34 @@ def run_suite(n: int) -> list[TheoremResult]:
     """Run all seven verifications at one level; needs 4 <= n <= cdp.MEMO_MAX_N.
 
     A level outside that range is refused, as every sweep refuses it
-    (``zd.check_strut``), before any survey.  The suite
-    walks the clusters once, s = 1..g-1.  Each survey builds its
-    cluster's relation, which the suite keeps for Theorems 3, 4 and 6, and
-    its kites, which Theorems 5 and 7 check at once and which are let go
-    when the next survey returns, so at most two clusters' kites are ever
-    held and no list of the level's kites is made.  Each of Theorems 5
-    and 7 keeps its first failure; their PASS lines and Theorem 6 read
-    only the running kite count.
+    (``zd.check_strut``), before any survey.  The suite walks the
+    clusters once, s = 1..g-1.  Each survey builds its cluster's
+    relation, which the suite keeps for Theorems 3 and 4 and joins into
+    the two g x g words that Theorems 5, 6 and 7 read, and its kites,
+    which are counted and let go when the next survey returns, so no
+    list of the level's kites is made.  Theorems 5 and 7 check their laws
+    on each cluster's words as it comes and keep their first failure;
+    their PASS lines and Theorem 6 read only the kite count.
 
-    At n = 8 a run takes 0.48 to 0.59 s in-process (CPython 3.11 on a
-    2-core machine whose speed varies by half from run to run, 5 runs):
-    within the walk the 127 surveys, relations included, 0.24 to 0.33 s,
-    Theorem 5 0.11 to 0.16 s and Theorem 7 0.06 to 0.09 s; after it
-    Theorem 6 0.07 to 0.09 s, and Theorems 1 to 4 together about 3 ms
-    (Theorem 4 about 1 ms).
+    At n = 8 a run takes 0.39 to 0.63 s in-process (CPython 3.11 on a
+    2-core machine whose speed varies by half from run to run, 12 runs,
+    ``BENCH_23.json``): within the walk the 127 surveys, relations
+    included, 0.27 to 0.46 s, and the row joins and the laws of Theorems
+    5 and 7 0.03 to 0.06 s; after it Theorem 6 0.06 to 0.11 s, and
+    Theorems 1 to 4 together about 3 ms.
     """
     lvl = Level(n)
     check_strut(lvl, 1)
+    g = lvl.g
     relations: dict[int, Relation] = {}
+    words: dict[int, tuple[int, int]] = {}  # each cluster's zero and same rows, joined
     kites, t5, t7 = 0, None, None  # the kite count, Theorems 5 and 7's first failures
-    for s in range(1, lvl.g):
+    for s in range(1, g):
         found, _, _, relations[s] = survey(lvl, s)
         kites += len(found)
-        t5 = t5 or _guard("Theorem 5", lambda: _t5(relations[s], found))
-        t7 = t7 or _guard("Theorem 7", lambda: _t7(found))
+        zero, same = words[s] = tuple(_join(rows, g) for rows in relations[s])
+        t5 = t5 or _sail_laws(lvl, s, zero)
+        t7 = t7 or _strut_laws(lvl, s, zero, same)
     sails = f"every sail edge emanates its third vertex ({4 * kites} sails)"
     laws = f"U-index law and edge sign patterns hold on all {kites} kites"
     return [
@@ -110,7 +100,7 @@ def run_suite(n: int) -> list[TheoremResult]:
         _guard("Theorem 3", lambda: _t3(lvl, relations)),
         _guard("Theorem 4", lambda: _t4(lvl, relations)),
         t5 or TheoremResult("Theorem 5", True, sails),
-        _guard("Theorem 6", lambda: _t6(lvl, relations, kites)),
+        _guard("Theorem 6", lambda: _t6(lvl, words, kites)),
         t7 or TheoremResult("Theorem 7", True, laws),
     ]
 
@@ -164,34 +154,100 @@ def _t4(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
     return TheoremResult("Theorem 4", True, f"no plane's own diagonals make zero ({planes} planes)")
 
 
-def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
-    # emanate(p, q) read off the relation: a zero pair of cluster s emanates
-    # the plane (p.lo ^ q.lo, p.lo ^ q.hi), which must be r.  Every vertex
-    # of a kite record is (lo, lo ^ x), x = g + s, so p.lo ^ q.hi =
-    # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
-    # the first do, and the check is r.lo == p.lo ^ q.lo.  A failure is
-    # worded from the indices as emanate words it: an edge that makes no
-    # zero, or the plane (p ^ q, p ^ q ^ x) the edge emanates.  The kites
-    # are one cluster's, and rel is that cluster's relation
-    zero = rel.zero
-    for bk in kites:
-        lvl, s, los, _ = bk
-        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
-            for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
-                p, q, r = los[u], los[v], los[w]
-                if zero[p] >> q & 1 and r == p ^ q:
-                    continue
-                vertices = bk.vertices
-                vp, vq, vr = vertices[u], vertices[v], vertices[w]
-                if zero[p] >> q & 1:
-                    why = f"{vp} x {vq} emanates {Assessor(p ^ q, p ^ vq.hi, lvl)}, not {vr}"
-                else:
-                    why = f"{vp} and {vq} make no zero"
-                return TheoremResult("Theorem 5", False, f"s={s} sail {slot}: {why}")
+def _violation(name: str, lvl: Level, s: int, laws, same: int = 0) -> TheoremResult | None:
+    """The first law of cluster s with a violating cell, worded; None if none has.
+
+    Each law is (cells, wording): the g x g matrix of its violating cells
+    and a template over the planes (lo, lo ^ x), x = g + s, of the lowest
+    such cell (a, b): {a} and {b}, {c} of L-index a ^ b (the plane the pair
+    emanates) and {o} of b ^ s (b's strut opposite), and {colour}, BLUE when
+    the cell is set in ``same`` and RED when it is not.
+    """
+    g = lvl.g
+    for cells, wording in laws:
+        if cells:
+            a, b = divmod((cells & -cells).bit_length() - 1, g)
+            planes = {k: f"({v}, {v ^ g ^ s})" for k, v in zip("abco", (a, b, a ^ b, b ^ s))}
+            colour = "BLUE" if same >> a * g + b & 1 else "RED"
+            return TheoremResult(name, False, f"s={s}: " + wording.format(colour=colour, **planes))
     return None
 
 
-def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult:
+def _sail_laws(lvl: Level, s: int, zero: int) -> TheoremResult | None:
+    # Theorem 5 as two laws on cluster s's zero pairs Z, its relation's
+    # zero rows joined (cell (a, b) set when the plane (a, a ^ x) times the
+    # plane (b, b ^ x) makes zero, x = g + s), with R reading each cell
+    # (a, b) from (a, a ^ b) (zd._row_xor_permute):
+    #   symmetry      Z & ~transpose(Z) == 0
+    #   sail closure  Z & ~R(Z) == 0
+    # A zero pair (a, b) emanates the plane (a ^ b, a ^ b ^ x), by
+    # emanate's index rule; closure says that plane makes zero with
+    # (a, a ^ x) too, and by symmetry with (b, b ^ x), so every zero pair
+    # lies on a sail.
+    #
+    # What the laws give each kite record survey returns.  Survey reads
+    # the twelve cross edges of a triangle of struts from the rows of both
+    # ends of one strut per pair (compatible[p] reads rows p and p ^ s), so
+    # with symmetry every edge makes zero read from either end: bit q of
+    # zero[p] is set for each sail edge (p, q), in whichever order the sail
+    # takes its vertices.  Each sail is a trip face, whose three L-indices
+    # XOR to 0 (survey's face proof), so its third vertex is r = p ^ q, the
+    # plane the edge emanates.  That is all the per-kite check (kept in
+    # tests/test_theorems.py as the oracle) reads of each sail edge.
+    g = lvl.g
+    laws = (
+        (zero & ~_transpose(zero, g), "{a} x {b} makes zero, {b} x {a} does not"),
+        (zero & ~_row_xor_permute(zero, g), "{a} x {b} emanates {c}, and {a} x {c} makes no zero"),
+    )
+    return _violation("Theorem 5", lvl, s, laws)
+
+
+def _strut_laws(lvl: Level, s: int, zero: int, same: int) -> TheoremResult | None:
+    # Theorem 7 as three laws on cluster s's zero pairs Z and their
+    # same-slope class S, its relation's zero and same rows joined (cell
+    # (a, b) of S set when the pair vanishes in the same-slope class, a BLUE
+    # edge; RED when it is a zero of the other class), with P_s =
+    # zd._xor_permute(., s, g*g) moving each column c to c ^ s:
+    #   symmetry               S & ~transpose(S) == 0
+    #   strut flip of zeros    Z & ~P_s(Z) == 0
+    #   strut flip of colours  ~(S ^ P_s(S)) & Z == 0
+    # A plane makes zero with both ends of a strut or with neither, and
+    # with the two in opposite colours; an edge has one colour from either
+    # end.  (As transpose and P_s only move cells, A & ~B(A) == 0 is
+    # A == B(A).)
+    #
+    # What the laws give each kite record survey returns.  Its L-indices
+    # are ends of struts p < p ^ s in 1..g-1, so none is 0 or s and each
+    # vertex (lo, lo ^ x), x = g + s, is a plane of the cluster: the
+    # U-index law.  Each sail is a trip face, whose L-indices XOR to 0
+    # (survey's face proof), and each of its U-trips swaps two members m
+    # for m ^ x, which keeps the XOR 0: its four trips.  Its colour word
+    # holds survey's reads of S, bit v of same[u] for each edge (u, v) in
+    # label order.  Every edge is a zero read from either end (with
+    # Theorem 5's symmetry; proof at _sail_laws), so the colour flip
+    # holds at every edge: the colour of u against v's strut opposite is
+    # flip(uv), the other colour.  The zigzag A B C is all RED (survey
+    # picks the trip face with no BLUE edge), and D, E, F = C^s, B^s, A^s,
+    # so with S symmetric
+    #   AE = flip(AB), AD = flip(AC), BD = flip(BC), BF = flip(BA),
+    #   CE = flip(CB), CF = flip(CA)                     are BLUE,
+    #   DE = flip(DB), DF = flip(DA), EF = flip(EA)      are RED:
+    # BLUE exactly on the six edges joining {A, B, C} to {D, E, F}, the one
+    # colouring kites.classify_sails accepts (the zigzag all RED, each
+    # trefoil ADE, FDB, FCE BLUE on the two edges at its zigzag vertex and
+    # RED on the third).  That is all the per-kite check (kept in
+    # tests/test_theorems.py as the oracle) reads of each record.
+    g = lvl.g
+    zero_flip, same_flip = (_xor_permute(m, s, g * g) for m in (zero, same))
+    laws = (
+        (same & ~_transpose(same, g), "edge {a}-{b} is BLUE read from {a}, not from {b}"),
+        (zero & ~zero_flip, "{a} makes zero with {b} but not with its strut opposite {o}"),
+        (~(same ^ same_flip) & zero, "edges {a}-{b} and {a}-{o} are both {colour}"),
+    )
+    return _violation("Theorem 7", lvl, s, laws, same)
+
+
+def _t6(lvl: Level, words: dict[int, tuple[int, int]], kites: int) -> TheoremResult:
     # zd.twist read off the relations, as whole words.  A zero pair of
     # diagonals on the planes (a, a ^ x) and (b, b ^ x) of cluster s,
     # slopes sa and sb, twists into (b, a ^ x) with slope sb and (a, b ^ x)
@@ -199,30 +255,36 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult
     # class (the slopes' product changes sign).  So each zero pair's four
     # twists, both slope pairs of its class in both orders, are valid
     # exactly when cluster t's relation holds (b, a) in the other class.
-    # The relation and its class are symmetric (proof at zd.relation), so
-    # that is cell (a, b) of Z_t & (S_s ^ S_t), with Z_s and S_s cluster
-    # s's zero and same rows joined into g x g matrices.  The cells (a, b) of
-    # Z_s that twist into t are those with a ^ b = s ^ t = k, the cells of
-    # the XOR diagonal D_k; each zero pair is two cells, (a, b) and (b, a),
-    # so each cell stands for two twists.
+    # The relation and its class are symmetric (proof at zd.relation;
+    # Theorems 5 and 7 check it), so that is cell (a, b) of
+    # Z_t & (S_s ^ S_t), with Z_s and S_s cluster s's zero and same rows
+    # joined into g x g matrices (``words``, joined by run_suite's walk).
+    # The cells (a, b) of Z_s that twist into t are those with
+    # a ^ b = s ^ t = k, the cells of the XOR diagonal D_k; each zero pair
+    # is two cells, (a, b) and (b, a), so each cell stands for two twists.
+    # The pairs of clusters are walked by k, so one D_k is held at a time.
     #
-    # These are the kites' twists.  Each kite edge is a zero pair (Theorem
-    # 5 reads every sail edge, and the four sails' edges are the twelve),
-    # of two planes on different struts, so a ^ b is neither 0 nor s and
-    # the pair lies on some D_k above; and no two kites share an edge, as
-    # two struts of a triangle fix the third (kites.survey).  So the twists
-    # counted here, four per zero pair off the struts, are at least 48 per
-    # kite, and they are exactly the kites' when the two counts agree.
+    # These are the kites' twists.  Each kite edge is a zero pair (survey
+    # reads the cross edges of its struts as zeros), of two planes on
+    # different struts, so a ^ b is neither 0 nor s and the pair lies on
+    # some D_k above; and no two kites share an edge, as two struts of a
+    # triangle fix the third (kites.survey).  So the twists counted here,
+    # four per zero pair off the struts, are at least 48 per kite, and they
+    # are exactly the kites' when the two counts agree.
     g = lvl.g
-    diagonals = [_xor_permute(_split_signs(lvl.n).diagonal, k, g * g) for k in range(g)]
-    words = {s: (_join(rel.zero, g), _join(rel.same, g)) for s, rel in relations.items()}
+    diagonal = _split_signs(lvl.n).diagonal
     total = valid = 0
     invalid_targets: set[int] = set()
     invalid_sources: set[int] = set()
-    for s, (zero_s, same_s) in words.items():
-        for t, (zero_t, same_t) in words.items():
-            # at t = s, only a plane against itself, set only where Theorem 4 fails
-            twists = zero_s & diagonals[s ^ t]
+    for k in range(g):
+        # at k = 0, t = s: only a plane against itself, set only where Theorem 4 fails
+        diagonal_k = _xor_permute(diagonal, k, g * g)
+        for s, (zero_s, same_s) in words.items():
+            if s == k:
+                continue  # t = 0 is no cluster
+            t = s ^ k
+            zero_t, same_t = words[t]
+            twists = zero_s & diagonal_k
             kept = twists & zero_t & (same_s ^ same_t)
             total += 2 * twists.bit_count()
             valid += 2 * kept.bit_count()
@@ -245,45 +307,3 @@ def _t6(lvl: Level, relations: dict[int, Relation], kites: int) -> TheoremResult
         f" (sources {sorted(invalid_sources)})"
     )
     return TheoremResult("Theorem 6", ok, detail)
-
-
-def _t7(kites: tuple[BoxKite, ...]) -> TheoremResult | None:
-    # What classify_sails checks, read off the record.  A kite's vertices
-    # are (lo, lo ^ x), x = g + s, by construction, so the U-index law
-    # holds of every record; what it stood for is that each vertex is a
-    # plane of the cluster, which holds iff its L-index lies in 1..g-1 and
-    # is not s (then lo ^ x lies in g+1..2g-1).  Its colour rules (the
-    # zigzag ABC all RED; each trefoil ADE, FDB, FCE BLUE on the two edges
-    # at its zigzag vertex and RED on the third) cover each of the twelve
-    # edges once, as the four sails' edges are the twelve edges, so they
-    # hold iff the blue word is the one pattern they imply, _SAIL_BLUE:
-    # BLUE exactly on the edges joining {A, B, C} to {D, E, F}.  Its trips
-    # hold by XOR alone.  A sail's L-trip (a, b, c) is a trip iff
-    # a ^ b ^ c = 0, since three nonzero indices XORing to 0 are distinct.
-    # Each U-trip swaps two members for b ^ x and c ^ x, which lie in
-    # g+1..2g-1, and a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff
-    # the L-trip is.
-    for lvl, s, los, blue in kites:
-        g = lvl.g
-        if min(los) < 1 or max(los) >= g or s in los:
-            label, lo = next((lb, lo) for lb, lo in zip(LABELS, los) if not 0 < lo < g or lo == s)
-            return TheoremResult(
-                "Theorem 7",
-                False,
-                f"s={s}: vertex {label} has L-index {lo}, not in 1..{g - 1} without {s}",
-            )
-        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
-            if los[i] ^ los[j] ^ los[k]:
-                trip = (los[i], los[j], los[k])
-                return TheoremResult(
-                    "Theorem 7", False, f"s={s}: sail {slot} carries a non-trip {trip}"
-                )
-        wrong = blue ^ _SAIL_BLUE
-        if wrong:
-            e = (wrong & -wrong).bit_length() - 1  # the first edge off the pattern
-            l1, l2 = EDGE_LABEL_PAIRS[e]
-            got, want = (BLUE, RED) if blue >> e & 1 else (RED, BLUE)
-            return TheoremResult(
-                "Theorem 7", False, f"s={s}: edge {l1}-{l2} is {got}, expected {want}"
-            )
-    return None

@@ -19,7 +19,7 @@ factors have the same XOR of their two indices (the lemma there), so a
 sweep tests only within a bucket.  ``relation`` feeds it a cluster,
 each plane against itself included, read by ``dmz_scan``,
 ``dmz_report``, ``etable.build_et`` and ``kites.survey``, and by
-Theorems 3 to 6 as each survey hands it on (a suite run builds each
+Theorems 3 to 7 as each survey hands it on (a suite run builds each
 cluster's relation once; Theorem 4 reads its diagonal, a plane against
 itself); Theorem 1 feeds it the all-low buckets, only through 16
 dimensions (above, its scan is clean by proof), and Theorem 2 the rows
@@ -247,7 +247,9 @@ def relation(lvl: Level, s: int) -> Relation:
     row and column are L-indices of the cluster (neither 0 nor s).
     Every cell is a read of its own, so building the relation
     does not use its symmetry; Theorem 6 (``theorems._t6``) does, and the
-    tests check it at n = 4..8.
+    suite checks it on every cluster it walks: Theorems 5 and 7 hold the
+    joined zero and same rows equal to their transposes
+    (``theorems._sail_laws`` and ``_strut_laws``).
 
     The quadrants are sliced from the level's corner of the one exact
     sign table (cdp.sign_table) once per level and kept, so no sign
@@ -400,6 +402,46 @@ def _xor_permute(m: int, key: int, width: int) -> int:
         keep = masks[d.bit_length() - 1]
         m = m >> d & keep | (m & keep) << d
         key ^= d
+    return m
+
+
+def _transpose(m: int, g: int) -> int:
+    """The g x g bit matrix m transposed: cell (r, c) moved to (c, r).
+
+    Cell (r, c) sits at position r*g + c, so bit j of its column is bit j
+    of the position and bit j of its row is bit h + j, with g = 2^h.  For
+    each j, a delta swap exchanges those two bits: the cells with column
+    bit j set and row bit j clear (entry h + j of _swap_masks(g*g) less
+    entry j) trade places with the cells (g - 1) * 2^j above them, which
+    have them the other way round.  After every j each row bit has traded
+    places with its column bit.  tests/test_zd.py holds it to a
+    cell-by-cell move at every g through 128.
+    """
+    masks, h = _swap_masks(g * g), g.bit_length() - 1
+    for j in range(h):
+        d = (g - 1) << j
+        t = (m ^ m >> d) & masks[h + j] & ~masks[j]
+        m ^= t | t << d
+    return m
+
+
+def _row_xor_permute(m: int, g: int) -> int:
+    """The g x g bit matrix m with each row r's columns XOR-permuted by r:
+    cell (r, c) read from (r, r ^ c).
+
+    For each j, the rows with bit j set (the complement of entry h + j of
+    _swap_masks(g*g), g = 2^h) get their columns XOR-permuted by 2^j, a
+    delta swap of the cells with column bit j clear (entry j) with the
+    cells 2^j above them, in the same row.  Row r's columns are then
+    permuted by the XOR of its set bits, r; the permutation is its own
+    inverse, so moving (r, c) to (r, r ^ c) reads (r, c) from there.
+    tests/test_zd.py holds it to a cell-by-cell read at every g through 128.
+    """
+    masks, h = _swap_masks(g * g), g.bit_length() - 1
+    for j in range(h):
+        d = 1 << j
+        t = (m ^ m >> d) & masks[j] & ~masks[h + j]
+        m ^= t | t << d
     return m
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from boxkites import Level
+from boxkites import Level, cdp, zd
 from boxkites.kites import survey
 
 
@@ -22,3 +22,19 @@ def sedenion_kites(lvl4):
 @pytest.fixture(scope="session")
 def pathion_surveys(lvl5):
     return {s: survey(lvl5, s) for s in range(1, 16)}
+
+
+@pytest.fixture
+def doctored(monkeypatch):
+    """Flip one bit of a copy of the one sign table, so the cell's sign
+    changes at every level holding it; the split quadrants are rebuilt
+    from it, and again from the real table after.  Flipping a cell again
+    flips it back."""
+
+    def flip(r, c):
+        rows = tuple(row ^ (a == r) << c for a, row in enumerate(cdp._ROWS))
+        monkeypatch.setattr(cdp, "_ROWS", rows)
+        zd._split_signs.cache_clear()
+
+    yield flip
+    zd._split_signs.cache_clear()

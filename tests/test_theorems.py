@@ -1,8 +1,12 @@
-"""Theorems 5 and 6 read off the relations, held to the exact oracles;
-the suite reads sails off the kites' vertex slots, held to classify_sails,
-takes no Element product, builds each cluster's relation once and holds
-no list of the level's kites."""
+"""Theorems 5, 6 and 7 read off the relations, held to the exact oracles:
+the word laws of Theorems 5 and 7 fail wherever the per-kite checks they
+replace (kept here as oracles, themselves held to emanate and
+classify_sails) fail; the suite takes no Element product, builds each
+cluster's relation once and holds no list of the level's kites."""
 
+import ast
+import inspect
+import random
 from collections import Counter
 
 import pytest
@@ -12,17 +16,107 @@ from boxkites import cdp, etable, kites, theorems, trips, zd
 from boxkites.cdp import Level
 from boxkites.kites import (
     _EDGE_ROWS,
-    _SAIL_BLUE,
     _SAIL_SLOTS,
+    _VERTEX_AT,
     BLUE,
     EDGE_LABEL_PAIRS,
     LABELS,
+    RED,
     BoxKite,
     ClassificationError,
     classify_sails,
     survey,
 )
-from boxkites.zd import BACKSLASH, SLASH, Diagonal, NotDmzError, emanate, twist
+from boxkites.theorems import TheoremResult
+from boxkites.zd import (
+    BACKSLASH,
+    SLASH,
+    Assessor,
+    Diagonal,
+    NotDmzError,
+    Relation,
+    _join,
+    emanate,
+    twist,
+)
+
+#: each sail's three vertex positions in a kite, in kites._SAIL_SLOTS order
+_SAIL_AT = tuple(tuple(_VERTEX_AT[label] for label in slot) for slot in _SAIL_SLOTS)
+
+#: the one colouring classify_sails accepts, as a blue word: BLUE exactly
+#: on the six edges joining {A, B, C} to {D, E, F}
+_SAIL_BLUE = sum(1 << e for e, (i, j, _) in enumerate(_EDGE_ROWS) if (i < 3) != (j < 3))
+
+
+def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
+    """Theorem 5 kite by kite: the oracle of theorems._sail_laws."""
+    # emanate(p, q) read off the relation: a zero pair of cluster s emanates
+    # the plane (p.lo ^ q.lo, p.lo ^ q.hi), which must be r.  Every vertex
+    # of a kite record is (lo, lo ^ x), x = g + s, so p.lo ^ q.hi =
+    # p.lo ^ q.lo ^ x and r.hi = r.lo ^ x: the second coordinates agree iff
+    # the first do, and the check is r.lo == p.lo ^ q.lo.  A failure is
+    # worded from the indices as emanate words it: an edge that makes no
+    # zero, or the plane (p ^ q, p ^ q ^ x) the edge emanates.  The kites
+    # are one cluster's, and rel is that cluster's relation
+    zero = rel.zero
+    for bk in kites:
+        lvl, s, los, _ = bk
+        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
+            for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
+                p, q, r = los[u], los[v], los[w]
+                if zero[p] >> q & 1 and r == p ^ q:
+                    continue
+                vertices = bk.vertices
+                vp, vq, vr = vertices[u], vertices[v], vertices[w]
+                if zero[p] >> q & 1:
+                    why = f"{vp} x {vq} emanates {Assessor(p ^ q, p ^ vq.hi, lvl)}, not {vr}"
+                else:
+                    why = f"{vp} and {vq} make no zero"
+                return TheoremResult("Theorem 5", False, f"s={s} sail {slot}: {why}")
+    return None
+
+
+def _t7(kites: tuple[BoxKite, ...]) -> TheoremResult | None:
+    """Theorem 7 kite by kite: the oracle of theorems._strut_laws."""
+    # What classify_sails checks, read off the record.  A kite's vertices
+    # are (lo, lo ^ x), x = g + s, by construction, so the U-index law
+    # holds of every record; what it stood for is that each vertex is a
+    # plane of the cluster, which holds iff its L-index lies in 1..g-1 and
+    # is not s (then lo ^ x lies in g+1..2g-1).  Its colour rules (the
+    # zigzag ABC all RED; each trefoil ADE, FDB, FCE BLUE on the two edges
+    # at its zigzag vertex and RED on the third) cover each of the twelve
+    # edges once, as the four sails' edges are the twelve edges, so they
+    # hold iff the blue word is the one pattern they imply, _SAIL_BLUE:
+    # BLUE exactly on the edges joining {A, B, C} to {D, E, F}.  Its trips
+    # hold by XOR alone.  A sail's L-trip (a, b, c) is a trip iff
+    # a ^ b ^ c = 0, since three nonzero indices XORing to 0 are distinct.
+    # Each U-trip swaps two members for b ^ x and c ^ x, which lie in
+    # g+1..2g-1, and a ^ (b^x) ^ (c^x) = a ^ b ^ c, so it is a trip iff
+    # the L-trip is.
+    for lvl, s, los, blue in kites:
+        g = lvl.g
+        if min(los) < 1 or max(los) >= g or s in los:
+            label, lo = next((lb, lo) for lb, lo in zip(LABELS, los) if not 0 < lo < g or lo == s)
+            return TheoremResult(
+                "Theorem 7",
+                False,
+                f"s={s}: vertex {label} has L-index {lo}, not in 1..{g - 1} without {s}",
+            )
+        for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
+            if los[i] ^ los[j] ^ los[k]:
+                trip = (los[i], los[j], los[k])
+                return TheoremResult(
+                    "Theorem 7", False, f"s={s}: sail {slot} carries a non-trip {trip}"
+                )
+        wrong = blue ^ _SAIL_BLUE
+        if wrong:
+            e = (wrong & -wrong).bit_length() - 1  # the first edge off the pattern
+            l1, l2 = EDGE_LABEL_PAIRS[e]
+            got, want = (BLUE, RED) if blue >> e & 1 else (RED, BLUE)
+            return TheoremResult(
+                "Theorem 7", False, f"s={s}: edge {l1}-{l2} is {got}, expected {want}"
+            )
+    return None
 
 
 def _level(n):
@@ -30,6 +124,11 @@ def _level(n):
     surveys = {s: survey(lvl, s) for s in range(1, lvl.g)}
     kites = [bk for sv in surveys.values() for bk in sv.kites]
     return lvl, {s: sv.relation for s, sv in surveys.items()}, kites
+
+
+def _words(lvl, relations):
+    """Each cluster's zero and same rows joined into g x g words, as run_suite joins them."""
+    return {s: (_join(rel.zero, lvl.g), _join(rel.same, lvl.g)) for s, rel in relations.items()}
 
 
 def _twist_oracle(kites):
@@ -98,7 +197,7 @@ def _t6_by_kite_edges(lvl, relations, kites):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_theorem6_word_reading_matches_the_kite_edge_reading(n):
     lvl, relations, kites = _level(n)
-    result = theorems._t6(lvl, relations, len(kites))
+    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
     assert result == _t6_by_kite_edges(lvl, relations, kites)
     assert result.passed
 
@@ -107,7 +206,7 @@ def test_theorem6_word_reading_matches_the_kite_edge_reading(n):
 def test_theorem6_relation_reading_matches_the_twist_oracle(n):
     lvl, relations, kites = _level(n)
     valid, total, targets, sources = _twist_oracle(kites)
-    result = theorems._t6(lvl, relations, len(kites))
+    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
     assert result.detail == (
         f"{valid}/{total} twisted pairs still make zero; failing twists land at strut "
         f"constants {targets} (sources {sources})"
@@ -118,7 +217,7 @@ def test_theorem6_relation_reading_matches_the_twist_oracle(n):
 
 def test_theorem6_at_n7_fails_its_twists_exactly_at_the_sky():
     lvl, relations, kites = _level(7)
-    result = theorems._t6(lvl, relations, len(kites))
+    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
     sky = [s for s in range(9, lvl.g) if s & (s - 1)]
     sources = [*range(1, 32), *range(41, 48), *range(49, 64)]
     assert result.passed
@@ -197,7 +296,7 @@ def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     zero[a] &= ~(1 << b)
     zero[b] &= ~(1 << a)
     relations[bk.s] = rel._replace(zero=tuple(zero))
-    assert theorems._t6(lvl, relations, len(kites)) == theorems.TheoremResult(
+    assert theorems._t6(lvl, _words(lvl, relations), len(kites)) == theorems.TheoremResult(
         "Theorem 6", False, "923 zero pairs against 77 kites, not 12 per kite"
     )
 
@@ -205,8 +304,20 @@ def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
 def test_theorem6_refuses_zero_pairs_no_kite_holds():
     # a kite lost from the count leaves its 12 zero pairs' twists unaccounted
     lvl, relations, kites = _level(5)
-    assert theorems._t6(lvl, relations, len(kites) - 1) == theorems.TheoremResult(
+    assert theorems._t6(lvl, _words(lvl, relations), len(kites) - 1) == theorems.TheoremResult(
         "Theorem 6", False, "924 zero pairs against 76 kites, not 12 per kite"
+    )
+
+
+def test_theorem6_counts_a_plane_against_itself():
+    # a diagonal cell, the plane (2, 27) of s = 9 against itself, twists
+    # into its own cluster (k = s ^ t = 0): two twists more than the kites'
+    lvl, relations, kites = _level(5)
+    words = _words(lvl, relations)
+    zero, same = words[9]
+    words[9] = (zero | 1 << 2 * lvl.g + 2, same)
+    assert theorems._t6(lvl, words, len(kites)) == theorems.TheoremResult(
+        "Theorem 6", False, "924 zero pairs against 77 kites, not 12 per kite"
     )
 
 
@@ -222,7 +333,7 @@ def test_theorem5_relation_reading_matches_emanate_on_every_sail():
                 for p, q, r in ((va, vb, vc), (vb, vc, va), (va, vc, vb)):
                     assert emanate(p, q) == r
                     assert sv.relation.pattern(p.lo, q.lo) is not None
-        assert theorems._t5(sv.relation, sv.kites) is None
+        assert _t5(sv.relation, sv.kites) is None
     result = theorems.run_suite(5)[4]
     assert result == theorems.TheoremResult(
         "Theorem 5", True, f"every sail edge emanates its third vertex ({sails} sails)"
@@ -239,7 +350,7 @@ def test_theorem5_refuses_a_third_vertex_the_edge_does_not_emanate():
     doctored = bk._replace(los=(a, b, c, e, d, f))
     vf, ve, vb = doctored.assessor("F"), doctored.assessor("D"), doctored.assessor("B")
     assert emanate(vf, ve) != vb
-    assert theorems._t5(relations[bk.s], (doctored,)) == theorems.TheoremResult(
+    assert _t5(relations[bk.s], (doctored,)) == theorems.TheoremResult(
         "Theorem 5",
         False,
         f"s={bk.s} sail ('F', 'D', 'B'): {vf} x {ve} emanates {emanate(vf, ve)}, not {vb}",
@@ -255,7 +366,7 @@ def test_theorem5_names_a_sail_edge_that_makes_no_zero():
     assert bk.los[:2] == (2, 8)
     doctored = bk._replace(los=(2, 4, *bk.los[2:]))
     assert sv.relation.pattern(2, 4) is None
-    assert theorems._t5(sv.relation, (doctored,)) == theorems.TheoremResult(
+    assert _t5(sv.relation, (doctored,)) == theorems.TheoremResult(
         "Theorem 5",
         False,
         "s=9 sail ('A', 'B', 'C'): Assessor(2, 27) and Assessor(4, 29) make no zero",
@@ -366,26 +477,124 @@ def _flip(bk, edge):
     return bk._replace(blue=bk.blue ^ 1 << edge)
 
 
-def test_a_flipped_colour_fails_theorem_7(monkeypatch):
+def _suite_with_doctored_relation(monkeypatch, field, edges):
+    """run_suite(5) with bits of the s = 9 relation's ``field`` rows flipped:
+    bit v of row u for each edge (u, v), named by the labels of the
+    cluster's first kite (L-indices 2, 8, 10, 3, 1, 11), whose record is
+    left as it is."""
+
     def doctored(lvl, s):
         sv = survey(lvl, s)
         if s != 9:
             return sv
-        return sv._replace(kites=(_flip(sv.kites[0], 3), *sv.kites[1:]))
+        los = dict(zip(LABELS, sv.kites[0].los))
+        rows = list(getattr(sv.relation, field))
+        for u, v in edges:
+            rows[los[u]] ^= 1 << los[v]
+        return sv._replace(relation=sv.relation._replace(**{field: tuple(rows)}))
 
     monkeypatch.setattr(theorems, "survey", doctored)
-    results = {r.name: r for r in theorems.run_suite(5)}
+    return {r.name: r for r in theorems.run_suite(5)}
+
+
+def test_a_flipped_colour_fails_theorem_7(monkeypatch):
+    # edge A-E turned RED from both ends: A now meets both ends of the strut
+    # B-E in RED, which the strut flip of colours refuses
+    results = _suite_with_doctored_relation(monkeypatch, "same", [("A", "E"), ("E", "A")])
     assert results["Theorem 7"] == theorems.TheoremResult(
-        "Theorem 7", False, "s=9: edge A-E is RED, expected BLUE"
+        "Theorem 7", False, "s=9: edges (1, 24)-(2, 27) and (1, 24)-(11, 18) are both RED"
     )
-    # Theorem 6 reads the relations and the kites' count, not their colours
+    # Theorem 6 reads the doctored colours too: four twists of the edge out
+    # of s = 9 and four into it no longer land in the other class, and
+    # its verdict reads only the targets
     assert results["Theorem 6"] == theorems.TheoremResult(
         "Theorem 6",
         True,
-        "3024/3696 twisted pairs still make zero; failing twists land at strut "
-        "constants [9, 10, 11, 12, 13, 14, 15] (sources [1, 2, 3, 4, 5, 6, 7])",
+        "3016/3696 twisted pairs still make zero; failing twists land at strut "
+        "constants [9, 10, 11, 12, 13, 14, 15] (sources [1, 2, 3, 4, 5, 6, 7, 9, 10])",
     )
     assert all(results[f"Theorem {i}"].passed for i in range(1, 6))
+
+
+def test_a_colour_read_one_way_fails_theorem_7(monkeypatch):
+    results = _suite_with_doctored_relation(monkeypatch, "same", [("A", "E")])
+    assert results["Theorem 7"] == theorems.TheoremResult(
+        "Theorem 7", False, "s=9: edge (1, 24)-(2, 27) is BLUE read from (1, 24), not from (2, 27)"
+    )
+    assert all(results[f"Theorem {i}"].passed for i in range(1, 7))
+
+
+def test_a_silent_kite_edge_fails_theorems_5_and_7(monkeypatch):
+    # edge A-B made silent from both ends: the zero pair A, C emanates B,
+    # which no longer makes zero with A, and A meets only one end of the
+    # strut B-E
+    results = _suite_with_doctored_relation(monkeypatch, "zero", [("A", "B"), ("B", "A")])
+    assert [results[f"Theorem {i}"] for i in (5, 6, 7)] == [
+        theorems.TheoremResult(
+            "Theorem 5",
+            False,
+            "s=9: (2, 27) x (10, 19) emanates (8, 17), and (2, 27) x (8, 17) makes no zero",
+        ),
+        theorems.TheoremResult(
+            "Theorem 6", False, "923 zero pairs against 77 kites, not 12 per kite"
+        ),
+        theorems.TheoremResult(
+            "Theorem 7",
+            False,
+            "s=9: (2, 27) makes zero with (1, 24) but not with its strut opposite (8, 17)",
+        ),
+    ]
+
+
+def _laws_against_oracles(doctored, n, cells):
+    """For each doctored table, the clusters where each theorem's laws miss
+    a failure of its per-kite oracle, and the tables where the laws fail
+    and the oracle does not."""
+    lvl = Level(n)
+    g = lvl.g
+    misses, stronger = Counter(), Counter()
+    for cell in cells:
+        doctored(*cell)
+        laws_fail, oracle_fails = set(), set()
+        for s in range(1, g):
+            sv = survey(lvl, s)
+            zero, same = _join(sv.relation.zero, g), _join(sv.relation.same, g)
+            verdicts = {
+                5: (theorems._sail_laws(lvl, s, zero), _t5(sv.relation, sv.kites)),
+                7: (theorems._strut_laws(lvl, s, zero, same), _t7(sv.kites)),
+            }
+            for theorem, (law, oracle) in verdicts.items():
+                if oracle and not law:
+                    misses[theorem] += 1
+                laws_fail |= {theorem} if law else set()
+                oracle_fails |= {theorem} if oracle else set()
+        for theorem in laws_fail - oracle_fails:
+            stronger[theorem] += 1
+        doctored(*cell)  # flipped back
+    return misses, stronger
+
+
+def test_laws_fail_wherever_the_per_kite_oracles_fail(doctored):
+    # every single-cell doctored table at n = 4, and 64 seeded ones at n = 5:
+    # in every cluster where an oracle fails on the surveyed kites, its
+    # theorem's laws fail on the relation; they also fail on tables whose
+    # kites pass, where the relation breaks a law no kite edge reads
+    every = [(r, c) for r in range(16) for c in range(16)]
+    assert _laws_against_oracles(doctored, 4, every) == (Counter(), Counter({5: 123, 7: 112}))
+    sample = random.Random("laws-5").sample([(r, c) for r in range(32) for c in range(32)], 64)
+    assert _laws_against_oracles(doctored, 5, sample) == (Counter(), Counter({5: 34, 7: 25}))
+
+
+def test_theorems_reads_no_kite_record_layout():
+    # the laws' proofs stand in for every per-record read: of kites the
+    # suite imports only the survey
+    tree = ast.parse(inspect.getsource(theorems))
+    imported = {
+        node.module: [alias.name for alias in node.names]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert imported["kites"] == ["survey"]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -397,7 +606,7 @@ def test_slot_read_sails_equal_classify_sails(n):
             sails = classify_sails(bk)  # raises unless the colours are the sails' pattern
             assert bk.blue == _SAIL_BLUE
             v = bk.vertices
-            for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, theorems._SAIL_AT):
+            for sail, slot, (i, j, k) in zip(sails, _SAIL_SLOTS, _SAIL_AT):
                 a, b, c = v[i], v[j], v[k]
                 assert sail.labels == slot
                 assert sail.l_trip == (a.lo, b.lo, c.lo)
@@ -406,7 +615,7 @@ def test_slot_read_sails_equal_classify_sails(n):
                     (a.hi, b.lo, c.hi),
                     (a.hi, b.hi, c.lo),
                 )
-        assert theorems._t7(found) is None
+        assert _t7(found) is None
 
 
 def test_theorem_7_refuses_what_classify_sails_refuses():
@@ -415,7 +624,7 @@ def test_theorem_7_refuses_what_classify_sails_refuses():
         doctored = _flip(bk, edge)
         with pytest.raises(ClassificationError, match=f"edge ({l1}-{l2}|{l2}-{l1}) is "):
             classify_sails(doctored)
-        assert theorems._t7([doctored]).detail == (
+        assert _t7([doctored]).detail == (
             f"s=9: edge {l1}-{l2} is {doctored.edge_color(l1, l2)}, "
             f"expected {bk.edge_color(l1, l2)}"
         )
@@ -425,7 +634,7 @@ def test_theorem_7_refuses_what_classify_sails_refuses():
     with pytest.raises(ClassificationError, match="carries a non-trip"):
         classify_sails(doctored)
     a, _, _, d, e, _ = doctored.los
-    assert theorems._t7([doctored]).detail == (
+    assert _t7([doctored]).detail == (
         f"s=9: sail ('A', 'D', 'E') carries a non-trip {(a, d, e)}"
     )
 
@@ -433,7 +642,8 @@ def test_theorem_7_refuses_what_classify_sails_refuses():
 @pytest.mark.parametrize("lo", [0, 9, 16, 31], ids=["zero", "s", "g", "above-g"])
 def test_theorem_7_refuses_an_index_outside_the_cluster(lo):
     # 0 and s span no plane of the cluster, and g = 16 or more is no L-index;
-    # the record builds no Assessor, so Theorem 7 is what refuses them
+    # the record builds no Assessor, so the per-kite oracle is what refuses
+    # them (survey's strut ends never take them: proof at theorems._strut_laws)
     bk = survey(Level(5), 9).kites[0]
     for slot, label in enumerate(LABELS):
         los = list(bk.los)
@@ -441,6 +651,6 @@ def test_theorem_7_refuses_an_index_outside_the_cluster(lo):
         doctored = bk._replace(los=tuple(los))
         with pytest.raises(ValueError, match="-index must lie in"):
             doctored.vertices
-        assert theorems._t7([doctored]) == theorems.TheoremResult(
+        assert _t7([doctored]) == theorems.TheoremResult(
             "Theorem 7", False, f"s=9: vertex {label} has L-index {lo}, not in 1..15 without 9"
         )

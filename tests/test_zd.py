@@ -511,6 +511,39 @@ def test_xor_permute_equals_the_bit_by_bit_move(width):
             assert zd._xor_permute(m, key, width) == _moved(m, key, width), (key, m)
 
 
+def _cells(m, g):
+    """The g x g bit matrix m as a list of g*g bits, cell (r, c) at r*g + c."""
+    return [int(b) for b in format(m, f"0{g * g}b")[::-1]]
+
+
+def _from_cells(cells):
+    return int("".join(map(str, reversed(cells))), 2)
+
+
+def _matrices(n):
+    g = 1 << n - 1
+    rng = random.Random(f"bit-matrix-{n}")
+    return g, [rng.getrandbits(g * g) for _ in range(3)] + [1, 1 << g * g - 1, (1 << g * g) - 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transpose_equals_the_cell_by_cell_move(n):
+    g, words = _matrices(n)
+    for m in words:
+        cells = _cells(m, g)
+        moved = [cells[c * g + r] for r in range(g) for c in range(g)]  # (r, c) from (c, r)
+        assert zd._transpose(m, g) == _from_cells(moved), m
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_xor_permute_equals_the_cell_by_cell_read(n):
+    g, words = _matrices(n)
+    for m in words:
+        cells = _cells(m, g)
+        read = [cells[a * g + (a ^ b)] for a in range(g) for b in range(g)]  # (a, b) from (a, a ^ b)
+        assert zd._row_xor_permute(m, g) == _from_cells(read), m
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_split_signs_quadrants_equal_the_sign_loop(n):
     # each quadrant packed cell by cell from the sign loop: cell (r, c) at
@@ -540,21 +573,6 @@ def test_theorem4_antisymmetry_read_equals_the_element_sweep(n):
     if n > 6:
         planes = random.Random(f"theorem4-{n}").sample(planes, 200)
     assert all(theorem4_check(a) is _theorem4_sweep(a) is True for a in planes)
-
-
-@pytest.fixture
-def doctored(monkeypatch):
-    """Flip one bit of a copy of the one sign table, so the cell's sign
-    changes at every level holding it; the split quadrants are rebuilt
-    from it, and again from the real table after."""
-
-    def flip(r, c):
-        rows = tuple(row ^ (a == r) << c for a, row in enumerate(cdp._ROWS))
-        monkeypatch.setattr(cdp, "_ROWS", rows)
-        zd._split_signs.cache_clear()
-
-    yield flip
-    zd._split_signs.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -596,20 +614,16 @@ def test_theorem4_antisymmetry_read_and_sweep_agree_on_a_doctored_table(doctored
 @pytest.mark.parametrize(
     "n, lo, hi, t5",
     [
-        (5, 1, 21, (True, "every sail edge emanates its third vertex (276 sails)")),
-        (4, 3, 13, (True, "every sail edge emanates its third vertex (20 sails)")),
-        (
-            6,
-            5,
-            45,
-            (False, "s=12 sail ('A', 'D', 'E'): Assessor(5, 41) and Assessor(1, 45) make no zero"),
-        ),
+        (5, 1, 21, (False, "s=2: (7, 21) x (1, 19) makes zero, (1, 19) x (7, 21) does not")),
+        (4, 3, 13, (False, "s=1: (4, 13) x (3, 10) makes zero, (3, 10) x (4, 13) does not")),
+        (6, 5, 45, (False, "s=1: (12, 45) x (5, 36) makes zero, (5, 36) x (12, 45) does not")),
     ],
 )
 def test_theorem4_reads_the_relation_diagonal_on_a_doctored_table(doctored, n, lo, hi, t5):
     # t(lo, hi) flipped to equal t(hi, lo): the plane's two diagonals make
     # zero, its cell in its cluster's relation is set, and the suite names
-    # it; at n = 6 the flip also silences a sail edge, which Theorem 5 names
+    # it; the flip also breaks the sign antisymmetry that makes every
+    # relation symmetric, and Theorem 5 names the first cluster it breaks
     doctored(lo, hi)
     lvl = Level(n)
     for s in range(1, lvl.g):
