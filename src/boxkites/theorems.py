@@ -8,22 +8,23 @@ exact sign table through that one kernel: Theorem 1 per all-low XOR
 bucket through 16 dimensions (above, its scan is clean by proof),
 Theorem 2 per dyad holding the generator unit, and Theorems 3 to 7
 through each cluster's relation (``zd.relation``).  A suite run walks
-the clusters once: each cluster's relation is built once, by its
-survey, and held until the run returns.  Theorem 4 reads the relations'
-diagonals, each plane against itself.  No ``Element`` product is taken
-and ``cdp.mul_basis`` is never read: a failure is worded from the
-indices that found it.
+the clusters once, and each cluster's relation is built once, by its
+survey.  Theorem 3 counts its zero pairs, and its zero and same rows
+are joined into two g x g words, its zero pairs and their slope class,
+on which Theorems 5 and 7 check word laws (symmetry, sail closure and
+the strut flips, with their proofs at ``_sail_laws`` and
+``_strut_laws``).  The two words are then turned into XOR-diagonal
+rows, row k holding the cells (a, a ^ k), and only those rows outlive
+the cluster: Theorem 4 reads row 0, each plane against itself, and
+Theorem 6 reads row s ^ t of each pair of clusters s and t.  No
+``Element`` product is taken and ``cdp.mul_basis`` is never read: a
+failure is worded from the indices that found it.
 
-Theorems 5, 6 and 7 read the relations as whole words, one g x g bit
-matrix per cluster for its zero pairs and one for their slope class,
-joined once as the walk meets the cluster.  Theorems 5 and 7 are word
-laws on one cluster's two matrices (symmetry, sail closure and the
-strut flips, with their proofs at ``_sail_laws`` and ``_strut_laws``),
-and Theorem 6 reads pairs of clusters.  Of the kites the suite reads
-only their count: the laws' proofs say what they give every kite
-record ``kites.survey`` returns, so no record is read.  Violations come
-back as failed results carrying the counterexample, so the caller can
-print PASS/FAIL lines without re-deriving anything.
+Of the kites the suite reads only their count: the laws' proofs say what
+they give every kite record ``kites.survey`` returns, so no record is
+read.  Violations come back as failed results carrying the
+counterexample, so the caller can print PASS/FAIL lines without
+re-deriving anything.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .cdp import Level
 from .kites import survey
 from .zd import (
     Assessor,
-    Relation,
+    _bits,
     _join,
     _row_xor_permute,
-    _split_signs,
+    _rows,
     _transpose,
     _xor_permute,
     check_strut,
@@ -45,6 +46,11 @@ from .zd import (
     theorem2_check,
     theorem3_check,
 )
+
+
+#: by strut constant, the XOR-diagonal rows of a cluster's zero pairs and
+#: of their same-slope class (``_xor_rows``)
+_XorRows = dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 class TheoremResult(NamedTuple):
@@ -66,43 +72,62 @@ def run_suite(n: int) -> list[TheoremResult]:
     A level outside that range is refused, as every sweep refuses it
     (``zd.check_strut``), before any survey.  The suite walks the
     clusters once, s = 1..g-1.  Each survey builds its cluster's
-    relation, which the suite keeps for Theorems 3 and 4 and joins into
-    the two g x g words that Theorems 5, 6 and 7 read, and its kites,
-    which are counted and let go when the next survey returns, so no
-    list of the level's kites is made.  Theorems 5 and 7 check their laws
-    on each cluster's words as it comes and keep their first failure;
-    their PASS lines and Theorem 6 read only the kite count.
+    relation and its kites.  The kites are counted, the relation's zero
+    pairs are counted for Theorem 3 (``zd.theorem3_check``), and its
+    rows are joined into the two g x g words on which Theorems 5 and 7
+    check their laws, keeping their first failure.  The two words are
+    then turned into the cluster's XOR-diagonal rows (``_xor_rows``),
+    and those rows are all the walk keeps: the relation, the words and
+    the kites are let go when the next survey returns, so no list of the
+    level's kites or relations is made.  After the walk Theorems 4 and 6
+    read the rows; the PASS lines of Theorems 5 and 7 and Theorem 6's
+    count check read only the kite count.
 
-    At n = 8 a run takes 0.39 to 0.63 s in-process (CPython 3.11 on a
-    2-core machine whose speed varies by half from run to run, 12 runs,
-    ``BENCH_23.json``): within the walk the 127 surveys, relations
-    included, 0.27 to 0.46 s, and the row joins and the laws of Theorems
-    5 and 7 0.03 to 0.06 s; after it Theorem 6 0.06 to 0.11 s, and
-    Theorems 1 to 4 together about 3 ms.
+    At n = 8 a run takes 0.29 to 0.32 s in-process (CPython 3.11 on a
+    2-core machine whose speed varies by half from run to run, 6 runs,
+    ``BENCH_24.json``): within the walk the 127 surveys, relations
+    included, 0.23 to 0.27 s, the row joins and the laws of Theorems 5
+    and 7 0.03 s, and the XOR-diagonal rows 0.02 s; after it Theorem 6
+    about 6 ms and Theorems 1 to 4 together about 1 ms.
     """
     lvl = Level(n)
     check_strut(lvl, 1)
     g = lvl.g
-    relations: dict[int, Relation] = {}
-    words: dict[int, tuple[int, int]] = {}  # each cluster's zero and same rows, joined
-    kites, t5, t7 = 0, None, None  # the kite count, Theorems 5 and 7's first failures
+    xor_rows: _XorRows = {}
+    kites = hits = 0
+    t5 = t7 = None  # Theorems 5 and 7's first failures
     for s in range(1, g):
-        found, _, _, relations[s] = survey(lvl, s)
+        found, _, _, rel = survey(lvl, s)
         kites += len(found)
-        zero, same = words[s] = tuple(_join(rows, g) for rows in relations[s])
-        t5 = t5 or _sail_laws(lvl, s, zero)
+        pairs, zeros = theorem3_check(lvl, (rel,))
+        hits += zeros
+        zero, same = _join(rel.zero, g), _join(rel.same, g)
+        zero_read = _row_xor_permute(zero, g)
+        t5 = t5 or _sail_laws(lvl, s, zero, zero_read)
         t7 = t7 or _strut_laws(lvl, s, zero, same)
+        xor_rows[s] = _xor_rows(zero_read, g), _xor_rows(_row_xor_permute(same, g), g)
+    slopes = f"slope-class dichotomy held on all {pairs} candidate pairs ({hits} annihilating)"
     sails = f"every sail edge emanates its third vertex ({4 * kites} sails)"
     laws = f"U-index law and edge sign patterns hold on all {kites} kites"
     return [
         _guard("Theorem 1", lambda: _t1(lvl)),
         _guard("Theorem 2", lambda: _t2(lvl)),
-        _guard("Theorem 3", lambda: _t3(lvl, relations)),
-        _guard("Theorem 4", lambda: _t4(lvl, relations)),
+        TheoremResult("Theorem 3", True, slopes),
+        _t4(lvl, xor_rows),
         t5 or TheoremResult("Theorem 5", True, sails),
-        _guard("Theorem 6", lambda: _t6(lvl, words, kites)),
+        _t6(lvl, xor_rows, kites),
         t7 or TheoremResult("Theorem 7", True, laws),
     ]
+
+
+def _xor_rows(read: int, g: int) -> tuple[int, ...]:
+    """The XOR-diagonal rows of a g x g word m, from read = zd._row_xor_permute(m, g):
+    bit a of row k is cell (a, a ^ k) of m.
+
+    Cell (a, k) of read is cell (a, a ^ k) of m, and the transpose moves
+    it to (k, a), bit a of row k.
+    """
+    return _rows(_transpose(read, g), g)
 
 
 def _t1(lvl: Level) -> TheoremResult:
@@ -129,24 +154,14 @@ def _t2(lvl: Level) -> TheoremResult:
     return TheoremResult("Theorem 2", False, f"counterexample: {hit[0]} x {hit[1]} = 0")
 
 
-def _t3(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
-    pairs, hits = theorem3_check(lvl, relations.values())
-    return TheoremResult(
-        "Theorem 3",
-        True,
-        f"slope-class dichotomy held on all {pairs} candidate pairs ({hits} annihilating)",
-    )
-
-
-def _t4(lvl: Level, relations: dict[int, Relation]) -> TheoremResult:
-    # zd.theorem4_check read off the relations: bit a of zero[a] in
-    # cluster s is the plane (a, a ^ x), x = g + s, against itself, set
-    # exactly when its two diagonals make zero (proof at zd.relation).
-    # Each cluster has g - 2 planes, one per L-index other than 0 and s
+def _t4(lvl: Level, xor_rows: _XorRows) -> TheoremResult:
+    # zd.theorem4_check read off the XOR-diagonal rows: bit a of row 0 of
+    # cluster s's zero pairs is cell (a, a), the plane (a, a ^ x), x = g + s,
+    # against itself, set exactly when its two diagonals make zero (proof
+    # at zd.relation).  Each cluster has g - 2 planes, one per L-index
+    # other than 0 and s
     g = lvl.g
-    bad = sorted(
-        (a, a ^ g ^ s) for s, rel in relations.items() for a, m in enumerate(rel.zero) if m >> a & 1
-    )
+    bad = sorted((a, a ^ g ^ s) for s, (zero, _) in xor_rows.items() for a in _bits(zero[0]))
     if bad:
         first = [Assessor(lo, hi, lvl) for lo, hi in bad[:3]]
         return TheoremResult("Theorem 4", False, f"self-annihilating planes: {first}")
@@ -173,11 +188,11 @@ def _violation(name: str, lvl: Level, s: int, laws, same: int = 0) -> TheoremRes
     return None
 
 
-def _sail_laws(lvl: Level, s: int, zero: int) -> TheoremResult | None:
+def _sail_laws(lvl: Level, s: int, zero: int, zero_read: int) -> TheoremResult | None:
     # Theorem 5 as two laws on cluster s's zero pairs Z, its relation's
     # zero rows joined (cell (a, b) set when the plane (a, a ^ x) times the
     # plane (b, b ^ x) makes zero, x = g + s), with R reading each cell
-    # (a, b) from (a, a ^ b) (zd._row_xor_permute):
+    # (a, b) from (a, a ^ b) (zd._row_xor_permute; zero_read is R(Z)):
     #   symmetry      Z & ~transpose(Z) == 0
     #   sail closure  Z & ~R(Z) == 0
     # A zero pair (a, b) emanates the plane (a ^ b, a ^ b ^ x), by
@@ -197,7 +212,7 @@ def _sail_laws(lvl: Level, s: int, zero: int) -> TheoremResult | None:
     g = lvl.g
     laws = (
         (zero & ~_transpose(zero, g), "{a} x {b} makes zero, {b} x {a} does not"),
-        (zero & ~_row_xor_permute(zero, g), "{a} x {b} emanates {c}, and {a} x {c} makes no zero"),
+        (zero & ~zero_read, "{a} x {b} emanates {c}, and {a} x {c} makes no zero"),
     )
     return _violation("Theorem 5", lvl, s, laws)
 
@@ -247,53 +262,51 @@ def _strut_laws(lvl: Level, s: int, zero: int, same: int) -> TheoremResult | Non
     return _violation("Theorem 7", lvl, s, laws, same)
 
 
-def _t6(lvl: Level, words: dict[int, tuple[int, int]], kites: int) -> TheoremResult:
-    # zd.twist read off the relations, as whole words.  A zero pair of
-    # diagonals on the planes (a, a ^ x) and (b, b ^ x) of cluster s,
-    # slopes sa and sb, twists into (b, a ^ x) with slope sb and (a, b ^ x)
-    # with slope -sa: planes of cluster t = a ^ b ^ s, in the other slope
-    # class (the slopes' product changes sign).  So each zero pair's four
-    # twists, both slope pairs of its class in both orders, are valid
-    # exactly when cluster t's relation holds (b, a) in the other class.
-    # The relation and its class are symmetric (proof at zd.relation;
-    # Theorems 5 and 7 check it), so that is cell (a, b) of
-    # Z_t & (S_s ^ S_t), with Z_s and S_s cluster s's zero and same rows
-    # joined into g x g matrices (``words``, joined by run_suite's walk).
-    # The cells (a, b) of Z_s that twist into t are those with
-    # a ^ b = s ^ t = k, the cells of the XOR diagonal D_k; each zero pair
-    # is two cells, (a, b) and (b, a), so each cell stands for two twists.
-    # The pairs of clusters are walked by k, so one D_k is held at a time.
+def _t6(lvl: Level, xor_rows: _XorRows, kites: int) -> TheoremResult:
+    # zd.twist read off the XOR-diagonal rows.  A zero pair of diagonals on
+    # the planes (a, a ^ x) and (b, b ^ x) of cluster s, slopes sa and sb,
+    # twists into (b, a ^ x) with slope sb and (a, b ^ x) with slope -sa:
+    # planes of cluster t = a ^ b ^ s, in the other slope class (the slopes'
+    # product changes sign).  So each zero pair's four twists, both slope
+    # pairs of its class in both orders, are valid exactly when cluster t's
+    # relation holds (b, a) in the other class.  The relation and its class
+    # are symmetric (proof at zd.relation; Theorems 5 and 7 check it), so
+    # that is cell (a, b) of Z_t & (S_s ^ S_t), with Z_s and S_s cluster s's
+    # zero and same rows joined into g x g matrices.  The cells (a, b) of
+    # Z_s that twist into t are those with a ^ b = s ^ t = k, that is
+    # b = a ^ k: bit a of row k of Z_s's XOR-diagonal rows (``xor_rows``,
+    # built by run_suite's walk), and cell (a, a ^ k) of Z_t, S_s and S_t
+    # is bit a of row k of theirs.  So row k of the four does the whole
+    # pair of clusters, cell by cell.  Each zero pair is two cells, (a, b)
+    # and (b, a), so each cell stands for two twists.  At k = 0, t = s,
+    # row 0 holds only planes against themselves, set only where Theorem 4
+    # fails; they are counted, so such a cell fails the count below.
     #
     # These are the kites' twists.  Each kite edge is a zero pair (survey
     # reads the cross edges of its struts as zeros), of two planes on
     # different struts, so a ^ b is neither 0 nor s and the pair lies on
-    # some D_k above; and no two kites share an edge, as two struts of a
+    # some row k above; and no two kites share an edge, as two struts of a
     # triangle fix the third (kites.survey).  So the twists counted here,
     # four per zero pair off the struts, are at least 48 per kite, and they
     # are exactly the kites' when the two counts agree.
-    g = lvl.g
-    diagonal = _split_signs(lvl.n).diagonal
     total = valid = 0
     invalid_targets: set[int] = set()
     invalid_sources: set[int] = set()
-    for k in range(g):
-        # at k = 0, t = s: only a plane against itself, set only where Theorem 4 fails
-        diagonal_k = _xor_permute(diagonal, k, g * g)
-        for s, (zero_s, same_s) in words.items():
-            if s == k:
-                continue  # t = 0 is no cluster
-            t = s ^ k
-            zero_t, same_t = words[t]
-            twists = zero_s & diagonal_k
-            kept = twists & zero_t & (same_s ^ same_t)
-            total += 2 * twists.bit_count()
-            valid += 2 * kept.bit_count()
+    clusters = xor_rows.items()
+    for s, (zero_s, same_s) in clusters:
+        for t, (zero_t, same_t) in clusters:
+            k = s ^ t
+            twists = zero_s[k]
+            kept = twists & zero_t[k] & (same_s[k] ^ same_t[k])
+            total += twists.bit_count()
+            valid += kept.bit_count()
             if kept != twists:
                 invalid_sources.add(s)
                 invalid_targets.add(t)
+    total, valid = 2 * total, 2 * valid
     if total != 48 * kites:
         return TheoremResult(
-            "Theorem 6", False, f"{total // 4} zero pairs against {kites} kites, not 12 per kite"
+            "Theorem 6", False, f"{total} twists against {kites} kites, not 48 per kite"
         )
     detail = f"{valid}/{total} twisted pairs still make zero"
     if lvl.n == 4:

@@ -18,12 +18,14 @@ written next to it.  A two-term product can only vanish when both
 factors have the same XOR of their two indices (the lemma there), so a
 sweep tests only within a bucket.  ``relation`` feeds it a cluster,
 each plane against itself included, read by ``dmz_scan``,
-``dmz_report``, ``etable.build_et`` and ``kites.survey``, and by
-Theorems 3 to 7 as each survey hands it on (a suite run builds each
-cluster's relation once; Theorem 4 reads its diagonal, a plane against
-itself); Theorem 1 feeds it the all-low buckets, only through 16
-dimensions (above, its scan is clean by proof), and Theorem 2 the rows
-of the dyads holding the generator unit.  ``dmz_pattern``, ``emanate``,
+``dmz_report``, ``etable.build_et`` and ``kites.survey``, and by the
+suite's walk (``theorems.run_suite``): each survey hands its cluster's
+relation on, Theorem 3 counts it and Theorems 5 and 7 check it, and it
+is let go once turned into the XOR-diagonal rows that Theorems 4 and 6
+read (Theorem 4 reads row 0, each plane against itself); Theorem 1
+feeds it the all-low buckets, only through 16 dimensions (above, its
+scan is clean by proof), and Theorem 2 the rows of the dyads holding the
+generator unit.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
 arithmetic and are the oracle the kernel is tested against; they build
@@ -234,8 +236,9 @@ def relation(lvl: Level, s: int) -> Relation:
     two diagonals make zero and theorem4_check fails.  As distinct units
     anticommute (the proof at cdp._double), t(a,A) = -t(A,a) and the
     diagonal is clear; it is read, not masked, so Theorem 4
-    (``theorems._t4``) reads the cell, and tests/test_zd.py holds it to
-    theorem4_check on every plane at n = 4..8.
+    (``theorems._t4``) reads the cell, as bit a of the cluster's
+    XOR-diagonal row 0, and tests/test_zd.py holds it to theorem4_check
+    on every plane at n = 4..8.
 
     Word form.  Split the table's negative signs into four g x g bit
     matrices, cell (r, c) at bit r*g + c, over r, c < g: LL(r, c) for
@@ -246,10 +249,12 @@ def relation(lvl: Level, s: int) -> Relation:
     with row key s*g and column key s.  The cells kept are those whose
     row and column are L-indices of the cluster (neither 0 nor s).
     Every cell is a read of its own, so building the relation
-    does not use its symmetry; Theorem 6 (``theorems._t6``) does, and the
-    suite checks it on every cluster it walks: Theorems 5 and 7 hold the
-    joined zero and same rows equal to their transposes
-    (``theorems._sail_laws`` and ``_strut_laws``).
+    does not use its symmetry; Theorem 6 (``theorems._t6``) does: the
+    twists of a pair (a, b) land on (b, a) of another cluster, which it
+    reads at cell (a, b).  The suite checks the symmetry on every
+    cluster it walks: Theorems 5 and 7 hold the joined zero and same rows
+    equal to their transposes (``theorems._sail_laws`` and
+    ``_strut_laws``).
 
     The quadrants are sliced from the level's corner of the one exact
     sign table (cdp.sign_table) once per level and kept, so no sign
@@ -334,8 +339,7 @@ class _Signs(NamedTuple):
 
     Each matrix is g x g with cell (r, c) at bit r*g + c (``relation``
     has the layout), so its row r is the g bits of one table row's half.
-    ``rows`` has bit r*g for every row r but 0, and ``diagonal`` has the
-    cells (r, r).
+    ``rows`` has bit r*g for every row r but 0.
     """
 
     ll: int
@@ -343,7 +347,6 @@ class _Signs(NamedTuple):
     hl: int
     hh: int
     rows: int
-    diagonal: int
 
 
 def _join(rows, w: int) -> int:
@@ -370,8 +373,7 @@ def _split_signs(n: int) -> _Signs:
     halves = table[:g], table[g:]
     ll, lh, hl, hh = (_join([r >> i & low for r in half], g) for half in halves for i in (0, g))
     rows = ((1 << cells) - 1) // ((1 << g) - 1) ^ 1
-    diagonal = ((1 << cells + g) - 1) // ((1 << g + 1) - 1)
-    return _Signs(ll, lh, hl, hh, rows, diagonal)
+    return _Signs(ll, lh, hl, hh, rows)
 
 
 @cache
@@ -558,14 +560,15 @@ def theorem3_check(lvl: Level, relations: Iterable[Relation]) -> tuple[int, int]
     which checks both facts on exact products).  So the check counts the
     zero pairs of the relations it is given, the level's, one per strut
     constant, and builds none of its own (``theorems.run_suite`` hands it
-    the ones its surveys built): each zero pair is two bits, (a, b) and
-    (b, a).  A bit on a relation's diagonal, a plane against itself, is
-    set only where Theorem 4 fails (proof at ``relation``), and there it
-    counts as half a pair.  Pairs across clusters are proven silent
-    by the lemma at _zero_test, so they hold the dichotomy trivially and
-    are counted without a test; the candidates are the g - 1 clusters'
-    g - 2 planes each, as ``cluster`` builds them.  Returns
-    (candidate_pairs, pairs_annihilating).
+    each survey's relation alone, as its walk meets the cluster, and sums
+    the counts): each zero pair is two bits, (a, b) and (b, a).  A bit on
+    a relation's diagonal, a plane against itself, is set only where
+    Theorem 4 fails (proof at ``relation``), and there it counts as half
+    a pair, rounded down over the relations of one call.  Pairs across
+    clusters are proven silent by the lemma at _zero_test, so they hold
+    the dichotomy trivially and are counted without a test; the
+    candidates are the g - 1 clusters' g - 2 planes each, as ``cluster``
+    builds them.  Returns (candidate_pairs, pairs_annihilating).
     """
     check_strut(lvl, 1)  # refuses a level out of reach before g is built
     hits = sum(m.bit_count() for rel in relations for m in rel.zero) // 2

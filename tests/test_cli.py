@@ -489,6 +489,21 @@ def test_package_has_no_bare_asserts():
         assert not found, f"{path.name}: bare assert at lines {found}"
 
 
+def test_verify_under_python_o_prints_what_it_prints_without():
+    # -O strips assert statements, and every invariant check must still run:
+    # the optimised run's stdout and exit code are the normal run's
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "boxkites", "verify", "--n", "5"],
+        capture_output=True,
+        text=True,
+        env=child_env(os.environ),
+        timeout=60,
+    )
+    code, out, _ = run_cli("verify", "--n", "5")
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out.count(": PASS  ") == 7
+
+
 def test_importing_the_package_and_its_cli_loads_no_dataclasses():
     # every start-up pays for what the package imports: dataclasses would
     # bring inspect, ast, dis and tokenize with it, and each decorated

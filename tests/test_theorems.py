@@ -1,12 +1,15 @@
 """Theorems 5, 6 and 7 read off the relations, held to the exact oracles:
 the word laws of Theorems 5 and 7 fail wherever the per-kite checks they
 replace (kept here as oracles, themselves held to emanate and
-classify_sails) fail; the suite takes no Element product, builds each
-cluster's relation once and holds no list of the level's kites."""
+classify_sails) fail, and Theorem 6's reading of the XOR-diagonal rows
+equals its reading of the joined words and of the kite edges; the suite
+takes no Element product, builds each cluster's relation once and holds
+no list of the level's kites and no relation past its cluster."""
 
 import ast
 import inspect
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -36,6 +39,8 @@ from boxkites.zd import (
     NotDmzError,
     Relation,
     _join,
+    _row_xor_permute,
+    _xor_permute,
     emanate,
     twist,
 )
@@ -131,6 +136,58 @@ def _words(lvl, relations):
     return {s: (_join(rel.zero, lvl.g), _join(rel.same, lvl.g)) for s, rel in relations.items()}
 
 
+def _xor_rows(lvl, relations):
+    """Each cluster's zero and same rows as XOR-diagonal rows, as run_suite's walk builds them."""
+    g = lvl.g
+    return {
+        s: tuple(theorems._xor_rows(_row_xor_permute(_join(rows, g), g), g) for rows in rel)
+        for s, rel in relations.items()
+    }
+
+
+def _t6_by_words(lvl, words, kites):
+    """Theorem 6 read off the joined g x g words: the oracle of its XOR-diagonal reading."""
+    # The twists of cluster s into t = s ^ k are the cells of Z_s on the
+    # XOR diagonal D_k, the cells (a, a ^ k) (D_0 moved by k); kept are
+    # those where Z_t & (S_s ^ S_t) is set (the proof is at theorems._t6)
+    g = lvl.g
+    diagonal = ((1 << g * g + g) - 1) // ((1 << g + 1) - 1)  # the cells (r, r)
+    total = valid = 0
+    invalid_targets: set[int] = set()
+    invalid_sources: set[int] = set()
+    for k in range(g):
+        # at k = 0, t = s: only a plane against itself, set only where Theorem 4 fails
+        diagonal_k = _xor_permute(diagonal, k, g * g)
+        for s, (zero_s, same_s) in words.items():
+            if s == k:
+                continue  # t = 0 is no cluster
+            t = s ^ k
+            zero_t, same_t = words[t]
+            twists = zero_s & diagonal_k
+            kept = twists & zero_t & (same_s ^ same_t)
+            total += 2 * twists.bit_count()
+            valid += 2 * kept.bit_count()
+            if kept != twists:
+                invalid_sources.add(s)
+                invalid_targets.add(t)
+    if total != 48 * kites:
+        return TheoremResult(
+            "Theorem 6", False, f"{total // 4} zero pairs against {kites} kites, not 12 per kite"
+        )
+    detail = f"{valid}/{total} twisted pairs still make zero"
+    if lvl.n == 4:
+        return TheoremResult("Theorem 6", valid == total, detail)
+    # from 32 dimensions up twists fail, and their targets are exactly the
+    # Sky strut constants: every S above 8 and below g that is not a power of 2
+    sky = {s for s in range(9, lvl.g) if s & (s - 1)}
+    ok = invalid_targets == sky
+    detail += (
+        f"; failing twists land at strut constants {sorted(invalid_targets)}"
+        f" (sources {sorted(invalid_sources)})"
+    )
+    return TheoremResult("Theorem 6", ok, detail)
+
+
 def _twist_oracle(kites):
     """Theorem 6's tallies from zd.twist: (valid, total, targets, sources)."""
     total = valid = 0
@@ -197,7 +254,7 @@ def _t6_by_kite_edges(lvl, relations, kites):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_theorem6_word_reading_matches_the_kite_edge_reading(n):
     lvl, relations, kites = _level(n)
-    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
+    result = theorems._t6(lvl, _xor_rows(lvl, relations), len(kites))
     assert result == _t6_by_kite_edges(lvl, relations, kites)
     assert result.passed
 
@@ -206,7 +263,7 @@ def test_theorem6_word_reading_matches_the_kite_edge_reading(n):
 def test_theorem6_relation_reading_matches_the_twist_oracle(n):
     lvl, relations, kites = _level(n)
     valid, total, targets, sources = _twist_oracle(kites)
-    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
+    result = theorems._t6(lvl, _xor_rows(lvl, relations), len(kites))
     assert result.detail == (
         f"{valid}/{total} twisted pairs still make zero; failing twists land at strut "
         f"constants {targets} (sources {sources})"
@@ -217,7 +274,7 @@ def test_theorem6_relation_reading_matches_the_twist_oracle(n):
 
 def test_theorem6_at_n7_fails_its_twists_exactly_at_the_sky():
     lvl, relations, kites = _level(7)
-    result = theorems._t6(lvl, _words(lvl, relations), len(kites))
+    result = theorems._t6(lvl, _xor_rows(lvl, relations), len(kites))
     sky = [s for s in range(9, lvl.g) if s & (s - 1)]
     sources = [*range(1, 32), *range(41, 48), *range(49, 64)]
     assert result.passed
@@ -296,16 +353,16 @@ def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     zero[a] &= ~(1 << b)
     zero[b] &= ~(1 << a)
     relations[bk.s] = rel._replace(zero=tuple(zero))
-    assert theorems._t6(lvl, _words(lvl, relations), len(kites)) == theorems.TheoremResult(
-        "Theorem 6", False, "923 zero pairs against 77 kites, not 12 per kite"
+    assert theorems._t6(lvl, _xor_rows(lvl, relations), len(kites)) == theorems.TheoremResult(
+        "Theorem 6", False, "3692 twists against 77 kites, not 48 per kite"
     )
 
 
 def test_theorem6_refuses_zero_pairs_no_kite_holds():
     # a kite lost from the count leaves its 12 zero pairs' twists unaccounted
     lvl, relations, kites = _level(5)
-    assert theorems._t6(lvl, _words(lvl, relations), len(kites) - 1) == theorems.TheoremResult(
-        "Theorem 6", False, "924 zero pairs against 76 kites, not 12 per kite"
+    assert theorems._t6(lvl, _xor_rows(lvl, relations), len(kites) - 1) == theorems.TheoremResult(
+        "Theorem 6", False, "3696 twists against 76 kites, not 48 per kite"
     )
 
 
@@ -313,11 +370,64 @@ def test_theorem6_counts_a_plane_against_itself():
     # a diagonal cell, the plane (2, 27) of s = 9 against itself, twists
     # into its own cluster (k = s ^ t = 0): two twists more than the kites'
     lvl, relations, kites = _level(5)
-    words = _words(lvl, relations)
-    zero, same = words[9]
-    words[9] = (zero | 1 << 2 * lvl.g + 2, same)
-    assert theorems._t6(lvl, words, len(kites)) == theorems.TheoremResult(
-        "Theorem 6", False, "924 zero pairs against 77 kites, not 12 per kite"
+    rel = relations[9]
+    zero = list(rel.zero)
+    zero[2] |= 1 << 2
+    relations[9] = rel._replace(zero=tuple(zero))
+    assert theorems._t6(lvl, _xor_rows(lvl, relations), len(kites)) == theorems.TheoremResult(
+        "Theorem 6", False, "3698 twists against 77 kites, not 48 per kite"
+    )
+
+
+def _same_verdict(new, oracle):
+    """The XOR-diagonal reading's verdict equals the word reading's, the
+    refusal of the count restated from the twist total (the oracle gives
+    it as a quarter, rounded down)."""
+    refusal = re.fullmatch(r"(\d+) zero pairs against (\d+) kites, not 12 per kite", oracle.detail)
+    if refusal is None:
+        return new == oracle
+    twists = re.fullmatch(r"(\d+) twists against (\d+) kites, not 48 per kite", new.detail)
+    return (
+        not new.passed
+        and twists is not None
+        and int(twists[1]) // 4 == int(refusal[1])
+        and twists[2] == refusal[2]
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_theorem6_row_reading_matches_the_word_reading(n):
+    lvl, relations, kites = _level(n)
+    xor_rows, words = _xor_rows(lvl, relations), _words(lvl, relations)
+    for count in (len(kites), len(kites) + 1):  # the tallies, and the refusal
+        new = theorems._t6(lvl, xor_rows, count)
+        assert _same_verdict(new, _t6_by_words(lvl, words, count))
+    assert new.detail == f"{48 * len(kites)} twists against {count} kites, not 48 per kite"
+
+
+def test_theorem6_row_reading_matches_the_word_reading_on_doctored_tables(doctored):
+    # every single-cell doctored table at n = 4, and 64 seeded ones at n = 5,
+    # read at the kite count of their surveys: the two readings agree on
+    # every one, the count refused on some and the tallies read on the rest
+    outcomes = Counter()
+    tables = {
+        4: [(r, c) for r in range(16) for c in range(16)],
+        5: random.Random("t6-5").sample([(r, c) for r in range(32) for c in range(32)], 64),
+    }
+    for n, cells in tables.items():
+        lvl = Level(n)
+        for cell in cells:
+            doctored(*cell)
+            surveys = [survey(lvl, s) for s in range(1, lvl.g)]
+            relations = {s: sv.relation for s, sv in enumerate(surveys, 1)}
+            count = sum(len(sv.kites) for sv in surveys)
+            new = theorems._t6(lvl, _xor_rows(lvl, relations), count)
+            oracle = _t6_by_words(lvl, _words(lvl, relations), count)
+            assert _same_verdict(new, oracle), (n, cell, new, oracle)
+            outcomes[n, "twists against" in new.detail, new.passed] += 1
+            doctored(*cell)  # flipped back
+    assert outcomes == Counter(
+        {(4, True, False): 182, (4, False, True): 74, (5, True, False): 49, (5, False, True): 15}
     )
 
 
@@ -408,7 +518,7 @@ def test_suite_takes_no_element_product(monkeypatch, n):
 
 def test_suite_reads_theorem4_off_the_relations(monkeypatch):
     # no plane list, no per-plane check and no single-product read: Theorem
-    # 4 reads the diagonals of the relations the surveys built
+    # 4 reads row 0 of the XOR-diagonal rows built from the surveys' relations
     calls = Counter()
 
     def counting(name, fn):
@@ -471,6 +581,34 @@ def test_suite_streams_its_kites_one_cluster_at_a_time(monkeypatch):
     assert len(alive_before) == 15
     assert max(alive_before) == 7  # one cluster of s = 1..8, never two
     assert live.total() == 0
+
+
+def test_suite_holds_no_relation_past_its_cluster(monkeypatch):
+    # a relation counts in held from its build until it is freed; before
+    # each survey at most the previous cluster's relation may be alive
+    held = {}
+    alive_before = []
+
+    class Tracked(Relation):
+        __slots__ = ()
+
+        def __del__(self):
+            del held[id(self)]
+
+    def tracking(lvl, s):
+        rel = Tracked(*zd.relation(lvl, s))
+        held[id(rel)] = s
+        return rel
+
+    def surveying(lvl, s):
+        alive_before.append(sorted(held.values()))
+        return survey(lvl, s)
+
+    monkeypatch.setattr(kites, "relation", tracking)
+    monkeypatch.setattr(theorems, "survey", surveying)
+    assert all(r.passed for r in theorems.run_suite(5))
+    assert alive_before == [[], *([s] for s in range(1, 15))]
+    assert held == {}
 
 
 def _flip(bk, edge):
@@ -536,7 +674,7 @@ def test_a_silent_kite_edge_fails_theorems_5_and_7(monkeypatch):
             "s=9: (2, 27) x (10, 19) emanates (8, 17), and (2, 27) x (8, 17) makes no zero",
         ),
         theorems.TheoremResult(
-            "Theorem 6", False, "923 zero pairs against 77 kites, not 12 per kite"
+            "Theorem 6", False, "3692 twists against 77 kites, not 48 per kite"
         ),
         theorems.TheoremResult(
             "Theorem 7",
@@ -560,7 +698,10 @@ def _laws_against_oracles(doctored, n, cells):
             sv = survey(lvl, s)
             zero, same = _join(sv.relation.zero, g), _join(sv.relation.same, g)
             verdicts = {
-                5: (theorems._sail_laws(lvl, s, zero), _t5(sv.relation, sv.kites)),
+                5: (
+                    theorems._sail_laws(lvl, s, zero, _row_xor_permute(zero, g)),
+                    _t5(sv.relation, sv.kites),
+                ),
                 7: (theorems._strut_laws(lvl, s, zero, same), _t7(sv.kites)),
             }
             for theorem, (law, oracle) in verdicts.items():
