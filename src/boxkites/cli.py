@@ -25,7 +25,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -84,7 +84,7 @@ def _emit_blocks(blocks: Iterable[str], out: str | None) -> None:
     if out is None:
         sys.stdout.writelines(blocks)
     else:
-        with open(out, "w") as f:
+        with open(out, "w", encoding="utf-8") as f:
             f.writelines(blocks)
 
 

@@ -7,14 +7,17 @@ A cell holds the XOR of its row and column exactly when the two planes
 make zero, else it is hidden; the table is a rendering of the cluster's
 ``zd.relation``.  A table is held as one byte string of cell codes, the
 cell's value or 0 when hidden, made from the relation's bit rows by
-whole-word operations.  Grids render as text, CSV, or plain portable
-pixmaps, each from one token per code; every rendering is
-byte-deterministic.
+whole-word operations.  Grids render as text or CSV, each row joined
+from one token per code, or as a plain portable pixmap, whose pixels
+are one C-level charmap decode of the cell codes through a token list
+indexed by code (a row's last code marked by bit 7 to end its line);
+every rendering is byte-deterministic.
 """
 
 from __future__ import annotations
 
 import os
+from codecs import charmap_decode
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -84,7 +87,8 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
 
     Word form.  Lay out a g x g byte matrix, cell (r, c) at byte r*g + c
     of a big-endian int, over r, c < g.  As g is at most
-    2^(MEMO_MAX_N - 1) = 128, every r ^ c fits in a byte.  The column
+    2^(MEMO_MAX_N - 1) = 128, every r ^ c fits in a byte, and below 128
+    at that: bit 7 stays free for _pixmap's row-end marker.  The column
     ramp 0..g-1 repeated g times holds c at byte r*g + c, and each row
     index repeated g times holds r there.  XOR acts bit by bit and has
     no carries, so the bytes stay separate and the XOR of the two words
@@ -234,6 +238,14 @@ PALETTES = {"rainbow": _rainbow, "gray": _gray}
 MAX_SIDE = 2048
 
 
+def _palette(name: str):
+    """The named palette's color function, refused in one line when unknown."""
+    try:
+        return PALETTES[name]
+    except KeyError:
+        raise ValueError(f"unknown palette {name!r}; have {sorted(PALETTES)}") from None
+
+
 def _check_scale(cells: int, scale: int) -> None:
     """Refuse a scale below 1, or one that makes a pixmap wider than MAX_SIDE."""
     if scale < 1:
@@ -245,28 +257,70 @@ def _check_scale(cells: int, scale: int) -> None:
         )
 
 
+#: ORed into a row's last cell code, it makes the code decode to a newline
+_ROW_END = 128
+
+#: translates every byte v to v | _ROW_END
+_MARK_ROW_END = bytes(range(_ROW_END, 2 * _ROW_END)) * 2
+
+
+def _tokens(color_of, g: int, scale: int) -> list[str | None]:
+    """The pixmap text of each cell code, indexed by code, for one level and scale.
+
+    Code v maps to its color block and a space, and code v | _ROW_END to
+    the same block and a newline; a block is the color's "r g b" written
+    scale times, one cell's row of pixels.  Hidden code 0 takes the
+    background.  Codes g.._ROW_END-1 are never decoded (_pixmap refuses
+    them) and map to None.
+    """
+    colors = [BACKGROUND] + [color_of(v, g) for v in range(1, g)]
+    blocks = [" ".join([f"{r} {gr} {b}"] * scale) for r, gr, b in colors]
+    return [b + " " for b in blocks] + [None] * (_ROW_END - g) + [b + "\n" for b in blocks]
+
+
+def _pixmap(et: EmanationTable, tokens: list[str | None], scale: int) -> str:
+    """The table's P3 pixmap, its pixels one charmap decode of the cell codes.
+
+    Row ends.  Every code is below g, and g is at most
+    2^(MEMO_MAX_N - 1) = 128 (the byte proof at build_et), so bit 7
+    (_ROW_END) of a code is always clear and codes _ROW_END.._ROW_END+g-1
+    are free.  One translate ORs _ROW_END into the last code of each row,
+    and tokens (from _tokens) decodes that code to its block and a
+    newline, every other code to its block and a space: the decode
+    writes each row as its blocks joined by spaces, ending in a newline.
+    A scale above 1 repeats each row of codes scale times before the
+    decode; the tokens already hold the repeat along the row.
+
+    A code of g or more (a doctored table) is refused in one line,
+    because it would decode to the wrong token or, from _ROW_END on, to a
+    newline.
+    """
+    g, cols = et.lvl.g, len(et.axis)
+    bad = et.cells.translate(None, bytes(range(g)))
+    if bad:
+        raise ValueError(f"cell code {bad[0]} is not below g = {g}")
+    codes = bytearray(et.cells)
+    codes[cols - 1 :: cols] = codes[cols - 1 :: cols].translate(_MARK_ROW_END)
+    if scale > 1:
+        codes = b"".join([codes[i : i + cols] * scale for i in range(0, len(codes), cols)])
+    side = cols * scale
+    return f"P3\n{side} {side}\n255\n" + charmap_decode(codes, "strict", tokens)[0]
+
+
 def render_image(et: EmanationTable, palette: str = "rainbow", scale: int = 1) -> str:
     """Plain portable pixmap (P3) of the grid, one scale^2 block per cell.
 
     Hidden cells take the black background; a filled value v takes the
-    named palette's color, a pure function of v and the generator.  Each
-    code's block row (its color repeated scale times) is formatted once
-    per table and every row is joined from those.  The output is plain
+    named palette's color, a pure function of v and the generator.  An
+    unknown palette is refused first, then a bad scale, before any text
+    is built.  Each code's token (its color block and a separator) is
+    formatted once, and the pixels are one C-level charmap decode of the
+    cell codes through those tokens (_pixmap).  The output is plain
     text, so identical inputs give identical bytes.
     """
-    try:
-        color_of = PALETTES[palette]
-    except KeyError:
-        raise ValueError(f"unknown palette {palette!r}; have {sorted(PALETTES)}") from None
+    color_of = _palette(palette)
     _check_scale(len(et.axis), scale)
-    g = et.lvl.g
-    side = len(et.axis) * scale
-    colors = [BACKGROUND] + [color_of(v, g) for v in range(1, g)]
-    blocks = [" ".join([f"{rgb[0]} {rgb[1]} {rgb[2]}"] * scale) for rgb in colors]
-    lines = ["P3", f"{side} {side}", "255"]
-    for _, row in _rows(et):
-        lines.extend([" ".join(map(blocks.__getitem__, row))] * scale)
-    return "\n".join(lines) + "\n"
+    return _pixmap(et, _tokens(color_of, et.lvl.g, scale), scale)
 
 
 def flipbook(
@@ -282,10 +336,14 @@ def flipbook(
     Page files are named et_n{n}_s{s}.ppm with the strut constant padded
     to a fixed width, so directory order matches page order; the
     manifest lists "n s filename" per page.  Ranges must run forward and
-    stay inside 1..g-1, and the scale is checked before anything is written.
+    stay inside 1..g-1; the range, the palette and the scale are checked
+    before anything is made.  The palette's tokens are built once for
+    the whole book.
     """
     check_span(lvl, s_from, s_to)
+    color_of = _palette(palette)
     _check_scale(lvl.g - 2, scale)  # every table has g - 2 cells on a side
+    tokens = _tokens(color_of, lvl.g, scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(lvl.g - 1))
@@ -294,8 +352,8 @@ def flipbook(
     for s in range(s_from, s_to + 1):
         name = f"et_n{lvl.n}_s{s:0{width}d}.ppm"
         path = out / name
-        path.write_text(render_image(build_et(lvl, s), palette=palette, scale=scale))
+        path.write_text(_pixmap(build_et(lvl, s), tokens, scale), encoding="utf-8")
         manifest_lines.append(f"{lvl.n} {s} {name}")
         pages.append(path)
-    (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
+    (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     return pages

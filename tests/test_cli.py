@@ -392,6 +392,32 @@ def test_output_determinism_across_processes():
     assert first == second
 
 
+def test_output_files_name_their_encoding(tmp_path, capsys):
+    """Every file is written as UTF-8 whatever the locale: a child that turns
+    a write naming no encoding into an error writes the bytes main prints."""
+    runs = {
+        "et.txt": ["et", "--n", "4", "--s", "1"],
+        "census.txt": ["census", "--n", "4"],
+        "book": ["flipbook", "--n", "4", "--range", "1..3"],
+    }
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for name, argv in runs.items():
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "boxkites", *argv, "--out", str(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            env=child_env(os.environ),
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    for name in ("et.txt", "census.txt"):
+        assert main(runs[name]) == 0
+        assert (tmp_path / name).read_bytes() == capsys.readouterr().out.encode()
+    assert main([*runs["book"], "--out", str(tmp_path / "again")]) == 0
+    pages = {p.name: p.read_bytes() for p in (tmp_path / "book").iterdir()}
+    assert len(pages) == 4
+    assert pages == {p.name: p.read_bytes() for p in (tmp_path / "again").iterdir()}
+
+
 
 def test_mul_far_above_the_tables(capsys):
     # 3000 doubling steps: the sign loop needs no stack depth per bit

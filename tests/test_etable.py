@@ -357,6 +357,67 @@ def test_cell_codes_fit_in_a_byte_up_to_the_ceiling():
     )
 
 
+def test_cell_codes_leave_the_row_end_marker_free_up_to_the_ceiling():
+    top = Level(cdp.MEMO_MAX_N)
+    assert top.g <= 128, (
+        f"etable._pixmap marks each row's last cell code with bit 7 (the row-end "
+        f"marker, 128), which needs every code below 128, but level {top.n} has "
+        f"L-indices up to {top.g - 1}: move the row-end marker before raising "
+        f"cdp.MEMO_MAX_N"
+    )
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_flipbook_pages_match_render_image_and_the_per_pixel_oracle(n, tmp_path):
+    # at n = 8, g = 128 and the tokens fill all 256 code points
+    lvl = Level(n)
+    if n == 7:
+        spans = [(1, lvl.g - 1)]
+    else:
+        spans = [(s, s) for s in random.Random(n).sample(range(1, lvl.g), 8)]
+    for palette in sorted(PALETTES):
+        for scale in (1, 3):
+            for lo, hi in spans:
+                pages = flipbook(lvl, lo, hi, tmp_path / f"{palette}{scale}_{lo}", palette, scale)
+                for s, path in zip(range(lo, hi + 1), pages):
+                    page, et = path.read_text(encoding="utf-8"), build_et(lvl, s)
+                    assert page == render_image(et, palette, scale), (s, palette, scale)
+                    assert page == _per_pixel_image(et, palette, scale), (s, palette, scale)
+
+
+@pytest.mark.parametrize("n, bad", [(5, 16), (5, 130), (5, 255), (8, 128), (8, 133), (8, 255)])
+@pytest.mark.parametrize("where", ["first column", "last column"])
+def test_render_image_refuses_a_cell_code_not_below_g(n, bad, where):
+    # from 128 on, a code in the last column would pass for a row end
+    et = build_et(Level(n), 3)
+    cols = len(et.axis)
+    cells = bytearray(et.cells)
+    cells[2 * cols + (0 if where == "first column" else cols - 1)] = bad
+    doctored = et._replace(cells=bytes(cells))
+    for scale in (1, 3):
+        with pytest.raises(ValueError, match=f"^cell code {bad} is not below g = {et.lvl.g}$"):
+            render_image(doctored, scale=scale)
+
+
+def test_image_refusals_come_before_any_token_or_directory(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(etable, "_tokens", lambda *args: built.append(args))
+    et = build_et(LVL5, 9)
+    book = tmp_path / "book"
+    for kwargs, match in [
+        ({"palette": "neon", "scale": 0}, "unknown palette 'neon'"),  # the palette first
+        ({"palette": "neon", "scale": 10**6}, "unknown palette 'neon'"),
+        ({"scale": 0}, "scale must be positive"),
+        ({"scale": 10**6}, "limit is 2048"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            render_image(et, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            flipbook(LVL5, 1, 3, book, **kwargs)
+        assert not book.exists(), kwargs
+    assert built == []
+
+
 def test_palette_functions_are_pure():
     for name, fn in PALETTES.items():
         for v in range(1, 16):
