@@ -129,17 +129,28 @@ def cmd_census(args) -> int:
 
 def _census_blocks(lvl: Level, span: tuple[int, int]) -> Iterator[str]:
     total = broken_total = 0
+    g = lvl.g
     for s in range(span[0], span[1] + 1):
         sv = kites.survey(lvl, s)
         total += len(sv.kites)
         broken_total += len(sv.broken)
+        # a strut's lower end is its end with bit h clear, h the top bit of s;
+        # low[k] is the lower end of k's strut, and strut[p] the text of p's
+        h = 1 << s.bit_length() - 1
+        low = [k ^ s if k & h else k for k in range(g)]
+        strut = {p: f"({p},{p ^ s})" for p in range(1, g) if not p & h}
+        head = f"S={s} zigzag=("
         lines = []
         for bk in sv.kites:
-            a, b, c, d, e, f = bk.los
-            p, q, r = sorted([min(a, f), min(b, e), min(c, d)])  # as in BoxKite.strut_pairs
-            lines.append(
-                f"S={s} zigzag=({a},{b},{c}) struts=({p},{p ^ s})({q},{q ^ s})({r},{r ^ s})\n"
-            )
+            a, b, c = bk.los[:3]  # one end of each strut, as in BoxKite.strut_pairs
+            p, q, r = low[a], low[b], low[c]
+            if p > q:
+                p, q = q, p
+            if q > r:
+                q, r = r, q
+                if p > q:
+                    p, q = q, p
+            lines.append(f"{head}{a},{b},{c}) struts={strut[p]}{strut[q]}{strut[r]}\n")
         yield "".join(lines)
     yield f"{total} box-kite(s)\n"
     if broken_total:

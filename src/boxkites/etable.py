@@ -6,7 +6,7 @@ plane that index spans (U-index fixed by XOR with generator + strut).
 A cell holds the XOR of its row and column exactly when the two planes
 make zero, else it is hidden; the table is a rendering of the cluster's
 ``zd.relation``.  A table is held as one byte string of cell codes, the
-cell's value or 0 when hidden, made from the relation's bit rows by
+cell's value or 0 when hidden, made from the relation's zero word by
 whole-word operations.  Grids render as text or CSV, each row joined
 from one token per code, or as a plain portable pixmap, whose pixels
 are one C-level charmap decode of the cell codes through a token list
@@ -29,18 +29,33 @@ from .zd import check_span, check_strut, relation
 HIDDEN = None
 
 
-class EmanationTable(NamedTuple):
+class EmanationTable(
+    NamedTuple(
+        "EmanationTable",
+        [("lvl", Level), ("s", int), ("axis", tuple[int, ...]), ("cells", bytes)],
+    )
+):
     """One table: ``cells`` holds len(axis)^2 cell codes, row-major over the axis.
 
     A code is the cell's value r ^ c where the planes r and c make zero
     and 0 where the cell is hidden.  Off the diagonal r ^ c is never 0,
     and the diagonal is always hidden, so 0 is free to mark hidden cells.
+    Cells of any other length are refused on every construction path, so
+    no renderer sees a cut grid.
     """
 
-    lvl: Level
-    s: int
-    axis: tuple[int, ...]
-    cells: bytes
+    __slots__ = ()
+
+    def __new__(cls, lvl: Level, s: int, axis: tuple[int, ...], cells: bytes) -> EmanationTable:
+        side = len(axis)
+        if len(cells) != side * side:
+            raise ValueError(f"a {side}-cell axis needs {side * side} cell codes: {len(cells)}")
+        return tuple.__new__(cls, (lvl, s, axis, cells))
+
+    @classmethod
+    def _make(cls, fields) -> EmanationTable:
+        """Build through __new__, so ``_replace`` refuses a bad field too."""
+        return cls(*fields)
 
     @property
     def grid(self) -> tuple[tuple[int | None, ...], ...]:
@@ -82,8 +97,8 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
 
     One ``zd.relation`` call checks the level and s, and decides every
     plane pair from the exact sign table.  The axis is the cluster's
-    L-indices, 1..g-1 without s; cell (r, c) holds r ^ c when bit c of
-    the zero row of r is set, and 0 (hidden) otherwise.
+    L-indices, 1..g-1 without s; cell (r, c) holds r ^ c when cell (r, c)
+    of the relation's zero word is set, and 0 (hidden) otherwise.
 
     Word form.  Lay out a g x g byte matrix, cell (r, c) at byte r*g + c
     of a big-endian int, over r, c < g.  As g is at most
@@ -92,13 +107,13 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
     ramp 0..g-1 repeated g times holds c at byte r*g + c, and each row
     index repeated g times holds r there.  XOR acts bit by bit and has
     no carries, so the bytes stay separate and the XOR of the two words
-    holds r ^ c at byte r*g + c.  format(m, "0{g}b") writes bit c of a
-    row m at character g-1-c, so joining the rows from g-1 down to 0 and
-    reversing the string puts bit c of row r at character r*g + c;
-    translating '1' to 0xff and '0' to 0 spreads it to that byte.  The
-    AND of the two words then holds r ^ c exactly where the pair makes
-    zero and 0 elsewhere.  The relation never sets a bit in row or
-    column 0 or in row or column s.  A diagonal code r ^ r is 0 whatever
+    holds r ^ c at byte r*g + c.  The zero word holds cell (r, c) at bit
+    i = r*g + c, and one format(zero, "0{g*g}b") writes bit i at
+    character g*g-1-i; translating '1' to 0xff and '0' to 0 spreads it to
+    that byte, and read little-endian, byte g*g-1-i is big-endian byte i,
+    byte r*g + c.  The AND of the two words then holds r ^ c exactly
+    where the pair makes zero and 0 elsewhere.  The relation never sets
+    a bit in row or column 0 or in row or column s.  A diagonal code r ^ r is 0 whatever
     the relation holds there (a plane against itself, set only where
     Theorem 4 fails), and off the diagonal r ^ c is never 0, so a code
     is 0 exactly where the cell is hidden.  Deleting rows s and 0 and
@@ -109,8 +124,7 @@ def build_et(lvl: Level, s: int) -> EmanationTable:
     """
     zero = relation(lvl, s).zero
     g = lvl.g
-    bits = "".join([format(m, f"0{g}b") for m in reversed(zero)])[::-1]
-    mask = int.from_bytes(bits.encode().translate(_SPREAD), "big")
+    mask = int.from_bytes(format(zero, f"0{g * g}b").encode().translate(_SPREAD), "little")
     codes = bytearray((_xor_word(g) & mask).to_bytes(g * g, "big"))
     del codes[s * g : (s + 1) * g]  # row s
     del codes[:g]  # row 0

@@ -14,17 +14,19 @@ opposite-slope diagonal pairings make zero, BLUE for same-slope ones.
 A frame's twelve edges are the four cross edges of each of its three
 strut pairs, so it fully annihilates exactly when its three struts are
 pairwise compatible (no silent cross edge), a triangle of the strut
-graph.  The survey keeps one bitmask of compatible struts per strut, in
-a list indexed by the strut's lower end, read off the cluster's
-``zd.relation``.  It finds the triangles as common neighbours, walking
-each mask's set bits lowest first, and builds each kite from its
-triangle by index arithmetic: its zigzag from four int flags, one per
-trip face, its labels from one sign-table read, its colours from one
-read each of the relation's ``same`` mask (``survey`` has the proofs),
-and builds no plane.  Broken and sailless frames are counted and built
-only when asked for.  The survey hands the relation on with its kites
-(``Survey.relation``), so the theorem suite, which walks the clusters
-once, reads each cluster's relation without building it again.
+graph.  The survey keeps one bitmask of compatible struts per strut,
+indexed by the strut's lower end: the rows of one word made from the
+zero word of the cluster's ``zd.relation`` by two whole-word moves.  It
+finds the triangles as common neighbours, walking each mask's set bits
+lowest first, and builds each kite from its triangle by index
+arithmetic: its zigzag from four int flags, one per trip face, its
+labels from one sign-table read, its colours from one read each of the
+relation's ``same`` rows, nine edges of twelve (``survey`` has the
+proofs), and builds no plane.  Broken and sailless frames are counted
+and built only when asked for.  The survey hands the relation on with
+its kites (``Survey.relation``), so the theorem suite, which walks the
+clusters once, reads each cluster's relation without building it
+again.
 
 ``build_boxkite`` checks one frame by exact products, the oracle the
 survey is tested against.  ``classify_sails`` re-derives a kite's four
@@ -59,6 +61,8 @@ from .zd import (
     Assessor,
     Diagonal,
     Relation,
+    _rows,
+    _swap_masks,
     _xor_permute,
     cluster,
     diagonal_product,
@@ -337,15 +341,18 @@ def survey(lvl: Level, s: int) -> Survey:
     cross edges all make zero, and each strut keeps the mask of the
     struts compatible with it.  A frame is broken exactly when two of
     its struts are incompatible; otherwise it is a triangle of the strut
-    graph and fully annihilates.  The masks sit in a list indexed by the
-    lower end.  Triangles are enumerated as the common neighbours of each
-    compatible pair: for each end p, the set bits q > p of its mask are
-    peeled off lowest first (q is the bit length of mask & -mask, less
-    one), and the ends above q in both masks close a triangle each, so
-    each triangle p < q < r is met once, by its two lowest struts.  A
-    triangle becomes a box-kite when one of its faces is an all-red trip
-    (the zigzag, which fixes the labeling) and is sailless when no face
-    is a trip.
+    graph and fully annihilates.  The masks are the rows of one g x g
+    word, indexed by the lower end, made from the relation's zero word by
+    two whole-word moves (``_compatible``).  The survey splits into rows
+    only that word and ``same``; the zero word is split only when broken
+    frames are iterated, for their silent edges.  Triangles are
+    enumerated as the common neighbours of each compatible pair: for each
+    end p, the set bits q > p of its mask are peeled off lowest first (q
+    is the bit length of mask & -mask, less one), and the ends above q in
+    both masks close a triangle each, so each triangle p < q < r is met
+    once, by its two lowest struts.  A triangle becomes a box-kite when
+    one of its faces is an all-red trip (the zigzag, which fixes the
+    labeling) and is sailless when no face is a trip.
 
     Faces are told by index arithmetic.  A face takes one end of each of
     the struts {p, p^s}, {q, q^s} and {r, r^s}, so its three indices XOR
@@ -378,7 +385,8 @@ def survey(lvl: Level, s: int) -> Survey:
     described, and raises ClassificationError, a raise that runs under
     ``python -O`` too.
 
-    *Orientation.*  Sort the zigzag as (x, y, z), so x ^ y = z, and let
+    *Orientation.*  Sort the zigzag as (x, y, z), so x ^ y = z (the face
+    (p, q, r) needs no sort, as the walk has p < q < r), and let
     t(x, y) be the sign of i_x i_y.  ``cpo_orient`` stores it as
     Trip(x, y, z) with good = t(x, y) > 0, whose CPO is (x, y, z) when
     good and (x, z, y) otherwise, so A, B, C is (x, y, z) when
@@ -393,14 +401,18 @@ def survey(lvl: Level, s: int) -> Survey:
 
     *Colours.*  ``_assemble`` colours edge (u, v) BLUE when
     ``Relation.pattern(u, v)`` is a same-slope zero, and that pattern is
-    bit v of ``same[u]`` whenever bit v of ``zero[u]`` is set, which the
-    triangle proves for all twelve edges.  So each colour is one read of
-    ``same[u] >> v & 1``, written to bit e of the kite's ``blue`` word for
-    edge ``EDGE_LABEL_PAIRS[e]``, as ``_assemble`` writes it.  Neither
-    BrokenFrameError (no edge is silent) nor NotZigzagError (the zigzag's
-    edges are red by its choice) can arise.  The (los, blue) pairs are
-    sorted by los, distinct for distinct kites, and the records are built
-    in that order.
+    bit v of ``same[u]``, row u of the same word, whenever cell (u, v) of
+    the zero word is set, which the triangle proves for all twelve edges.
+    So each colour is one read of ``same[u] >> v & 1``, written to bit e
+    of the kite's ``blue`` word for edge ``EDGE_LABEL_PAIRS[e]``, as
+    ``_assemble`` writes it.  The zigzag's three edges AB, AC and BC are
+    not read: its clear face flag read each of them RED from one end, and
+    ``same`` is symmetric (proof at ``zd.relation``; the suite checks
+    it), so each is RED from the other end too, and their bits stay
+    clear.  Neither BrokenFrameError (no edge is silent) nor
+    NotZigzagError (the zigzag's edges are red by its choice) can arise.
+    The (los, blue) pairs are sorted by los, distinct for distinct kites,
+    and the records are built in that order.
 
     Broken and sailless frames are counted (broken = C(m, 3) - triangles
     over m struts) and built only when their views are iterated, broken
@@ -408,18 +420,12 @@ def survey(lvl: Level, s: int) -> Survey:
     strut first.  Broken frames are the raw material of hidden
     emanation-table cells.
     """
-    zero, same = rel = relation(lvl, s)
+    rel = relation(lvl, s)
     g = lvl.g
     negative = cdp._ROWS  # bit y of row x is set when t(x, y) = -1
     ends = [p for p in range(1, g) if p < p ^ s]
-    end_mask = sum(1 << p for p in ends)
-    # compatible[p]: the ends q whose strut meets {p, p^s} in four zero edges.
-    # both has bit b when p and p^s each make zero with b; permuted by
-    # XOR with s it has bit q where both has bit q^s
-    compatible = [0] * g
-    for p in ends:
-        both = zero[p] & zero[p ^ s]
-        compatible[p] = both & _xor_permute(both, s, g) & end_mask
+    compatible = _compatible(rel, s)
+    same = _rows(rel.same, g)
 
     triangles = 0
     found: list[tuple[tuple[int, ...], int]] = []  # (los, blue) per kite
@@ -447,22 +453,22 @@ def survey(lvl: Level, s: int) -> Survey:
                     f"frame {((p, P), (q, Q), (r, R))}: 4 trip faces but "
                     f"{4 - pqr - pQR - PqR - PQr} all-red"
                 )
-            zigzag = (
-                (p, q, r) if not pqr else (p, Q, R) if not pQR else (P, q, R) if not PqR else (P, Q, r)
-            )
-            x, y, z = sorted(zigzag)
+            if not pqr:
+                x, y, z = p, q, r  # the walk has p < q < r
+            else:
+                x, y, z = sorted((p, Q, R) if not pQR else (P, q, R) if not PqR else (P, Q, r))
             # bit y of row x of the top level's table is the same bit of
             # sign_table(n)'s row x, its corner masked to 2^n bits, as x, y < g
             a, b, c = (x, z, y) if negative[x] >> y & 1 else (x, y, z)
             d, e, f = c ^ s, b ^ s, a ^ s
             sa, sb, sc, sd = same[a], same[b], same[c], same[d]
-            # bit e is edge EDGE_LABEL_PAIRS[e]: AB AC AD AE BC BD BF CE CF DE DF EF
+            # bit e is edge EDGE_LABEL_PAIRS[e]: AB AC AD AE BC BD BF CE CF DE DF EF.
+            # AB, AC and BC (bits 0, 1, 4) stay clear: the zigzag's clear face
+            # flag read each of them RED from one end, and same is symmetric
+            # (proof at zd.relation), so each reads RED from the other end too
             blue = (
-                sa >> b & 1
-                | (sa >> c & 1) << 1
-                | (sa >> d & 1) << 2
+                (sa >> d & 1) << 2
                 | (sa >> e & 1) << 3
-                | (sb >> c & 1) << 4
                 | (sb >> d & 1) << 5
                 | (sb >> f & 1) << 6
                 | (sc >> e & 1) << 7
@@ -476,6 +482,7 @@ def survey(lvl: Level, s: int) -> Survey:
     kites = tuple([BoxKite(lvl, s, los, blue) for los, blue in found])
 
     def frames(broken: bool) -> Iterator:
+        zero = _rows(rel.zero, g) if broken else ()
         for triple in combinations(ends, 3):
             p, q, r = triple
             fits = compatible[p] >> q & compatible[p] >> r & compatible[q] >> r & 1
@@ -496,6 +503,28 @@ def survey(lvl: Level, s: int) -> Survey:
         FrameView(triangles - len(kites), lambda: frames(False)),
         rel,
     )
+
+
+def _compatible(rel: Relation, s: int) -> tuple[int, ...]:
+    """Row p: the lower ends q whose strut meets the strut {p, p^s} in four
+    zero edges, read at each lower end p.
+
+    Two whole-word moves do every strut at once, with P_k =
+    zd._xor_permute(., k, g*g).  As c < g, P_(s*g) moves cell (r, c) to
+    (r ^ s, c), so row p of both = Z & P_(s*g)(Z) is row p of Z ANDed
+    with row p ^ s: the planes that make zero with both ends of the
+    strut.  P_s moves (r, c) to (r, c ^ s), so both & P_s(both) has bit q
+    in row p where both has bits q and q ^ s: the four cross edges.  A
+    lower end is a column whose bit at the top bit of s is clear, the
+    columns of that entry of _swap_masks(g*g).  Only the rows of lower
+    ends are read.  tests/test_kites.py holds this to the strut-by-strut
+    loop it replaces.
+    """
+    g = rel.g
+    cells = g * g
+    both = rel.zero & _xor_permute(rel.zero, s * g, cells)
+    lower = _swap_masks(cells)[s.bit_length() - 1]
+    return _rows(both & _xor_permute(both, s, cells) & lower, g)
 
 
 class Sail(NamedTuple):

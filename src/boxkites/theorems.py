@@ -9,16 +9,15 @@ bucket through 16 dimensions (above, its scan is clean by proof),
 Theorem 2 per dyad holding the generator unit, and Theorems 3 to 7
 through each cluster's relation (``zd.relation``).  A suite run walks
 the clusters once, and each cluster's relation is built once, by its
-survey.  Theorem 3 counts its zero pairs, and its zero and same rows
-are joined into two g x g words, its zero pairs and their slope class,
-on which Theorems 5 and 7 check word laws (symmetry, sail closure and
-the strut flips, with their proofs at ``_sail_laws`` and
-``_strut_laws``).  The two words are then turned into XOR-diagonal
-rows, row k holding the cells (a, a ^ k), and only those rows outlive
-the cluster: Theorem 4 reads row 0, each plane against itself, and
-Theorem 6 reads row s ^ t of each pair of clusters s and t.  No
-``Element`` product is taken and ``cdp.mul_basis`` is never read: a
-failure is worded from the indices that found it.
+survey.  Its two g x g words are its zero pairs and their slope class:
+Theorem 3 popcounts the zero word, and Theorems 5 and 7 check word laws
+on the two (symmetry, sail closure and the strut flips, with their
+proofs at ``_sail_laws`` and ``_strut_laws``).  The two words are then
+turned into XOR-diagonal rows, row k holding the cells (a, a ^ k), and
+only those rows outlive the cluster: Theorem 4 reads row 0, each plane
+against itself, and Theorem 6 reads row s ^ t of each pair of clusters
+s and t.  No ``Element`` product is taken and ``cdp.mul_basis`` is
+never read: a failure is worded from the indices that found it.
 
 Of the kites the suite reads only their count: the laws' proofs say what
 they give every kite record ``kites.survey`` returns, so no record is
@@ -36,7 +35,6 @@ from .kites import survey
 from .zd import (
     Assessor,
     _bits,
-    _join,
     _row_xor_permute,
     _rows,
     _transpose,
@@ -73,15 +71,15 @@ def run_suite(n: int) -> list[TheoremResult]:
     (``zd.check_strut``), before any survey.  The suite walks the
     clusters once, s = 1..g-1.  Each survey builds its cluster's
     relation and its kites.  The kites are counted, the relation's zero
-    pairs are counted for Theorem 3 (``zd.theorem3_check``), and its
-    rows are joined into the two g x g words on which Theorems 5 and 7
-    check their laws, keeping their first failure.  The two words are
-    then turned into the cluster's XOR-diagonal rows (``_xor_rows``),
-    and those rows are all the walk keeps: the relation, the words and
-    the kites are let go when the next survey returns, so no list of the
-    level's kites or relations is made.  After the walk Theorems 4 and 6
-    read the rows; the PASS lines of Theorems 5 and 7 and Theorem 6's
-    count check read only the kite count.
+    pairs are counted for Theorem 3 (``zd.theorem3_check``), and its two
+    g x g words, read as they are, carry the laws of Theorems 5 and 7,
+    keeping their first failure.  The two words are then turned into the
+    cluster's XOR-diagonal rows (``_xor_rows``), and those rows are all
+    the walk keeps: the relation, its words and the kites are let go
+    when the next survey returns, so no list of the level's kites or
+    relations is made.  After the walk Theorems 4 and 6 read the rows;
+    the PASS lines of Theorems 5 and 7 and Theorem 6's count check read
+    only the kite count.
 
     At n = 8 a run takes 0.29 to 0.32 s in-process (CPython 3.11 on a
     2-core machine whose speed varies by half from run to run, 6 runs,
@@ -101,7 +99,7 @@ def run_suite(n: int) -> list[TheoremResult]:
         kites += len(found)
         pairs, zeros = theorem3_check(lvl, (rel,))
         hits += zeros
-        zero, same = _join(rel.zero, g), _join(rel.same, g)
+        zero, same = rel.zero, rel.same
         zero_read = _row_xor_permute(zero, g)
         t5 = t5 or _sail_laws(lvl, s, zero, zero_read)
         t7 = t7 or _strut_laws(lvl, s, zero, same)
@@ -190,7 +188,7 @@ def _violation(name: str, lvl: Level, s: int, laws, same: int = 0) -> TheoremRes
 
 def _sail_laws(lvl: Level, s: int, zero: int, zero_read: int) -> TheoremResult | None:
     # Theorem 5 as two laws on cluster s's zero pairs Z, its relation's
-    # zero rows joined (cell (a, b) set when the plane (a, a ^ x) times the
+    # zero word (cell (a, b) set when the plane (a, a ^ x) times the
     # plane (b, b ^ x) makes zero, x = g + s), with R reading each cell
     # (a, b) from (a, a ^ b) (zd._row_xor_permute; zero_read is R(Z)):
     #   symmetry      Z & ~transpose(Z) == 0
@@ -202,13 +200,14 @@ def _sail_laws(lvl: Level, s: int, zero: int, zero_read: int) -> TheoremResult |
     #
     # What the laws give each kite record survey returns.  Survey reads
     # the twelve cross edges of a triangle of struts from the rows of both
-    # ends of one strut per pair (compatible[p] reads rows p and p ^ s), so
-    # with symmetry every edge makes zero read from either end: bit q of
-    # zero[p] is set for each sail edge (p, q), in whichever order the sail
-    # takes its vertices.  Each sail is a trip face, whose three L-indices
-    # XOR to 0 (survey's face proof), so its third vertex is r = p ^ q, the
-    # plane the edge emanates.  That is all the per-kite check (kept in
-    # tests/test_theorems.py as the oracle) reads of each sail edge.
+    # ends of one strut per pair (row p of its compatibility word reads rows
+    # p and p ^ s of Z), so with symmetry every edge makes zero read from
+    # either end: cell (p, q) of Z is set for each sail edge (p, q), in
+    # whichever order the sail takes its vertices.  Each sail is a trip
+    # face, whose three L-indices XOR to 0 (survey's face proof), so its
+    # third vertex is r = p ^ q, the plane the edge emanates.  That is all
+    # the per-kite check (kept in tests/test_theorems.py as the oracle)
+    # reads of each sail edge.
     g = lvl.g
     laws = (
         (zero & ~_transpose(zero, g), "{a} x {b} makes zero, {b} x {a} does not"),
@@ -219,7 +218,7 @@ def _sail_laws(lvl: Level, s: int, zero: int, zero_read: int) -> TheoremResult |
 
 def _strut_laws(lvl: Level, s: int, zero: int, same: int) -> TheoremResult | None:
     # Theorem 7 as three laws on cluster s's zero pairs Z and their
-    # same-slope class S, its relation's zero and same rows joined (cell
+    # same-slope class S, its relation's zero and same words (cell
     # (a, b) of S set when the pair vanishes in the same-slope class, a BLUE
     # edge; RED when it is a zero of the other class), with P_s =
     # zd._xor_permute(., s, g*g) moving each column c to c ^ s:
@@ -237,13 +236,14 @@ def _strut_laws(lvl: Level, s: int, zero: int, same: int) -> TheoremResult | Non
     # U-index law.  Each sail is a trip face, whose L-indices XOR to 0
     # (survey's face proof), and each of its U-trips swaps two members m
     # for m ^ x, which keeps the XOR 0: its four trips.  Its colour word
-    # holds survey's reads of S, bit v of same[u] for each edge (u, v) in
-    # label order.  Every edge is a zero read from either end (with
-    # Theorem 5's symmetry; proof at _sail_laws), so the colour flip
-    # holds at every edge: the colour of u against v's strut opposite is
-    # flip(uv), the other colour.  The zigzag A B C is all RED (survey
-    # picks the trip face with no BLUE edge), and D, E, F = C^s, B^s, A^s,
-    # so with S symmetric
+    # holds survey's reads of S, cell (u, v) for each edge (u, v) in label
+    # order, but for the zigzag's three, left RED as its face flag read
+    # them from one end: with S symmetric, that is cell (u, v) too.  Every
+    # edge is a zero read from either end (with Theorem 5's symmetry;
+    # proof at _sail_laws), so the colour flip holds at every edge: the
+    # colour of u against v's strut opposite is flip(uv), the other
+    # colour.  The zigzag A B C is all RED (survey picks the trip face
+    # with no BLUE edge), and D, E, F = C^s, B^s, A^s, so with S symmetric
     #   AE = flip(AB), AD = flip(AC), BD = flip(BC), BF = flip(BA),
     #   CE = flip(CB), CF = flip(CA)                     are BLUE,
     #   DE = flip(DB), DF = flip(DA), EF = flip(EA)      are RED:
@@ -272,7 +272,7 @@ def _t6(lvl: Level, xor_rows: _XorRows, kites: int) -> TheoremResult:
     # relation holds (b, a) in the other class.  The relation and its class
     # are symmetric (proof at zd.relation; Theorems 5 and 7 check it), so
     # that is cell (a, b) of Z_t & (S_s ^ S_t), with Z_s and S_s cluster s's
-    # zero and same rows joined into g x g matrices.  The cells (a, b) of
+    # zero and same words, g x g matrices.  The cells (a, b) of
     # Z_s that twist into t are those with a ^ b = s ^ t = k, that is
     # b = a ^ k: bit a of row k of Z_s's XOR-diagonal rows (``xor_rows``,
     # built by run_suite's walk), and cell (a, a ^ k) of Z_t, S_s and S_t

@@ -17,15 +17,20 @@ bit matrices, with the proof that those reads decide the product
 written next to it.  A two-term product can only vanish when both
 factors have the same XOR of their two indices (the lemma there), so a
 sweep tests only within a bucket.  ``relation`` feeds it a cluster,
-each plane against itself included, read by ``dmz_scan``,
-``dmz_report``, ``etable.build_et`` and ``kites.survey``, and by the
-suite's walk (``theorems.run_suite``): each survey hands its cluster's
-relation on, Theorem 3 counts it and Theorems 5 and 7 check it, and it
-is let go once turned into the XOR-diagonal rows that Theorems 4 and 6
-read (Theorem 4 reads row 0, each plane against itself); Theorem 1
-feeds it the all-low buckets, only through 16 dimensions (above, its
-scan is clean by proof), and Theorem 2 the rows of the dyads holding the
-generator unit.  ``dmz_pattern``, ``emanate``,
+each plane against itself included, and its two words are the
+relation as they come: the cluster's zero pairs and their slope class
+as g x g bit matrices (``Relation``).  Readers that want a whole matrix
+read the words: ``etable.build_et`` formats the zero word once, and in
+the suite's walk (``theorems.run_suite``), to which each survey hands
+its cluster's relation on, Theorem 3 popcounts it and Theorems 5 and 7
+check word laws on it, before it is let go as the XOR-diagonal rows
+that Theorems 4 and 6 read (Theorem 4 reads row 0, each plane against
+itself).  Readers that index rows split only what they index
+(``_rows``): ``dmz_scan`` and ``dmz_report`` each cluster's two words,
+``kites.survey`` the same word and its word of compatible struts.
+Theorem 1 feeds the kernel the all-low buckets, only through 16
+dimensions (above, its scan is clean by proof), and Theorem 2 the rows
+of the dyads holding the generator unit.  ``dmz_pattern``, ``emanate``,
 ``twist`` and ``diagonal_product`` (and ``kites.build_boxkite`` and
 ``trace_lanyard`` through them) answer single queries by exact element
 arithmetic and are the oracle the kernel is tested against; they build
@@ -196,25 +201,29 @@ def dmz_pattern(a1: Assessor, a2: Assessor) -> DmzPattern | None:
 
 
 class Relation(NamedTuple):
-    """The zero relation of one cluster, as bitmasks over L-indices.
+    """The zero relation of one cluster, as two g x g bit matrices over L-indices.
 
-    Bit b of ``zero[a]`` is set when the planes of L-indices a and b make
-    zero; ``same[a]`` keeps those of them whose same-slope class vanishes,
-    the others vanishing in the opposite-slope class.  Both tuples have
-    one entry per L-index 0..g-1, so the entries at 0 and s are empty.
-    Bit a of ``zero[a]`` is the plane's two diagonals against each
-    other: it is clear exactly when Theorem 4 holds of that plane, so on
-    the exact sign table the diagonal is clear.
+    Cell (a, b), at bit a*g + b, is set in ``zero`` when the planes of
+    L-indices a and b make zero; ``same`` keeps those of them whose
+    same-slope class vanishes, the others vanishing in the opposite-slope
+    class.  Rows and columns 0 and s are empty, and ``g`` is the matrices'
+    side.  Cell (a, a) of ``zero`` is the plane's two diagonals against
+    each other: it is clear exactly when Theorem 4 holds of that plane, so
+    on the exact sign table the diagonal is clear.  A reader that wants a
+    whole matrix takes the word as it is; one that indexes rows splits
+    what it indexes with ``_rows``.
     """
 
-    zero: tuple[int, ...]
-    same: tuple[int, ...]
+    zero: int
+    same: int
+    g: int
 
     def pattern(self, a: int, b: int) -> DmzPattern | None:
         """dmz_pattern's answer for the planes of L-indices a and b."""
-        if not self.zero[a] >> b & 1:
+        cell = a * self.g + b
+        if not self.zero >> cell & 1:
             return None
-        return _SAME_SLOPE_ZERO if self.same[a] >> b & 1 else _OPPOSITE_SLOPE_ZERO
+        return _SAME_SLOPE_ZERO if self.same >> cell & 1 else _OPPOSITE_SLOPE_ZERO
 
 
 def relation(lvl: Level, s: int) -> Relation:
@@ -247,14 +256,16 @@ def relation(lvl: Level, s: int) -> Relation:
     four reads t(a,b), t(A,B), t(a,B) and t(A,b) are LL(a, b),
     HH(a^s, b^s), LH(a, b^s) and HL(a^s, b): _zero_test's four matrices,
     with row key s*g and column key s.  The cells kept are those whose
-    row and column are L-indices of the cluster (neither 0 nor s).
+    row and column are L-indices of the cluster (neither 0 nor s).  The
+    two words _zero_test returns are the relation as they are: nothing
+    is split into rows here.
     Every cell is a read of its own, so building the relation
-    does not use its symmetry; Theorem 6 (``theorems._t6``) does: the
-    twists of a pair (a, b) land on (b, a) of another cluster, which it
-    reads at cell (a, b).  The suite checks the symmetry on every
-    cluster it walks: Theorems 5 and 7 hold the joined zero and same rows
-    equal to their transposes (``theorems._sail_laws`` and
-    ``_strut_laws``).
+    does not use its symmetry; ``kites.survey`` (one colour it reads
+    from the other end) and Theorem 6 (``theorems._t6``: the twists of a
+    pair (a, b) land on (b, a) of another cluster, which it reads at cell
+    (a, b)) do.  The suite checks the symmetry on every cluster it walks:
+    Theorems 5 and 7 hold ``zero`` and ``same`` equal to their transposes
+    (``theorems._sail_laws`` and ``_strut_laws``).
 
     The quadrants are sliced from the level's corner of the one exact
     sign table (cdp.sign_table) once per level and kept, so no sign
@@ -269,7 +280,7 @@ def relation(lvl: Level, s: int) -> Relation:
     cols = (1 << g) - 2 & ~(1 << s)  # and L-index columns
     keep = rows * cols
     zero, same = _zero_test(signs.ll, signs.hh, signs.lh, signs.hl, s << n - 1, s, g * g, keep)
-    return Relation(_rows(zero, g), _rows(same, g))
+    return Relation(zero, same, g)
 
 
 def _zero_test(
@@ -448,10 +459,23 @@ def _row_xor_permute(m: int, g: int) -> int:
 
 
 def _rows(m: int, g: int) -> tuple[int, ...]:
-    """The g rows of a g x g bit matrix, as g-bit ints (g a multiple of 8)."""
+    """The g rows of a g x g bit matrix, as g-bit ints (g a multiple of 8).
+
+    Written big-endian, the matrix's bytes hold row g-1 first, each row
+    g/8 bytes; the default byte order of int.from_bytes is big too, so
+    one C-level map over the level's cached slices reads the rows from
+    g-1 down, and the result is reversed.  tests/test_zd.py holds it to
+    a shift-and-mask split at every g from 8 to 256.
+    """
+    data = m.to_bytes(g * g // 8)
+    return tuple(map(int.from_bytes, map(data.__getitem__, _row_slices(g))))[::-1]
+
+
+@cache
+def _row_slices(g: int) -> tuple[slice, ...]:
+    """The byte slices of the g rows of a g x g bit matrix, built by the first call and kept."""
     width = g // 8
-    data = m.to_bytes(g * width, "little")
-    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return tuple([slice(i, i + width) for i in range(0, g * width, width)])
 
 
 def _bits(mask: int):
@@ -561,7 +585,8 @@ def theorem3_check(lvl: Level, relations: Iterable[Relation]) -> tuple[int, int]
     zero pairs of the relations it is given, the level's, one per strut
     constant, and builds none of its own (``theorems.run_suite`` hands it
     each survey's relation alone, as its walk meets the cluster, and sums
-    the counts): each zero pair is two bits, (a, b) and (b, a).  A bit on
+    the counts): one popcount of each zero word, in which each zero pair
+    is two cells, (a, b) and (b, a).  A cell on
     a relation's diagonal, a plane against itself, is set only where
     Theorem 4 fails (proof at ``relation``), and there it counts as half
     a pair, rounded down over the relations of one call.  Pairs across
@@ -571,7 +596,7 @@ def theorem3_check(lvl: Level, relations: Iterable[Relation]) -> tuple[int, int]
     builds them.  Returns (candidate_pairs, pairs_annihilating).
     """
     check_strut(lvl, 1)  # refuses a level out of reach before g is built
-    hits = sum(m.bit_count() for rel in relations for m in rel.zero) // 2
+    hits = sum(rel.zero.bit_count() for rel in relations) // 2
     return comb((lvl.g - 1) * (lvl.g - 2), 2), hits
 
 
@@ -714,14 +739,15 @@ def enumerate_assessors(lvl: Level) -> list[Assessor]:
 
 def _dmz_planes(lvl: Level, s: int | None = None):
     """Every plane with a zero partner above it, as (strut constant,
-    L-index, mask of those partners, its ``same`` mask), in dmz_scan's
+    L-index, mask of those partners, its ``same`` row), in dmz_scan's
     order.
 
-    The arguments are checked and the relations built on the call; the
-    planes then come one at a time.  A plane (lo, hi) of cluster t has
-    hi = g + (lo ^ t), so one L-index's planes run in hi order when the
-    clusters run in order of lo ^ t; a plane's partners run by L-index,
-    and each partner's U-index follows from it.
+    The arguments are checked, the relations built and each split into
+    its zero and same rows on the call; the planes then come one at a
+    time.  A plane (lo, hi) of cluster t has hi = g + (lo ^ t), so one
+    L-index's planes run in hi order when the clusters run in order of
+    lo ^ t; a plane's partners run by L-index, and each partner's U-index
+    follows from it.
     """
     if s is not None:
         rels = {s: relation(lvl, s)}
@@ -730,15 +756,17 @@ def _dmz_planes(lvl: Level, s: int | None = None):
     else:
         check_strut(lvl, 1)  # refuses a level out of reach before g is built
         rels = {t: relation(lvl, t) for t in range(1, lvl.g)}
-    return _walk_planes(lvl, rels)
+    g = lvl.g
+    return _walk_planes(g, {t: (_rows(rel.zero, g), _rows(rel.same, g)) for t, rel in rels.items()})
 
 
-def _walk_planes(lvl: Level, rels: dict[int, Relation]):
-    for lo in range(1, lvl.g):
-        for t in sorted(rels, key=lo.__xor__):
-            partners = rels[t].zero[lo] >> lo + 1 << lo + 1
+def _walk_planes(g: int, rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]):
+    for lo in range(1, g):
+        for t in sorted(rows, key=lo.__xor__):
+            zero, same = rows[t]
+            partners = zero[lo] >> lo + 1 << lo + 1
             if partners:
-                yield t, lo, partners, rels[t].same[lo]
+                yield t, lo, partners, same[lo]
 
 
 def dmz_scan(lvl: Level, s: int | None = None) -> list[tuple[Assessor, Assessor, DmzPattern]]:

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import boxkites
-from boxkites import cli, kites, theorems
+from boxkites import cli, kites, theorems, zd
+from boxkites.cdp import Level
 from boxkites.cli import main
 
 S4_DUMP_HEAD = "4 4\nA 1 13\nB 2 14\nC 3 15\nD 7 11\nE 6 10\nF 5 9\n"
@@ -138,6 +139,75 @@ def test_census_writes_each_cluster_as_its_survey_returns(monkeypatch, capsys):
         lines = text.splitlines()
         assert len(lines) == count and all(line.startswith(f"S={s} ") for line in lines), s
     assert writes[-2:] == ["665 box-kite(s)\n", "8064 broken frame(s)\n"]
+
+
+def _census_blocks_by_sort(lvl, span):
+    """The census blocks as cli._census_blocks wrote them before its strut
+    texts: each kite's struts ordered by a sort of their lower ends, each
+    end the min of a strut's two L-indices, and every line one f-string."""
+    total = broken_total = 0
+    for s in range(span[0], span[1] + 1):
+        sv = kites.survey(lvl, s)
+        total += len(sv.kites)
+        broken_total += len(sv.broken)
+        lines = []
+        for bk in sv.kites:
+            a, b, c, d, e, f = bk.los
+            p, q, r = sorted([min(a, f), min(b, e), min(c, d)])
+            lines.append(
+                f"S={s} zigzag=({a},{b},{c}) struts=({p},{p ^ s})({q},{q ^ s})({r},{r ^ s})\n"
+            )
+        yield "".join(lines)
+    yield f"{total} box-kite(s)\n"
+    if broken_total:
+        yield f"{broken_total} broken frame(s)\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_census_blocks_equal_the_sorted_strut_formatting(n):
+    # one block per strut constant, then the totals, each byte for byte
+    lvl = Level(n)
+    span = (1, lvl.g - 1)
+    assert list(cli._census_blocks(lvl, span)) == list(_census_blocks_by_sort(lvl, span))
+
+
+def _row_work(monkeypatch, argv):
+    """(zd._rows calls, zd._join calls) of one main(argv) call, counted in
+    every boxkites namespace that holds them, with the level's sign
+    quadrants (zd._split_signs, four joins a level) built afresh."""
+    calls = {"_rows": 0, "_join": 0}
+    for name in calls:
+        original = getattr(zd, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.split(".")[0] == "boxkites" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    zd._split_signs.cache_clear()
+    assert main(argv) == 0
+    return calls["_rows"], calls["_join"]
+
+
+def test_row_splits_and_joins_are_exact_counts(monkeypatch, tmp_path, capsys):
+    # the relation is two g x g words: census splits each cluster's same
+    # word and compatibility word (2 x 31), flipbook and et split none,
+    # verify splits the survey's two words and the suite's two XOR-diagonal
+    # words a cluster (4 x 15); the only joins are the sign quadrants'
+    book = str(tmp_path / "book")
+    runs = {
+        "census --n 6": (62, 4),
+        f"flipbook --n 7 --range 1..63 --out {book}": (0, 4),
+        "et --n 6 --s 9": (0, 4),
+        "verify --n 5": (60, 4),
+    }
+    for argv, counts in runs.items():
+        assert _row_work(monkeypatch, argv.split()) == counts, argv
+        monkeypatch.undo()
+    zd._split_signs.cache_clear()
+    capsys.readouterr()
 
 
 def test_verify_level4(capsys):

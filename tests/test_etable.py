@@ -11,6 +11,7 @@ from boxkites.etable import (
     BACKGROUND,
     MAX_SIDE,
     PALETTES,
+    EmanationTable,
     build_et,
     et_stats,
     flipbook,
@@ -31,6 +32,29 @@ S4_TEXT = """N 4 S 4
 6 7 . 5 3 . 1
 7 6 5 . 2 1 .
 """
+
+
+@pytest.mark.parametrize(
+    "read",
+    [render_text, render_csv, render_image, lambda et: et.grid, et_stats],
+    ids=["render_text", "render_csv", "render_image", "grid", "et_stats"],
+)
+def test_a_table_whose_cells_do_not_fill_its_axis_is_refused(read):
+    # an n = 4 table with its last 7 codes cut, or its axis one short: every
+    # construction path refuses it, so no reader gets a cut grid to print
+    et = build_et(LVL4, 4)
+    cut = et.cells[:-7]
+    fields = (et.lvl, et.s, et.axis, cut)
+    for build in (
+        lambda: EmanationTable(*fields),
+        lambda: EmanationTable._make(fields),
+        lambda: EmanationTable._make(iter(fields)),
+        lambda: et._replace(cells=cut),
+    ):
+        with pytest.raises(ValueError, match=r"^a 6-cell axis needs 36 cell codes: 29$"):
+            read(build())
+    with pytest.raises(ValueError, match=r"^a 5-cell axis needs 25 cell codes: 36$"):
+        read(et._replace(axis=et.axis[:-1]))
 
 
 def test_build_et_refuses_below_sedenions():
@@ -288,9 +312,9 @@ class _GridTable(NamedTuple):
 
 def _generator_table(lvl, s):
     """The per-cell generator build_et replaced, kept as its oracle."""
-    zero = zd.relation(lvl, s).zero
-    axis = tuple(k for k in range(1, lvl.g) if k != s)
-    grid = tuple(tuple(r ^ c if zero[r] >> c & 1 else None for c in axis) for r in axis)
+    zero, g = zd.relation(lvl, s).zero, lvl.g
+    axis = tuple(k for k in range(1, g) if k != s)
+    grid = tuple(tuple(r ^ c if zero >> r * g + c & 1 else None for c in axis) for r in axis)
     return _GridTable(lvl, s, axis, grid)
 
 
@@ -482,7 +506,7 @@ def test_tables_are_full_exactly_off_the_sky(n):
 def _fills(n):
     """fill(n, s) for every s: the filled cells of ET(n, s), read off its relation."""
     lvl = Level(n)
-    return {s: sum(m.bit_count() for m in zd.relation(lvl, s).zero) for s in range(1, lvl.g)}
+    return {s: zd.relation(lvl, s).zero.bit_count() for s in range(1, lvl.g)}
 
 
 def _fill_class(s):
@@ -530,7 +554,8 @@ def test_balloon_rides_and_complements_give_every_fill_class():
 def test_each_table_embeds_in_the_next_level(n):
     # ET(n+1, s) restricted to the L-indices below g_n is ET(n, s)
     lvl, up = Level(n), Level(n + 1)
-    below = (1 << lvl.g) - 1
-    for s in range(1, lvl.g):
+    g, below = lvl.g, (1 << lvl.g) - 1
+    for s in range(1, g):
         zero, zero_up = zd.relation(lvl, s).zero, zd.relation(up, s).zero
-        assert tuple(m & below for m in zero_up[: lvl.g]) == zero, s
+        rows = [zero >> r * g & below for r in range(g)]
+        assert [zero_up >> r * up.g & below for r in range(g)] == rows and zero >> g * g == 0, s

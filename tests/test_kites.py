@@ -39,6 +39,7 @@ from boxkites.zd import (
     SLASH,
     Assessor,
     Diagonal,
+    _xor_permute,
     cluster,
     dmz_pattern,
     relation,
@@ -397,6 +398,57 @@ def test_survey_is_deterministic():
     assert [bk.dump() for bk in first.kites] == [bk.dump() for bk in second.kites]
 
 
+def _compatible_by_strut(rel, s):
+    """The lower ends of cluster s and survey's compatibility masks as it
+    built them before the word form: one strut at a time, the zero rows of
+    p and p ^ s ANDed and XOR-permuted by s within the row."""
+    g = rel.g
+    zero = [rel.zero >> r * g & (1 << g) - 1 for r in range(g)]
+    ends = [p for p in range(1, g) if p < p ^ s]
+    end_mask = sum(1 << p for p in ends)
+    compatible = [0] * g
+    for p in ends:
+        both = zero[p] & zero[p ^ s]
+        compatible[p] = both & _xor_permute(both, s, g) & end_mask
+    return ends, compatible
+
+
+def _compatible_rows_agree(rel, s):
+    """kites._compatible equals the strut-by-strut loop at every lower end;
+    True when some mask at an end is not empty."""
+    ends, want = _compatible_by_strut(rel, s)
+    got = kites._compatible(rel, s)
+    assert [got[p] for p in ends] == [want[p] for p in ends], s
+    return any(want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_compatible_word_equals_the_strut_by_strut_loop(n):
+    lvl = Level(n)
+    assert all([_compatible_rows_agree(relation(lvl, s), s) for s in range(1, lvl.g)])
+
+
+def test_compatible_word_equals_the_strut_by_strut_loop_on_doctored_tables(doctored):
+    # every single-cell doctored sign table at n = 4 (its relations need not
+    # be symmetric), and zero words with seeded bits flipped one way at n = 5
+    changed = 0
+    clean = {s: _compatible_by_strut(relation(LVL4, s), s) for s in range(1, 8)}
+    for r, c in product(range(16), repeat=2):
+        doctored(r, c)
+        for s in range(1, 8):
+            rel = relation(LVL4, s)
+            _compatible_rows_agree(rel, s)
+            changed += _compatible_by_strut(rel, s) != clean[s]
+        doctored(r, c)
+    rng = random.Random("compatible-5")
+    for _ in range(64):
+        s = rng.randrange(1, 16)
+        rel = relation(LVL5, s)
+        flipped = rel._replace(zero=rel.zero ^ 1 << rng.randrange(16 * 16))
+        _compatible_rows_agree(flipped, s)
+    assert changed == 672  # (table, cluster) pairs whose masks the flip moved
+
+
 def test_survey_decides_each_non_strut_pair_once(monkeypatch):
     calls = []
 
@@ -581,8 +633,8 @@ def test_every_dmz_pair_is_an_edge_of_exactly_one_kite(n, total):
             for bk in kites_of_s
             for i, j, _ in kites._EDGE_ROWS
         }
-        assert all(zero[a] >> b & 1 for a, b in edges), s
-        pairs = sum(m.bit_count() for m in zero) // 2
+        assert all(zero >> a * lvl.g + b & 1 for a, b in edges), s
+        pairs = zero.bit_count() // 2
         assert len(edges) == 12 * len(kites_of_s) == pairs, s
         found += len(kites_of_s)
     assert found == total
@@ -602,7 +654,7 @@ def _census(n):
     counts = {}
     for s in range(1, lvl.g):
         sv = survey(lvl, s)
-        pairs = sum(m.bit_count() for m in relation(lvl, s).zero) // 2
+        pairs = relation(lvl, s).zero.bit_count() // 2
         counts[s] = (len(sv.kites), len(sv.broken), len(sv.sailless), pairs)
     return counts
 
@@ -664,14 +716,13 @@ def test_surveyed_kites_equal_build_boxkite_exact_products(lvl, sample):
 def _doctor_same(monkeypatch, lvl, s, flips):
     """Make survey read cluster s's relation with the same-slope bit of
     each edge in flips, a pair of L-indices, flipped both ways."""
-    same = list(relation(lvl, s).same)
+    same, g = relation(lvl, s).same, lvl.g
     for u, v in flips:
-        same[u] ^= 1 << v
-        same[v] ^= 1 << u
+        same ^= 1 << u * g + v | 1 << v * g + u
 
     def doctored(level, t):
         rel = relation(level, t)
-        return rel._replace(same=tuple(same)) if t == s else rel
+        return rel._replace(same=same) if t == s else rel
 
     monkeypatch.setattr(kites, "relation", doctored)
 

@@ -141,6 +141,12 @@ def test_a_record_is_the_tuple_of_its_fields():
             ValueError,
             "slope must be +1 (slash) or -1 (backslash): 0",
         ),
+        (
+            build_et(LVL4, 4),
+            {"cells": bytes(29)},
+            ValueError,
+            "a 6-cell axis needs 36 cell codes: 29",
+        ),
     ],
     ids=[
         "level-0",
@@ -151,6 +157,7 @@ def test_a_record_is_the_tuple_of_its_fields():
         "lo-high",
         "level-down",
         "slope-0",
+        "et-cells-cut",
     ],
 )
 def test_a_bad_field_is_refused_on_every_construction_path(record, change, error, message):
@@ -171,8 +178,8 @@ def test_a_bad_field_is_refused_on_every_construction_path(record, change, error
 
 @pytest.mark.parametrize(
     "record",
-    [LVL5, Trip(1, 2, 3, True), Assessor(3, 22, LVL5), Diagonal(A, -SLASH)],
-    ids=["Level", "Trip", "Assessor", "Diagonal"],
+    [LVL5, Trip(1, 2, 3, True), Assessor(3, 22, LVL5), Diagonal(A, -SLASH), build_et(LVL4, 4)],
+    ids=["Level", "Trip", "Assessor", "Diagonal", "EmanationTable"],
 )
 def test_a_checked_record_round_trips_through_pickle_and_replace(record):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -38,7 +38,6 @@ from boxkites.zd import (
     Diagonal,
     NotDmzError,
     Relation,
-    _join,
     _row_xor_permute,
     _xor_permute,
     emanate,
@@ -63,17 +62,17 @@ def _t5(rel: Relation, kites: tuple[BoxKite, ...]) -> TheoremResult | None:
     # worded from the indices as emanate words it: an edge that makes no
     # zero, or the plane (p ^ q, p ^ q ^ x) the edge emanates.  The kites
     # are one cluster's, and rel is that cluster's relation
-    zero = rel.zero
+    zero, g = rel.zero, rel.g
     for bk in kites:
         lvl, s, los, _ = bk
         for slot, (i, j, k) in zip(_SAIL_SLOTS, _SAIL_AT):
             for u, v, w in ((i, j, k), (j, k, i), (i, k, j)):
                 p, q, r = los[u], los[v], los[w]
-                if zero[p] >> q & 1 and r == p ^ q:
+                if zero >> p * g + q & 1 and r == p ^ q:
                     continue
                 vertices = bk.vertices
                 vp, vq, vr = vertices[u], vertices[v], vertices[w]
-                if zero[p] >> q & 1:
+                if zero >> p * g + q & 1:
                     why = f"{vp} x {vq} emanates {Assessor(p ^ q, p ^ vq.hi, lvl)}, not {vr}"
                 else:
                     why = f"{vp} and {vq} make no zero"
@@ -132,15 +131,15 @@ def _level(n):
 
 
 def _words(lvl, relations):
-    """Each cluster's zero and same rows joined into g x g words, as run_suite joins them."""
-    return {s: (_join(rel.zero, lvl.g), _join(rel.same, lvl.g)) for s, rel in relations.items()}
+    """Each cluster's zero and same g x g words, as run_suite reads them."""
+    return {s: (rel.zero, rel.same) for s, rel in relations.items()}
 
 
 def _xor_rows(lvl, relations):
-    """Each cluster's zero and same rows as XOR-diagonal rows, as run_suite's walk builds them."""
+    """Each cluster's zero and same words as XOR-diagonal rows, as run_suite's walk builds them."""
     g = lvl.g
     return {
-        s: tuple(theorems._xor_rows(_row_xor_permute(_join(rows, g), g), g) for rows in rel)
+        s: tuple(theorems._xor_rows(_row_xor_permute(m, g), g) for m in (rel.zero, rel.same))
         for s, rel in relations.items()
     }
 
@@ -225,16 +224,16 @@ def _t6_by_kite_edges(lvl, relations, kites):
     invalid_sources: set[int] = set()
     for bk in kites:
         s, los, blue = bk.s, bk.los, bk.blue
-        zero, same = relations[s]
+        zero, same, g = relations[s]
         for e, (i, j, _) in enumerate(_EDGE_ROWS):
             a, b = los[i], los[j]
             cls = blue >> e & 1
-            if not zero[a] >> b & 1 or same[a] >> b & 1 != cls:
+            if not zero >> a * g + b & 1 or same >> a * g + b & 1 != cls:
                 raise NotDmzError("twist needs a pair of diagonals that make zero")
             target = a ^ b ^ s
-            twisted_zero, twisted_same = relations[target]
+            twisted_zero, twisted_same, _ = relations[target]
             total += 4
-            if twisted_zero[b] >> a & 1 and twisted_same[b] >> a & 1 != cls:
+            if twisted_zero >> b * g + a & 1 and twisted_same >> b * g + a & 1 != cls:
                 valid += 4
             else:
                 invalid_sources.add(s)
@@ -349,10 +348,8 @@ def test_theorem6_refuses_an_edge_its_relation_does_not_hold():
     bk = kites[0]
     a, b = bk.los[:2]
     rel = relations[bk.s]
-    zero = list(rel.zero)
-    zero[a] &= ~(1 << b)
-    zero[b] &= ~(1 << a)
-    relations[bk.s] = rel._replace(zero=tuple(zero))
+    g = lvl.g
+    relations[bk.s] = rel._replace(zero=rel.zero & ~(1 << a * g + b | 1 << b * g + a))
     assert theorems._t6(lvl, _xor_rows(lvl, relations), len(kites)) == theorems.TheoremResult(
         "Theorem 6", False, "3692 twists against 77 kites, not 48 per kite"
     )
@@ -371,9 +368,7 @@ def test_theorem6_counts_a_plane_against_itself():
     # into its own cluster (k = s ^ t = 0): two twists more than the kites'
     lvl, relations, kites = _level(5)
     rel = relations[9]
-    zero = list(rel.zero)
-    zero[2] |= 1 << 2
-    relations[9] = rel._replace(zero=tuple(zero))
+    relations[9] = rel._replace(zero=rel.zero | 1 << 2 * lvl.g + 2)
     assert theorems._t6(lvl, _xor_rows(lvl, relations), len(kites)) == theorems.TheoremResult(
         "Theorem 6", False, "3698 twists against 77 kites, not 48 per kite"
     )
@@ -616,8 +611,8 @@ def _flip(bk, edge):
 
 
 def _suite_with_doctored_relation(monkeypatch, field, edges):
-    """run_suite(5) with bits of the s = 9 relation's ``field`` rows flipped:
-    bit v of row u for each edge (u, v), named by the labels of the
+    """run_suite(5) with cells of the s = 9 relation's ``field`` word
+    flipped: cell (u, v) for each edge (u, v), named by the labels of the
     cluster's first kite (L-indices 2, 8, 10, 3, 1, 11), whose record is
     left as it is."""
 
@@ -626,10 +621,10 @@ def _suite_with_doctored_relation(monkeypatch, field, edges):
         if s != 9:
             return sv
         los = dict(zip(LABELS, sv.kites[0].los))
-        rows = list(getattr(sv.relation, field))
+        m = getattr(sv.relation, field)
         for u, v in edges:
-            rows[los[u]] ^= 1 << los[v]
-        return sv._replace(relation=sv.relation._replace(**{field: tuple(rows)}))
+            m ^= 1 << los[u] * lvl.g + los[v]
+        return sv._replace(relation=sv.relation._replace(**{field: m}))
 
     monkeypatch.setattr(theorems, "survey", doctored)
     return {r.name: r for r in theorems.run_suite(5)}
@@ -696,7 +691,7 @@ def _laws_against_oracles(doctored, n, cells):
         laws_fail, oracle_fails = set(), set()
         for s in range(1, g):
             sv = survey(lvl, s)
-            zero, same = _join(sv.relation.zero, g), _join(sv.relation.same, g)
+            zero, same = sv.relation.zero, sv.relation.same
             verdicts = {
                 5: (
                     theorems._sail_laws(lvl, s, zero, _row_xor_permute(zero, g)),

@@ -544,6 +544,22 @@ def test_row_xor_permute_equals_the_cell_by_cell_read(n):
         assert zd._row_xor_permute(m, g) == _from_cells(read), m
 
 
+def _shift_mask_rows(m, g):
+    """The g rows of a g x g bit matrix, row r shifted down by r*g and masked to g bits."""
+    low = (1 << g) - 1
+    return tuple(m >> r * g & low for r in range(g))
+
+
+@pytest.mark.parametrize("g", [8, 16, 32, 64, 128, 256])
+def test_rows_equal_the_shift_and_mask_split(g):
+    rng = random.Random(f"rows-{g}")
+    cells = g * g
+    singles = [1 << r * g + c for r in range(g) for c in (0, g - 1)]  # each row's two end bits
+    words = [0, (1 << cells) - 1, *singles, *(rng.getrandbits(cells) for _ in range(4))]
+    for m in words:
+        assert zd._rows(m, g) == _shift_mask_rows(m, g), (g, m)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_split_signs_quadrants_equal_the_sign_loop(n):
     # each quadrant packed cell by cell from the sign loop: cell (r, c) at
@@ -628,7 +644,8 @@ def test_theorem4_reads_the_relation_diagonal_on_a_doctored_table(doctored, n, l
     lvl = Level(n)
     for s in range(1, lvl.g):
         _diagonal_fails_theorem4(relation(lvl, s), cluster(lvl, s))
-    assert relation(lvl, lo ^ hi ^ lvl.g).zero[lo] >> lo & 1
+    rel = relation(lvl, lo ^ hi ^ lvl.g)
+    assert rel.zero >> lo * rel.g + lo & 1
     results = {r.name: r for r in theorems.run_suite(n)}
     assert results["Theorem 4"] == theorems.TheoremResult(
         "Theorem 4", False, f"self-annihilating planes: [Assessor({lo}, {hi})]"
@@ -728,7 +745,7 @@ def test_dmz_scan_multiplies_only_within_clusters(monkeypatch):
 
 def _diagonal_fails_theorem4(rel, planes):
     """The relation's diagonal bit of each plane is set iff theorem4_check fails."""
-    assert [rel.zero[p.lo] >> p.lo & 1 for p in planes] == [
+    assert [rel.zero >> p.lo * rel.g + p.lo & 1 for p in planes] == [
         0 if theorem4_check(p) else 1 for p in planes
     ]
 
@@ -747,15 +764,17 @@ def test_relation_matches_dmz_pattern_on_every_cluster_pair(n):
     g, pairs, zeros = lvl.g, 0, 0
     for s in range(1, g):
         rel = relation(lvl, s)
-        assert isinstance(rel, Relation) and len(rel.zero) == len(rel.same) == g
-        assert rel.zero[0] == rel.zero[s] == 0
-        assert all(same & ~zero == 0 for zero, same in zip(rel.zero, rel.same))
-        assert all(zero >> g == 0 and zero & (1 | 1 << s) == 0 for zero in rel.zero)
+        assert isinstance(rel, Relation) and rel.g == g
+        row = (1 << g) - 1
+        assert rel.zero & (row | row << s * g) == 0  # rows 0 and s
+        assert rel.same & ~rel.zero == 0
+        column = sum(1 << r * g for r in range(g))
+        assert rel.zero >> g * g == 0 and rel.zero & (column | column << s) == 0  # columns 0 and s
         planes = cluster(lvl, s)
         _check_relation(rel, combinations(planes, 2))
         _diagonal_fails_theorem4(rel, planes)
         pairs += len(planes) * (len(planes) - 1) // 2
-        zeros += sum(zero.bit_count() for zero in rel.zero) // 2
+        zeros += rel.zero.bit_count() // 2
     assert (pairs, zeros) == {4: (105, 84), 5: (1365, 924), 6: (13485, 7980)}[n]
 
 
@@ -817,19 +836,18 @@ def _four_read_relation(lvl, s):
     x = g | s
     lows = [k for k in range(1, g) if k != s]
     table = _loop_table(lvl.n)
-    zero, same = [0] * g, [0] * g
+    zero = same = 0
     for i, a in enumerate(lows):
         ta, tA = table[a], table[a ^ x]
         for b in lows[i + 1 :]:
             B = b ^ x
             u = ta[b] * tA[B]
             if u == ta[B] * tA[b]:
-                zero[a] |= 1 << b
-                zero[b] |= 1 << a
+                cells = 1 << a * g + b | 1 << b * g + a
+                zero |= cells
                 if u < 0:
-                    same[a] |= 1 << b
-                    same[b] |= 1 << a
-    return Relation(tuple(zero), tuple(same))
+                    same |= cells
+    return Relation(zero, same, g)
 
 
 @pytest.mark.parametrize("n, zeros", [(7, 65100), (8, 523404)])
@@ -840,7 +858,7 @@ def test_relation_matches_the_four_read_loop_on_every_cluster(n, zeros):
         rel = relation(lvl, s)
         assert rel == _four_read_relation(lvl, s), s
         _diagonal_fails_theorem4(rel, cluster(lvl, s))
-        total += sum(zero.bit_count() for zero in rel.zero) // 2
+        total += rel.zero.bit_count() // 2
     assert total == zeros
 
 
